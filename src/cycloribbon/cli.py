@@ -2,8 +2,8 @@
 
 Data goes to stdout as JSON (or CSV for the matrix commands);
 diagnostics go to stderr.  Exit codes: 0 success, 1 argument or literal
-validation error, 2 oracle check failure (with a JSON counterexample on
-stderr).  Output is deterministic byte for byte for fixed flags.
+validation error, 2 oracle check failure (JSON counterexample or failed
+check on stderr).  Output is deterministic byte for byte for fixed flags.
 """
 
 from __future__ import annotations
@@ -57,37 +57,38 @@ def cmd_phi(args) -> int:
                   "output": _ribbon_json(ribbons.flip_ribbon(rib))})
 
 
-def _parse_elt(basis: str, text: str) -> lincomb.LinComb:
+def _parse_cycloribbon(text: str, flag: str) -> ribbons.ColoredRibbon:
+    rib = ribbons.parse_ribbon(text)
+    if not ribbons.is_cycloribbon(rib):
+        raise ValueError(f"{flag}: {ribbons.ribbon_literal(rib)} is not a cycloribbon")
+    return rib
+
+
+def _parse_elt(basis: str, text: str, flag: str) -> lincomb.LinComb:
     if basis == "F":
-        return lincomb.LinComb.single(lincomb.QMR_F, ribbons.parse_ribbon(text))
+        return lincomb.LinComb.single(lincomb.QMR_F, _parse_cycloribbon(text, flag))
     label = ribbons.parse_colored_composition(text)
     tag = lincomb.MR_R if basis == "R" else lincomb.MR_S
     return lincomb.LinComb.single(tag, label)
 
 
 def cmd_product(args) -> int:
-    lhs = _parse_elt(args.basis, args.lhs)
-    rhs = _parse_elt(args.basis, args.rhs)
+    lhs = _parse_elt(args.basis, args.lhs, "--lhs")
+    rhs = _parse_elt(args.basis, args.rhs, "--rhs")
     mul = {"F": hopf.qmr_product_F, "R": hopf.mr_product_R,
            "S": hopf.mr_product_S}[args.basis]
     return _emit(lincomb.lincomb_to_json(mul(lhs, rhs)))
 
 
 def cmd_coproduct(args) -> int:
-    elt = _parse_elt(args.basis, args.elt)
+    elt = _parse_elt(args.basis, args.elt, "--elt")
     cop = hopf.qmr_coproduct_F if args.basis == "F" else hopf.mr_coproduct
     return _emit(lincomb.tensorcomb_to_json(cop(elt)))
 
 
 def cmd_induce_simples(args) -> int:
-    lhs = ribbons.parse_ribbon(args.lhs)
-    rhs = ribbons.parse_ribbon(args.rhs)
-    for rib, side in ((lhs, "--lhs"), (rhs, "--rhs")):
-        if not ribbons.is_cycloribbon(rib):
-            raise ValueError(f"{side}: {ribbons.ribbon_literal(rib)} is not a cycloribbon")
-    prod = hopf.qmr_product_F(
-        lincomb.LinComb.single(lincomb.QMR_F, lhs),
-        lincomb.LinComb.single(lincomb.QMR_F, rhs))
+    prod = hopf.qmr_product_F(_parse_elt("F", args.lhs, "--lhs"),
+                              _parse_elt("F", args.rhs, "--rhs"))
     return _emit(lincomb.lincomb_to_json(prod))
 
 
@@ -150,10 +151,13 @@ def _max_dim() -> int:
 
 def cmd_oracle_verify(args) -> int:
     _check_sizes(args, min_n=1)
-    u = None
+    u = ()
     if args.u:
-        u = tuple(Fraction(piece) for piece in args.u.split(","))
-    params = oracle.AlgebraParams(args.n, args.r, u or ())
+        try:
+            u = tuple(Fraction(piece) for piece in args.u.split(","))
+        except ZeroDivisionError:
+            raise ValueError(f"--u: zero denominator in {args.u!r}") from None
+    params = oracle.AlgebraParams(args.n, args.r, u)
     cap = _max_dim()
     if params.dimension > cap:
         raise ValueError(
@@ -266,7 +270,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, oracle.OracleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, oracle.OracleError) else 1
 
 
 if __name__ == "__main__":

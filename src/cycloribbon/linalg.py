@@ -101,10 +101,6 @@ def kernel_basis(mat, ncols=None):
     return basis
 
 
-def rank(mat):
-    return len(rref(mat)[0])
-
-
 class SparseEchelon:
     """Growing echelon basis of sparse vectors keyed by orderable labels.
 
@@ -180,6 +176,3 @@ class SparseEchelon:
         if residue:
             raise ValueError("vector is not in the span")
         return record
-
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec)

@@ -65,20 +65,6 @@ def label_sort_key(basis, label):
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def label_grade(basis, label):
-    if basis in (MR_S, MR_R):
-        return sum(label.parts)
-    if basis == QMR_F:
-        return len(label.colors)
-    if basis == SYM_H:
-        return sum(d for _, d in label)
-    if basis == SYM_S:
-        return sum(sum(comp) for comp in label)
-    if basis == NCSF_R:
-        return sum(label)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 class LinComb:
     """A formal sum of basis labels with exact coefficients."""
 
@@ -112,10 +98,6 @@ class LinComb:
 
     def coefficient(self, label):
         return self.terms.get(label, 0)
-
-    def map_labels(self, basis, fn):
-        """New combination on ``basis`` with every label sent through fn."""
-        return LinComb(basis, [(fn(l), c) for l, c in self.terms.items()])
 
     def __bool__(self):
         return bool(self.terms)

@@ -27,6 +27,11 @@ the color constraints are applied first: they cut the regular
 representation down to the right ideal generated by the single basis
 element ``B[a, id]`` (``a`` the concatenated color word), inside which
 the Hecke constraints are a small closure/quotient computation.
+
+Composition factors are read off from traces, with no quotient module:
+on the weight space of a color word ``c`` the colors fix ``t_i`` except
+where ``c_i = c_{i+1}``, and there Norton's 0-Hecke idempotents
+``pi_i = 1 + T_i`` commute with ``L_c`` and count the rest.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ class AlgebraParams:
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 and r >= 1")
-        u = tuple(Fraction(x) for x in (self.u or range(1, self.r + 1)))
+        # integral parameters stay ints: exact, and much cheaper than Fraction
+        u = tuple(int(x) if x.denominator == 1 else x
+                  for x in map(Fraction, self.u or range(1, self.r + 1)))
         if len(u) != self.r or len(set(u)) != self.r:
             raise ValueError(f"need {self.r} pairwise distinct parameters, got {u}")
         object.__setattr__(self, "u", u)
@@ -528,66 +535,80 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
 
 
 # ---------------------------------------------------------------------------
-# composition series by socle peeling
+# composition factors from idempotent traces on the xi-weight spaces
 
-def _character_kernel(params, module, char):
-    stacked = []
-    dim = module.dim
-    for i, t in enumerate(char.t_values, start=1):
-        mat = mat_sub(module.t_mats[i - 1], mat_scale(Fraction(t), mat_identity(dim)))
-        stacked.extend(mat)
-    for j, c in enumerate(char.xi_colors, start=1):
-        mat = mat_sub(module.xi_mats[j - 1],
-                      mat_scale(params.u[c - 1], mat_identity(dim)))
-        stacked.extend(mat)
-    return kernel_basis(stacked, dim)
+def _weight_projectors(params, module):
+    """``{c: L_c}`` over the color words c whose projector
+    ``L_c = prod_j l_{c_j}(xi_j)`` is nonzero on the module.  Words are
+    grown one position at a time and dropped as soon as their partial
+    product vanishes."""
+    ident = mat_identity(module.dim)
+    weights = {(): ident}
+    for xi in module.xi_mats:
+        projectors = []
+        for k in range(1, params.r + 1):
+            coeffs = lagrange_coeffs(params.u, k)
+            proj = mat_scale(coeffs[-1], ident)
+            for a in reversed(coeffs[:-1]):
+                proj = mat_add(mat_mul(xi, proj), mat_scale(a, ident))
+            projectors.append(proj)
+        weights = {c + (k,): prod
+                   for c, acc in weights.items()
+                   for k, proj in enumerate(projectors, start=1)
+                   if not mat_is_zero(prod := mat_mul(proj, acc))}
+    return weights
 
 
 def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counter:
-    """Multiset of one-dimensional characters in a composition series,
-    by repeatedly splitting off the socle (the span of all joint
-    eigenvectors) and passing to the quotient."""
+    """Multiset of one-dimensional characters in a composition series.
+
+    A factor of weight ``c`` has ``t_i = -1`` where ``c_i < c_{i+1}`` and
+    ``t_i = 0`` where ``c_i > c_{i+1}``.  For ``K`` inside
+    ``J = {i : c_i = c_{i+1}}``, the trace of the idempotent
+    ``e_K = pi_{w0(K)} L_c`` counts the factors of weight ``c`` with
+    ``t_i = 0`` on ``K``; Moebius inversion over the subsets of ``J``
+    gives the multiplicities.  Raises :class:`OracleError` unless every
+    ``e_K`` squares to itself, every multiplicity is nonnegative, every
+    factor is in :func:`enumerate_one_dim_characters`, and the
+    multiplicities add up to the dimension.  The tests keep the socle
+    peeling this replaced as a reference.
+    """
+    census = set(enumerate_one_dim_characters(params))
     factors = Counter()
-    original_dim = module.dim
-    t_mats = [list(map(list, m)) for m in module.t_mats]
-    xi_mats = [list(map(list, m)) for m in module.xi_mats]
-    dim = module.dim
-    candidates = enumerate_one_dim_characters(params)
-
-    while dim > 0:
-        current = ExplicitModule(tuple(t_mats), tuple(xi_mats))
-        socle_rows, counts = [], {}
-        for char in candidates:
-            ker = _character_kernel(params, current, char)
-            if ker:
-                counts[char] = len(ker)
-                socle_rows.extend(ker)
-        if not socle_rows:
-            raise OracleError(
-                f"no one-dimensional submodule in a module of dimension {dim}; "
-                "this would falsify the classification of the simples")
-        sub_rref, pivots = rref(socle_rows)
-        if len(sub_rref) != sum(counts.values()):
-            raise OracleError("joint eigenspaces are not independent")
-        factors.update(counts)
-
-        free = [c for c in range(dim) if c not in pivots]
-
-        def quotient(mat):
-            out = [[Fraction(0)] * len(free) for _ in range(len(free))]
-            for newcol, col in enumerate(free):
-                column = [mat[row][col] for row in range(dim)]
-                rep = reduce_mod_rref(sub_rref, pivots, column)
-                for k, f in enumerate(free):
-                    out[k][newcol] = rep[f]
-            return out
-
-        t_mats = [quotient(m) for m in t_mats]
-        xi_mats = [quotient(m) for m in xi_mats]
-        dim = len(free)
-
-    if sum(factors.values()) != original_dim:
-        raise OracleError("composition factor count does not match the dimension")
+    for c, proj in _weight_projectors(params, module).items():
+        equal = [i for i in range(1, params.n) if c[i - 1] == c[i]]
+        subsets = [frozenset(k) for size in range(len(equal) + 1)
+                   for k in itertools.combinations(equal, size)]
+        traces = {}
+        for k in subsets:
+            # the pi_i along a word give pi of its Demazure product, which
+            # is w0(K) for (sorted K)^|K|: it contains a reduced word of w0(K)
+            e = proj
+            for i in sorted(k) * len(k):
+                e = mat_add(e, mat_mul(module.t_mats[i - 1], e))
+            if mat_mul(e, e) != e:
+                raise OracleError(
+                    f"e_K = pi_w0(K) L_c is not idempotent for K = {sorted(k)}, c = {c}")
+            traces[k] = int(sum(e[d][d] for d in range(module.dim)))  # the rank
+        for s in subsets:
+            mult = sum((-1) ** len(k - s) * traces[k] for k in subsets if k >= s)
+            if mult < 0:
+                raise OracleError(
+                    f"negative multiplicity {mult} at weight {c}, t = 0 on {sorted(s)}")
+            if not mult:
+                continue
+            char = Character(c, tuple(
+                -1 if c[i - 1] < c[i] or (c[i - 1] == c[i] and i not in s) else 0
+                for i in range(1, params.n)))
+            if char not in census:
+                raise OracleError(
+                    f"factor {char} is not a one-dimensional character; "
+                    "this would falsify the classification of the simples")
+            factors[char] += mult
+    if sum(factors.values()) != module.dim:
+        raise OracleError(
+            f"composition factors count {sum(factors.values())}, "
+            f"but the module has dimension {module.dim}")
     return factors
 
 
@@ -619,12 +640,8 @@ def check_submodule_order(params: AlgebraParams, shape) -> dict:
     below the first in the sorting order of fillings of the shape."""
     module = build_shape_module(params, shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
-    index = {w: k for k, w in enumerate(words)}
-    spans = {}
-    for w in words:
-        seed = [Fraction(0)] * len(words)
-        seed[index[w]] = Fraction(1)
-        spans[w] = _invariant_span(module, [seed])
+    unit = mat_identity(len(words))
+    spans = {w: _invariant_span(module, [unit[k]]) for k, w in enumerate(words)}
     below = {w: fillings_below(shape, w) for w in words}
 
     for c in words:
@@ -645,25 +662,29 @@ def check_submodule_order(params: AlgebraParams, shape) -> dict:
             "pass": True, "counterexample": None}
 
 
+def _character_kernel(params, module, char):
+    ident = mat_identity(module.dim)
+    values = char.t_values + tuple(params.u[c - 1] for c in char.xi_colors)
+    stacked = []
+    for mat, value in zip(module.t_mats + module.xi_mats, values):
+        stacked.extend(mat_sub(mat, mat_scale(value, ident)))
+    return kernel_basis(stacked, module.dim)
+
+
 def check_socle(params: AlgebraParams, shape) -> dict:
     """The socle of a shape module is spanned exactly by the basis vectors
     whose color word makes the shape a cycloribbon."""
     module = build_shape_module(params, shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
-    index = {w: k for k, w in enumerate(words)}
 
     socle_rows = []
     for char in enumerate_one_dim_characters(params):
         socle_rows.extend(_character_kernel(params, module, char))
     got = rref(socle_rows)[0] if socle_rows else []
-
-    expected_rows = []
-    for w in words:
-        if is_cycloribbon(ColoredRibbon(tuple(shape), w)):
-            row = [Fraction(0)] * len(words)
-            row[index[w]] = Fraction(1)
-            expected_rows.append(row)
-    expected = rref(expected_rows)[0] if expected_rows else []
+    # unit rows in increasing position are already in reduced echelon form
+    unit = mat_identity(len(words))
+    expected = [unit[k] for k, w in enumerate(words)
+                if is_cycloribbon(ColoredRibbon(tuple(shape), w))]
 
     ok = got == expected
     return {"check": "socle", "instance": f"shape={shape}", "pass": ok,

@@ -86,6 +86,14 @@ def test_induce_simples_rejects_noncycloribbon(capsys):
     assert code == 1 and "not a cycloribbon" in err
 
 
+def test_f_basis_rejects_noncycloribbon(capsys):
+    for argv in (("product", "--basis", "F", "--lhs", "2|3,1", "--rhs", "1|1"),
+                 ("product", "--basis", "F", "--lhs", "1|1", "--rhs", "2|3,1"),
+                 ("coproduct", "--basis", "F", "--elt", "2|3,1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "not a cycloribbon" in err and not out
+
+
 def test_induce_hecke_projective(capsys):
     obj = run_json(capsys, "induce-hecke-projective", "--shape", "2,1",
                    "--r", "2", expect_def="induce_hecke_projective")
@@ -130,6 +138,13 @@ def test_oracle_verify(capsys):
     assert obj["u"] == ["1", "3"]
 
 
+def test_oracle_verify_zero_denominator(capsys):
+    code, out, err = run(capsys, "oracle", "verify", "--n", "2", "--r", "2",
+                         "--u", "1/0,2")
+    assert code == 1 and err.startswith("error:") and not out
+    assert "Traceback" not in err
+
+
 def test_oracle_verify_respects_cap(capsys, monkeypatch):
     monkeypatch.setenv(cli.MAX_DIM_ENV, "10")
     code, out, err = run(capsys, "oracle", "verify", "--n", "3", "--r", "2")
@@ -152,6 +167,16 @@ def test_oracle_failure_exit_code(capsys, monkeypatch):
                          "--r", "2")
     assert code == 2
     assert json.loads(err) == [{"lhs": {}}]
+
+
+def test_oracle_error_exit_code(capsys, monkeypatch):
+    def broken(params, module):
+        raise cli.oracle.OracleError("e_K is not idempotent")
+    monkeypatch.setattr(cli.oracle, "composition_factors", broken)
+    code, out, err = run(capsys, "oracle", "cross-check", "--max-grade", "2",
+                         "--r", "2")
+    assert code == 2 and not out
+    assert err == "error: e_K is not idempotent\n"
 
 
 def test_malformed_literal_reports_position(capsys):

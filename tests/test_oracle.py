@@ -8,9 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from cycloribbon.linalg import reduce_mod_rref, rref
 from cycloribbon.oracle import (
     AlgebraElement,
     AlgebraParams,
+    ExplicitModule,
+    OracleError,
+    _character_kernel,
     build_induced_module,
     build_shape_module,
     check_socle,
@@ -30,6 +34,48 @@ from cycloribbon.reptheory import Character, simple_character
 from cycloribbon.ribbons import compositions, enumerate_cycloribbons
 
 rng = random.Random(99)
+
+
+def peel_composition_factors(params, module):
+    """Reference for :func:`composition_factors`: repeatedly split off
+    the socle (the span of all joint eigenvectors) and pass to the
+    quotient."""
+    factors = Counter()
+    t_mats = [list(map(list, m)) for m in module.t_mats]
+    xi_mats = [list(map(list, m)) for m in module.xi_mats]
+    dim = module.dim
+    candidates = enumerate_one_dim_characters(params)
+
+    while dim > 0:
+        current = ExplicitModule(tuple(t_mats), tuple(xi_mats))
+        socle_rows, counts = [], {}
+        for char in candidates:
+            ker = _character_kernel(params, current, char)
+            if ker:
+                counts[char] = len(ker)
+                socle_rows.extend(ker)
+        assert socle_rows, f"no one-dimensional submodule in dimension {dim}"
+        sub_rref, pivots = rref(socle_rows)
+        assert len(sub_rref) == sum(counts.values()), "dependent eigenspaces"
+        factors.update(counts)
+
+        free = [c for c in range(dim) if c not in pivots]
+
+        def quotient(mat):
+            out = [[Fraction(0)] * len(free) for _ in range(len(free))]
+            for newcol, col in enumerate(free):
+                column = [mat[row][col] for row in range(dim)]
+                rep = reduce_mod_rref(sub_rref, pivots, column)
+                for k, f in enumerate(free):
+                    out[k][newcol] = rep[f]
+            return out
+
+        t_mats = [quotient(m) for m in t_mats]
+        xi_mats = [quotient(m) for m in xi_mats]
+        dim = len(free)
+
+    assert sum(factors.values()) == module.dim
+    return factors
 
 
 def B(colors, perm):
@@ -308,3 +354,64 @@ def test_cross_check_negation_fails_with_three_colors():
     assert not report["pass"]
     report = cross_check_induction(3, 2)
     assert report["pass"]
+
+
+# ---------------------------------------------------------------------------
+# composition factors: idempotent traces against socle peeling
+
+def criterion_11_modules(r, max_grade, u=None):
+    """The induced modules of acceptance criterion 11 at one r."""
+    for total in range(2, max_grade + 1):
+        p = AlgebraParams(total, r, u or ())
+        for m in range(1, total):
+            for a in enumerate_cycloribbons(m, r):
+                for b in enumerate_cycloribbons(total - m, r):
+                    yield p, build_induced_module(
+                        p, [simple_character(a), simple_character(b)])
+
+
+def shape_modules(n, r, u=None):
+    p = AlgebraParams(n, r, u or ())
+    for shape in compositions(n):
+        yield p, build_shape_module(p, shape)
+
+
+def assert_traces_agree_with_peeling(p, mod):
+    got = composition_factors(p, mod)
+    assert got == peel_composition_factors(p, mod)
+    assert all(type(m) is int for m in got.values())
+
+
+@pytest.mark.parametrize("r, max_grade, u", [
+    (2, 4, None), (3, 3, None), (3, 3, (2, 7, -3)),
+    (2, 4, (Fraction(1, 2), 3))])
+def test_traces_agree_with_peeling_on_induced_modules(r, max_grade, u):
+    for p, mod in criterion_11_modules(r, max_grade, u):
+        assert_traces_agree_with_peeling(p, mod)
+
+
+@pytest.mark.parametrize("n, r, u", [
+    (3, 2, None), (3, 3, None), (4, 2, None),
+    (3, 3, (2, 7, -3)), (4, 2, (Fraction(1, 2), 3))])
+def test_traces_agree_with_peeling_on_shape_modules(n, r, u):
+    for p, mod in shape_modules(n, r, u):
+        assert_traces_agree_with_peeling(p, mod)
+
+
+def test_non_idempotent_pi_is_rejected():
+    # T_1 acts by -1 on the weight (1, 1) of this module, so 2*T_1 makes
+    # pi_1 = 1 + 2*T_1 act by -1 there, which does not square to itself
+    p = AlgebraParams(2, 2)
+    mod = build_shape_module(p, (1, 1))
+    (t1,) = mod.t_mats
+    broken = ExplicitModule(t_mats=([[2 * x for x in row] for row in t1],),
+                            xi_mats=mod.xi_mats)
+    with pytest.raises(OracleError, match="not idempotent"):
+        composition_factors(p, broken)
+
+
+def test_integral_parameters_stay_ints():
+    u = AlgebraParams(3, 3, (2, Fraction(14, 2), "-3")).u
+    assert u == (2, 7, -3) and all(type(x) is int for x in u)
+    assert all(type(x) is int for x in AlgebraParams(2, 2).u)
+    assert type(AlgebraParams(2, 2, ("1/2", 3)).u[0]) is Fraction
