@@ -1,0 +1,82 @@
+"""Golden CLI outputs: stdout bytes and exit codes, compared byte for byte.
+
+The files under ``tests/golden/`` were recorded from the CLI and must not
+change when the code behind it is restructured.  To record them again
+after an intended change of output, run ``python tests/test_golden.py``
+with ``src`` on the path, and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from cycloribbon import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+README_EXAMPLES = [
+    ["enumerate", "--n", "3", "--r", "2", "--shape", "2,1"],
+    ["phi", "--ribbon", "1,1|2,1"],
+    ["product", "--basis", "R", "--lhs", "2^1", "--rhs", "1^1"],
+    ["coproduct", "--basis", "S", "--elt", "2^1"],
+    ["induce-simples", "--lhs", "1,1|2,1", "--rhs", "2|1,2"],
+    ["induce-hecke-projective", "--shape", "2,1", "--r", "2"],
+    ["cartan", "--n", "2", "--r", "2", "--format", "csv"],
+    ["decomp", "--n", "3", "--r", "2", "--format", "json"],
+    ["dims", "--n", "3", "--r", "2"],
+    ["oracle", "verify", "--n", "3", "--r", "2", "--u", "1,3"],
+    ["oracle", "cross-check", "--max-grade", "3", "--r", "2"],
+]
+
+CASES = README_EXAMPLES + [
+    [matrix, "--n", str(n), "--r", str(r), "--format", fmt]
+    for matrix in ("cartan", "decomp")
+    for n in range(5)
+    for r in (1, 2)
+    for fmt in ("json", "csv")
+    if [matrix, "--n", str(n), "--r", str(r), "--format", fmt] not in README_EXAMPLES
+] + [
+    ["coproduct", "--basis", "F", "--elt", "2,1|1,2,1"],
+    ["coproduct", "--basis", "R", "--elt", "2^1.1^2.1^1"],
+    ["coproduct", "--basis", "S", "--elt", "2^1.1^2.1^1"],
+    ["oracle", "verify", "--n", "3", "--r", "2", "--u=-5/6,0"],
+]
+
+
+def slug(argv):
+    return re.sub(r"[^A-Za-z0-9=.^-]+", "_", " ".join(argv)).strip("_")
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue().encode()
+
+
+def load_exit_codes():
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("argv", CASES, ids=slug)
+def test_cli_output_matches_golden(argv):
+    code, stdout = run_cli(argv)
+    assert code == load_exit_codes()[slug(argv)]
+    assert stdout == (GOLDEN / f"{slug(argv)}.stdout").read_bytes()
+
+
+def record():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for argv in CASES:
+        codes[slug(argv)], stdout = run_cli(argv)
+        (GOLDEN / f"{slug(argv)}.stdout").write_bytes(stdout)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()
