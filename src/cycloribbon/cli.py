@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, oracle.OracleError) as exc:
+    except (ValueError, OverflowError, oracle.OracleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, oracle.OracleError) else 1
 

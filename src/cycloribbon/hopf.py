@@ -38,6 +38,7 @@ from .lincomb import (
     SYM_H,
     SYM_S,
     TensorComb,
+    accumulate,
     tensor_map_sides,
     tensor_multiply,
     tensor_of,
@@ -154,19 +155,17 @@ def mr_coproduct(a: LinComb) -> TensorComb:
         tc = mr_coproduct(r_to_s(a))
         return tensor_map_sides(tc, (MR_R, MR_R), s_to_r, s_to_r)
     _expect(a, MR_S)
-    out = TensorComb((MR_S, MR_S))
+    out = {}
     for lab, coeff in a.terms.items():
         tc = tensor_of(mr_unit(), mr_unit())
         for part, color in zip(lab.parts, lab.colors):
-            split = TensorComb((MR_S, MR_S))
-            for i in range(part + 1):
-                left = (ColoredComposition((i,), (color,)) if i else MR_UNIT)
-                right = (ColoredComposition((part - i,), (color,))
-                         if part - i else MR_UNIT)
-                split = split + TensorComb((MR_S, MR_S), [((left, right), 1)])
+            halves = [ColoredComposition((i,), (color,)) if i else MR_UNIT
+                      for i in range(part + 1)]
+            split = TensorComb((MR_S, MR_S), [((halves[i], halves[part - i]), 1)
+                                               for i in range(part + 1)])
             tc = tensor_multiply(tc, split, mr_product_S)
-        out = out + coeff * tc
-    return out
+        accumulate(out, tc.terms.items(), coeff)
+    return TensorComb((MR_S, MR_S), out)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +299,13 @@ def mr_to_ncsf(a: LinComb) -> LinComb:
                                 for lab, c in a.terms.items()
                                 for coarse in coarsenings(lab.parts)])
     _expect(a, MR_R)
-    out = LinComb.zero(NCSF_R)
+    out = {}
     for lab, c in a.terms.items():
         acc = LinComb.single(NCSF_R, ())
         for _, subparts in _color_runs(lab):
             acc = ncsf_product_R(acc, LinComb.single(NCSF_R, subparts))
-        out = out + c * acc
-    return out
+        accumulate(out, acc.terms.items(), c)
+    return LinComb(NCSF_R, out)
 
 
 def h_monomial(pairs) -> tuple:
@@ -336,14 +335,14 @@ def sym_to_qmr(a: LinComb) -> LinComb:
     multiplied out in QMR.  Monomial labels are already canonically
     sorted, and the QMR product is commutative, so this is well defined."""
     _expect(a, SYM_H)
-    out = LinComb.zero(QMR_F)
+    out = {}
     for mono, c in a.terms.items():
         acc = LinComb.single(QMR_F, QMR_UNIT)
         for color, degree in mono:
             acc = qmr_product_F(acc, LinComb.single(
                 QMR_F, _h_factor_image(color, degree)))
-        out = out + c * acc
-    return out
+        accumulate(out, acc.terms.items(), c)
+    return LinComb(QMR_F, out)
 
 
 def cartan_map(a: LinComb) -> LinComb:
@@ -361,7 +360,6 @@ def sym_h_product(a: LinComb, b: LinComb) -> LinComb:
                            for y, cb in b.terms.items()])
 
 
-@lru_cache(maxsize=None)
 def schur_in_h(partition: tuple, color: int = 1) -> LinComb:
     """Expand a Schur function of one variable set as a polynomial in the
     complete functions, by the Jacobi-Trudi determinant.
@@ -369,8 +367,13 @@ def schur_in_h(partition: tuple, color: int = 1) -> LinComb:
     >>> sorted(schur_in_h((1, 1)).terms.items())
     [(((1, 1), (1, 1)), 1), (((1, 2),), -1)]
     """
+    return LinComb(SYM_H, _schur_terms(partition, color))
+
+
+@lru_cache(maxsize=None)
+def _schur_terms(partition: tuple, color: int) -> tuple:
     ell = len(partition)
-    out = LinComb.zero(SYM_H)
+    terms = []
     for perm in itertools.permutations(range(ell)):
         sign = 1
         for i, j in itertools.combinations(range(ell), 2):
@@ -384,9 +387,8 @@ def schur_in_h(partition: tuple, color: int = 1) -> LinComb:
             if d > 0:
                 degrees.append(d)
         else:
-            out = out + sign * LinComb.single(
-                SYM_H, h_monomial((color, d) for d in degrees))
-    return out
+            terms.append((h_monomial((color, d) for d in degrees), sign))
+    return tuple(accumulate({}, terms).items())
 
 
 def multipartition_class(mp) -> LinComb:
@@ -401,10 +403,10 @@ def multipartition_class(mp) -> LinComb:
 def schur_basis_to_h(a: LinComb) -> LinComb:
     """Expand a combination of Schur-product labels in monomials."""
     _expect(a, SYM_S)
-    out = LinComb.zero(SYM_H)
+    out = {}
     for mp, c in a.terms.items():
-        out = out + c * multipartition_class(mp)
-    return out
+        accumulate(out, multipartition_class(mp).terms.items(), c)
+    return LinComb(SYM_H, out)
 
 
 def colored_partitions(n: int, r: int) -> list:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
+from .lincomb import accumulate
+
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
@@ -121,28 +123,23 @@ class SparseEchelon:
         # Every stored row has its pivot as minimal key with coefficient 1,
         # so reducing at a key only disturbs larger keys: one ordered pass
         # over a lazy heap suffices.
-        v = {k: c for k, c in vec.items() if c}
+        v = accumulate({}, vec.items())
         heap = list(v)
         heapq.heapify(heap)
         while heap:
             key = heapq.heappop(heap)
-            coeff = v.get(key)
-            if not coeff:
-                continue
             idx = self._by_pivot.get(key)
-            if idx is None:
+            if idx is None or key not in v:
                 continue
+            coeff = v[key]
             if record is not None:
                 record[idx] += coeff
-            for k2, c2 in self.rows[idx].items():
-                nv = v.get(k2, 0) - coeff * c2
-                if nv:
-                    if k2 not in v:
-                        heapq.heappush(heap, k2)
-                    v[k2] = nv
-                else:
-                    v.pop(k2, None)
-        return {k: c for k, c in v.items() if c}
+            row = self.rows[idx]
+            for k2 in row:
+                if k2 not in v:
+                    heapq.heappush(heap, k2)
+            accumulate(v, row.items(), -coeff)
+        return v
 
     def insert(self, vec):
         """Reduce ``vec`` against the basis and add the residual if it is
@@ -151,22 +148,18 @@ class SparseEchelon:
         if not v:
             return None
         pivot = min(v)
-        inv = Fraction(1, 1) / v[pivot]
-        v = {k: c * inv for k, c in v.items()}
+        v = accumulate({}, v.items(), Fraction(1) / v[pivot])
         # keep stored rows fully reduced against the new pivot
-        for i, row in enumerate(self.rows):
+        for row in self.rows:
             if pivot in row:
-                f = row[pivot]
-                for k2, c2 in v.items():
-                    nv = row.get(k2, 0) - f * c2
-                    if nv:
-                        row[k2] = nv
-                    else:
-                        row.pop(k2, None)
+                accumulate(row, v.items(), -row[pivot])
         self.rows.append(v)
         self.pivot_of.append(pivot)
         self._by_pivot[pivot] = len(self.rows) - 1
         return len(self.rows) - 1
+
+    def __contains__(self, vec):
+        return not self._reduce(vec)
 
     def coordinates(self, vec):
         """Coefficients of ``vec`` over the stored rows; raises if the

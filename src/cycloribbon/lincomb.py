@@ -45,10 +45,19 @@ NCSF_R = "NCSF-R"
 BASES = (MR_S, MR_R, QMR_F, SYM_H, SYM_S, NCSF_R)
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def accumulate(acc: dict, items, scale=1) -> dict:
+    """Add ``scale * coeff`` into ``acc`` for every ``(key, coeff)`` of
+    ``items``, dropping zeros and turning integral Fractions into ints;
+    returns ``acc``.  Every formal sum and echelon row is built by it."""
+    get = acc.get
+    for key, coeff in items:
+        coeff = get(key, 0) + scale * coeff
+        if coeff:
+            acc[key] = (coeff.numerator if type(coeff) is Fraction
+                        and coeff.denominator == 1 else coeff)
+        elif key in acc:
+            del acc[key]
+    return acc
 
 
 def label_sort_key(basis, label):
@@ -65,146 +74,109 @@ def label_sort_key(basis, label):
     raise ValueError(f"unknown basis {basis!r}")
 
 
-class LinComb:
-    """A formal sum of basis labels with exact coefficients."""
+class FormalSum:
+    """A tag naming the basis and a dict from labels to nonzero exact
+    coefficients.  Subclasses give the constructor signature, the sort
+    key of the labels and the repr; the arithmetic is shared."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("tag", "terms")
 
-    def __init__(self, basis, terms=()):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for label, coeff in items:
-            coeff = data.get(label, 0) + coeff
-            if coeff:
-                data[label] = _norm_coeff(coeff)
-            else:
-                data.pop(label, None)
-        self.terms = data
+    def __init__(self, tag, terms=()):
+        self.tag = tag
+        self.terms = accumulate(
+            {}, terms.items() if hasattr(terms, "items") else terms)
 
     @classmethod
-    def single(cls, basis, label, coeff=1):
-        return cls(basis, [(label, coeff)])
+    def _wrap(cls, tag, terms):
+        # ``terms`` must already hold only nonzero, normalized coefficients
+        out = object.__new__(cls)
+        out.tag = tag
+        out.terms = terms
+        return out
 
-    @classmethod
-    def zero(cls, basis):
-        return cls(basis)
+    def sort_key(self, label):
+        return label
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: label_sort_key(self.basis, kv[0]))
-
-    def coefficient(self, label):
-        return self.terms.get(label, 0)
+        return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        return (isinstance(other, LinComb) and self.basis == other.basis
+        return (type(self) is type(other) and self.tag == other.tag
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
+        return hash((self.tag, frozenset(self.terms.items())))
 
-    def _check_same_basis(self, other):
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
+    def _combine(self, other, scale):
+        if type(self) is not type(other) or self.tag != other.tag:
+            raise ValueError(f"basis mismatch: {self.tag} vs {other.tag}")
+        return self._wrap(self.tag, accumulate(dict(self.terms),
+                                               other.terms.items(), scale))
 
     def __add__(self, other):
-        self._check_same_basis(other)
-        out = dict(self.terms)
-        for label, coeff in other.terms.items():
-            coeff = out.get(label, 0) + coeff
-            if coeff:
-                out[label] = _norm_coeff(coeff)
-            else:
-                out.pop(label, None)
-        result = LinComb.zero(self.basis)
-        result.terms = out
-        return result
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self._combine(other, -1)
 
     def __neg__(self):
         return (-1) * self
 
     def __rmul__(self, scalar):
-        if not scalar:
-            return LinComb.zero(self.basis)
-        result = LinComb.zero(self.basis)
-        result.terms = {l: _norm_coeff(scalar * c) for l, c in self.terms.items()}
-        return result
+        return self._wrap(self.tag, accumulate({}, self.terms.items(), scalar))
+
+
+class LinComb(FormalSum):
+    """A formal sum of basis labels with exact coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, basis, terms=()):
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        super().__init__(basis, terms)
+
+    @property
+    def basis(self):
+        return self.tag
+
+    @classmethod
+    def single(cls, basis, label, coeff=1):
+        return cls(basis, [(label, coeff)])
+
+    def coefficient(self, label):
+        return self.terms.get(label, 0)
+
+    def sort_key(self, label):
+        return label_sort_key(self.tag, label)
 
     def __repr__(self):
-        if not self.terms:
-            return f"LinComb({self.basis}, 0)"
         bits = " + ".join(f"{c}*{l}" for l, c in self.sorted_terms())
-        return f"LinComb({self.basis}, {bits})"
+        return f"LinComb({self.tag}, {bits or 0})"
 
 
-class TensorComb:
+class TensorComb(FormalSum):
     """A formal sum of pairs of labels, one basis tag per tensor factor."""
 
-    __slots__ = ("bases", "terms")
+    __slots__ = ()
 
     def __init__(self, bases, terms=()):
-        self.bases = tuple(bases)
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for pair, coeff in items:
-            coeff = data.get(pair, 0) + coeff
-            if coeff:
-                data[pair] = _norm_coeff(coeff)
-            else:
-                data.pop(pair, None)
-        self.terms = data
+        super().__init__(tuple(bases), terms)
 
-    def sorted_terms(self):
-        b1, b2 = self.bases
-        return sorted(self.terms.items(),
-                      key=lambda kv: (label_sort_key(b1, kv[0][0]),
-                                      label_sort_key(b2, kv[0][1])))
+    @property
+    def bases(self):
+        return self.tag
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorComb) and self.bases == other.bases
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.bases, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if self.bases != other.bases:
-            raise ValueError("tensor basis mismatch")
-        out = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            coeff = out.get(pair, 0) + coeff
-            if coeff:
-                out[pair] = _norm_coeff(coeff)
-            else:
-                out.pop(pair, None)
-        result = TensorComb(self.bases)
-        result.terms = out
-        return result
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        result = TensorComb(self.bases)
-        if scalar:
-            result.terms = {p: _norm_coeff(scalar * c) for p, c in self.terms.items()}
-        return result
-
-    def __bool__(self):
-        return bool(self.terms)
+    def sort_key(self, pair):
+        b1, b2 = self.tag
+        return label_sort_key(b1, pair[0]), label_sort_key(b2, pair[1])
 
     def __repr__(self):
         bits = " + ".join(f"{c}*{l}x{m}" for (l, m), c in self.sorted_terms())
-        return f"TensorComb({self.bases}, {bits or 0})"
+        return f"TensorComb({self.tag}, {bits or 0})"
 
 
 def tensor_of(a: LinComb, b: LinComb) -> TensorComb:
@@ -218,34 +190,35 @@ def tensor_multiply(t1: TensorComb, t2: TensorComb, mul) -> TensorComb:
     """Componentwise product of tensors, multiplying each side with ``mul``
     (a function of two single-label LinCombs)."""
     b1, b2 = t1.bases
-    out = TensorComb(t1.bases)
+    out = {}
     for (l1, m1), c1 in t1.terms.items():
         for (l2, m2), c2 in t2.terms.items():
             left = mul(LinComb.single(b1, l1), LinComb.single(b1, l2))
             right = mul(LinComb.single(b2, m1), LinComb.single(b2, m2))
-            out = out + (c1 * c2) * tensor_of(left, right)
-    return out
+            accumulate(out, tensor_of(left, right).terms.items(), c1 * c2)
+    return TensorComb._wrap(t1.bases, out)
 
 
 def tensor_map_sides(t: TensorComb, bases, fn_left, fn_right) -> TensorComb:
     """Apply LinComb->LinComb maps to the two sides of every term."""
-    out = TensorComb(bases)
+    out = {}
     for (l, m), c in t.terms.items():
         left = fn_left(LinComb.single(t.bases[0], l))
         right = fn_right(LinComb.single(t.bases[1], m))
-        out = out + c * tensor_of(left, right)
-    return out
+        accumulate(out, tensor_of(left, right).terms.items(), c)
+    return TensorComb._wrap(tuple(bases), out)
 
 
 # ---------------------------------------------------------------------------
 # JSON codecs
 
 def coeff_to_str(c) -> str:
-    return str(_norm_coeff(Fraction(c)))
+    return str(Fraction(c))
 
 
 def coeff_from_str(s: str):
-    return _norm_coeff(Fraction(s))
+    c = Fraction(s)
+    return c.numerator if c.denominator == 1 else c
 
 
 def label_to_json(basis, label):

@@ -55,6 +55,7 @@ from .linalg import (
     reduce_mod_rref,
     rref,
 )
+from .lincomb import FormalSum, accumulate
 from .reptheory import Character, simple_character
 from .ribbons import (
     ColoredRibbon,
@@ -101,48 +102,20 @@ def basis_keys(params: AlgebraParams):
             yield (colors, perm)
 
 
-class AlgebraElement:
+class AlgebraElement(FormalSum):
     """Sparse rational combination of the ``B[c, w]`` basis."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=()):
-        items = terms.items() if hasattr(terms, "items") else terms
-        self.terms = {k: c for k, c in items if c}
+        super().__init__(None, terms)
 
     @classmethod
     def basis(cls, colors, perm):
         return cls({(tuple(colors), tuple(perm)): 1})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        res = AlgebraElement()
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        res = AlgebraElement()
-        if scalar:
-            res.terms = {k: scalar * c for k, c in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __repr__(self):
-        bits = " + ".join(f"{c}*B{k}" for k, c in sorted(self.terms.items()))
+        bits = " + ".join(f"{c}*B{k}" for k, c in self.sorted_terms())
         return f"AlgebraElement({bits or 0})"
 
 
@@ -158,8 +131,8 @@ def left_mult_xi(params: AlgebraParams, j: int, x: AlgebraElement) -> AlgebraEle
     """Color generators act diagonally through their Lagrange spectrum."""
     if not 1 <= j <= params.n:
         raise ValueError(f"xi index {j} outside 1..{params.n}")
-    return AlgebraElement({k: params.u[k[0][j - 1] - 1] * c
-                           for k, c in x.terms.items()})
+    u = params.u
+    return AlgebraElement([(k, u[k[0][j - 1] - 1] * c) for k, c in x.terms.items()])
 
 
 def _swap_values(word, i):
@@ -170,28 +143,21 @@ def _swap_values(word, i):
 def left_mult_T(params: AlgebraParams, i: int, x: AlgebraElement) -> AlgebraElement:
     if not 1 <= i <= params.n - 1:
         raise ValueError(f"T index {i} outside 1..{params.n - 1}")
-    out = {}
-
-    def add(key, coeff):
-        nc = out.get(key, 0) + coeff
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-
+    out = []
+    add = out.append
     for (c, w), coeff in x.terms.items():
         cs = c[:i - 1] + (c[i], c[i - 1]) + c[i + 1:]
         # commuting T_i through L_c leaves L_{c.s_i} T_i ...
         winv = inverse_perm(w)
         if winv[i - 1] < winv[i]:          # length goes up
-            add((cs, _swap_values(w, i)), coeff)
+            add(((cs, _swap_values(w, i)), coeff))
         else:                              # T_i^2 = -T_i
-            add((cs, w), -coeff)
+            add(((cs, w), -coeff))
         # ... plus the color correction term
         if c[i - 1] < c[i]:
-            add((c, w), -coeff)
+            add(((c, w), -coeff))
         elif c[i - 1] > c[i]:
-            add((cs, w), coeff)
+            add(((cs, w), coeff))
     return AlgebraElement(out)
 
 
@@ -212,14 +178,13 @@ def _sorting_word(perm):
 def multiply(params: AlgebraParams, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the algebra: expand ``x`` over its basis terms, apply
     each ``T_w`` to ``y`` letter by letter, then project on the color."""
-    total = AlgebraElement()
+    total = {}
     for (c, w), coeff in x.terms.items():
         z = y
         for i in _sorting_word(w):
             z = left_mult_T(params, i, z)
-        picked = {(c2, w2): cf for (c2, w2), cf in z.terms.items() if c2 == c}
-        total = total + coeff * AlgebraElement(picked)
-    return total
+        accumulate(total, ((k, cf) for k, cf in z.terms.items() if k[0] == c), coeff)
+    return AlgebraElement(total)
 
 
 @lru_cache(maxsize=None)
@@ -386,26 +351,28 @@ def enumerate_one_dim_characters(params: AlgebraParams) -> tuple:
 # ---------------------------------------------------------------------------
 # induced modules by ideal-quotient linear algebra
 
-def _left_closure(params: AlgebraParams, seeds) -> SparseEchelon:
-    """Echelon basis of the left ideal generated by the seed elements:
-    close their span under left multiplication by every generator."""
+def _closure(ops, seeds) -> SparseEchelon:
+    """Echelon basis of the smallest span that contains the seed vectors
+    and is closed under every op (a map of dict vectors)."""
     ech = SparseEchelon()
-    queue = []
-    for s in seeds:
-        idx = ech.insert(s.terms)
-        if idx is not None:
-            queue.append(idx)
-    ops = ([lambda v, i=i: left_mult_T(params, i, v) for i in range(1, params.n)]
-           + [lambda v, j=j: left_mult_xi(params, j, v) for j in range(1, params.n + 1)])
-    at = 0
-    while at < len(queue):
-        row = AlgebraElement(dict(ech.rows[queue[at]]))
-        at += 1
+    queue = [idx for idx in map(ech.insert, seeds) if idx is not None]
+    for idx in queue:
+        # inserting the images reduces the stored rows, so act on a copy
+        row = dict(ech.rows[idx])
         for op in ops:
-            idx = ech.insert(op(row).terms)
-            if idx is not None:
-                queue.append(idx)
+            new = ech.insert(op(row))
+            if new is not None:
+                queue.append(new)
     return ech
+
+
+def _generator_ops(params: AlgebraParams) -> list:
+    """Left multiplication by ``T_1..T_{n-1}``, then ``xi_1..xi_n``, as
+    maps of dict vectors over the ``B[c, w]`` basis."""
+    def on_dicts(mult, k):
+        return lambda v: mult(params, k, AlgebraElement._wrap(None, v)).terms
+    return ([on_dicts(left_mult_T, i) for i in range(1, params.n)]
+            + [on_dicts(left_mult_xi, j) for j in range(1, params.n + 1)])
 
 
 def _quotient_matrices(params, ambient: SparseEchelon, sub_rows):
@@ -420,18 +387,17 @@ def _quotient_matrices(params, ambient: SparseEchelon, sub_rows):
     def action(op):
         mat = [[Fraction(0)] * len(free) for _ in range(len(free))]
         for col, f in enumerate(free):
-            vec = op(AlgebraElement(dict(ambient.rows[f])))
-            rep = reduce_mod_rref(sub_rref, pivots, ambient.coordinates(vec.terms))
+            rep = reduce_mod_rref(sub_rref, pivots,
+                                  ambient.coordinates(op(ambient.rows[f])))
             for c, val in enumerate(rep):
                 if val:
                     mat[index_of[c]][col] = val
         return mat
 
-    t_mats = tuple(action(lambda v, i=i: left_mult_T(params, i, v))
-                   for i in range(1, params.n))
-    xi_mats = tuple(action(lambda v, j=j: left_mult_xi(params, j, v))
-                    for j in range(1, params.n + 1))
-    return ExplicitModule(t_mats=t_mats, xi_mats=xi_mats), len(free)
+    mats = [action(op) for op in _generator_ops(params)]
+    module = ExplicitModule(t_mats=tuple(mats[:params.n - 1]),
+                            xi_mats=tuple(mats[params.n - 1:]))
+    return module, len(free)
 
 
 def induced_module_from_seeds(params: AlgebraParams, seeds,
@@ -439,12 +405,11 @@ def induced_module_from_seeds(params: AlgebraParams, seeds,
     """Reference construction: quotient of the whole left regular
     representation by the left ideal generated by the seeds.  Exponential
     in size, used to cross-validate the staged constructions."""
-    ideal = _left_closure(params, seeds)
+    ideal = _closure(_generator_ops(params), [s.terms for s in seeds])
     ambient = SparseEchelon()
     for key in basis_keys(params):
         ambient.insert({key: 1})
-    module, dim = _quotient_matrices(
-        params, ambient, [dict(r) for r in ideal.rows])
+    module, dim = _quotient_matrices(params, ambient, ideal.rows)
     if expected_dim is not None and dim != expected_dim:
         raise OracleError(f"induced module has dimension {dim}, expected {expected_dim}")
     return module
@@ -472,7 +437,8 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
 
     ident = tuple(range(1, params.n + 1))
     cyclic = AlgebraElement.basis(a, ident)
-    block = _left_closure(params, [cyclic])
+    ops = _generator_ops(params)
+    block = _closure(ops, [cyclic.terms])
     if len(block) != math.factorial(params.n):
         raise OracleError(
             f"right color block has rank {len(block)}, "
@@ -480,10 +446,9 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
 
     seeds = [left_mult_T(params, i, cyclic) - Fraction(t) * cyclic
              for i, t in t_of.items()]
-    hecke_ideal = _left_closure(params, seeds)
+    hecke_ideal = _closure(ops, [s.terms for s in seeds])
 
-    module, dim = _quotient_matrices(
-        params, block, [dict(r) for r in hecke_ideal.rows])
+    module, dim = _quotient_matrices(params, block, hecke_ideal.rows)
     expected = math.factorial(params.n)
     for size in sizes:
         expected //= math.factorial(size)
@@ -615,23 +580,17 @@ def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counte
 # ---------------------------------------------------------------------------
 # submodule order and socle of the shape modules
 
-def _invariant_span(module: ExplicitModule, seed_vectors):
-    """Row-echelon basis of the smallest submodule containing the seeds."""
-    dim = module.dim
-    mats = list(module.t_mats) + list(module.xi_mats)
-    rows, pivots = rref(seed_vectors)
-    grew = True
-    while grew:
-        grew = False
-        for mat in mats:
-            for row in list(rows):
-                image = [sum(mat[i][j] * row[j] for j in range(dim))
-                         for i in range(dim)]
-                red = reduce_mod_rref(rows, pivots, image)
-                if any(red):
-                    rows, pivots = rref(rows + [red])
-                    grew = True
-    return rows, pivots
+def _matrix_op(mat):
+    """The action of a dense matrix on dict vectors keyed by column."""
+    columns = [[(i, row[j]) for i, row in enumerate(mat) if row[j]]
+               for j in range(len(mat))]
+
+    def act(v):
+        out = {}
+        for j, c in v.items():
+            accumulate(out, columns[j], c)
+        return out
+    return act
 
 
 def check_submodule_order(params: AlgebraParams, shape) -> dict:
@@ -640,17 +599,14 @@ def check_submodule_order(params: AlgebraParams, shape) -> dict:
     below the first in the sorting order of fillings of the shape."""
     module = build_shape_module(params, shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
-    unit = mat_identity(len(words))
-    spans = {w: _invariant_span(module, [unit[k]]) for k, w in enumerate(words)}
+    ops = [_matrix_op(m) for m in module.t_mats + module.xi_mats]
+    spans = {w: _closure(ops, [{k: 1}]) for k, w in enumerate(words)}
     below = {w: fillings_below(shape, w) for w in words}
 
-    for c in words:
-        rows_c, _ = spans[c]
+    for k, c in enumerate(words):
         for cp in words:
-            rows_cp, pivots_cp = spans[cp]
-            contained = all(
-                not any(reduce_mod_rref(rows_cp, pivots_cp, row))
-                for row in rows_c)
+            # M(c') is a submodule, so it contains M(c) iff it contains e_c
+            contained = {k: 1} in spans[cp]
             expected = (c == cp) or (c in below[cp])
             if contained != expected:
                 return {"check": "submodule-order",

@@ -185,6 +185,13 @@ def test_malformed_literal_reports_position(capsys):
     assert "position" in err
 
 
+def test_oversized_part_reports_error(capsys):
+    code, out, err = run(capsys, "product", "--basis", "S",
+                         "--lhs", "99999999999999999999^1", "--rhs", "1^1")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_1(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "2")
     assert code == 1

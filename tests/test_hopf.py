@@ -440,6 +440,13 @@ def test_schur_pinned():
     assert sym_to_qmr(schur_in_h((1, 1))) == F((1, 1), (1, 1))
 
 
+def test_schur_in_h_returns_a_fresh_lincomb():
+    first = schur_in_h((2, 1))
+    expected = dict(first.terms)
+    first.terms.clear()
+    assert expected and schur_in_h((2, 1)).terms == expected
+
+
 def hook_content_dimension(lam, m):
     """Independent evaluation of a Schur function at m variables set to 1."""
     if not lam:

@@ -100,6 +100,10 @@ def test_xi_acts_diagonally():
     x = B((2, 1), (1, 2))
     assert left_mult_xi(p, 1, x) == Fraction(2) * x
     assert left_mult_xi(p, 2, x) == Fraction(1) * x
+    # a zero eigenvalue must leave no zero coefficient behind
+    p = AlgebraParams(2, 2, (Fraction(-5, 6), 0))
+    assert not left_mult_xi(p, 1, x)
+    assert left_mult_xi(p, 2, x) == Fraction(-5, 6) * x
 
 
 def test_T_on_increasing_colors():
@@ -158,8 +162,10 @@ def test_relations_small_instances():
         assert all(rep["pass"] for rep in reports)
 
 
-def test_relations_with_other_parameters():
-    reports = verify_relations(AlgebraParams(2, 3, (1, 3, 7)))
+@pytest.mark.parametrize("n, r, u", [
+    (2, 3, (1, 3, 7)), (3, 2, (Fraction(-5, 6), 0)), (2, 3, (0, 1, -2))])
+def test_relations_with_other_parameters(n, r, u):
+    reports = verify_relations(AlgebraParams(n, r, u))
     assert all(rep["pass"] for rep in reports)
 
 
