@@ -48,7 +48,7 @@ BASES = (MR_S, MR_R, QMR_F, SYM_H, SYM_S, NCSF_R)
 def accumulate(acc: dict, items, scale=1) -> dict:
     """Add ``scale * coeff`` into ``acc`` for every ``(key, coeff)`` of
     ``items``, dropping zeros and turning integral Fractions into ints;
-    returns ``acc``.  Every formal sum and echelon row is built by it."""
+    returns ``acc``."""
     get = acc.get
     for key, coeff in items:
         coeff = get(key, 0) + scale * coeff

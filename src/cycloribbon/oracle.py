@@ -131,8 +131,10 @@ def left_mult_xi(params: AlgebraParams, j: int, x: AlgebraElement) -> AlgebraEle
     """Color generators act diagonally through their Lagrange spectrum."""
     if not 1 <= j <= params.n:
         raise ValueError(f"xi index {j} outside 1..{params.n}")
+    # no two terms merge, so only a zero eigenvalue can drop a term
     u = params.u
-    return AlgebraElement([(k, u[k[0][j - 1] - 1] * c) for k, c in x.terms.items()])
+    return AlgebraElement._wrap(None, {k: s * c for k, c in x.terms.items()
+                                       if (s := u[k[0][j - 1] - 1])})
 
 
 def _swap_values(word, i):
