@@ -44,6 +44,8 @@ CASES = README_EXAMPLES + [
     ["coproduct", "--basis", "R", "--elt", "2^1.1^2.1^1"],
     ["coproduct", "--basis", "S", "--elt", "2^1.1^2.1^1"],
     ["oracle", "verify", "--n", "3", "--r", "2", "--u=-5/6,0"],
+    ["oracle", "verify", "--n", "4", "--r", "3"],
+    ["oracle", "verify", "--n", "4", "--r", "3", "--u=5,6,7"],
 ]
 
 
