@@ -19,6 +19,9 @@ from . import hopf, lincomb, oracle, reptheory, ribbons
 
 MAX_DIM_ENV = "CYCLORIBBON_MAX_DIM"
 DEFAULT_MAX_DIM = 2000
+# descent sets are packed into ints with one bit per position, so a huge
+# part in an element literal would only exhaust memory
+MAX_LITERAL_SIZE = 10_000
 
 
 def _ribbon_json(rib):
@@ -66,9 +69,14 @@ def _parse_cycloribbon(text: str, flag: str) -> ribbons.ColoredRibbon:
 
 def _parse_elt(basis: str, text: str, flag: str) -> lincomb.LinComb:
     if basis == "F":
-        return lincomb.LinComb.single(lincomb.QMR_F, _parse_cycloribbon(text, flag))
-    label = ribbons.parse_colored_composition(text)
-    tag = lincomb.MR_R if basis == "R" else lincomb.MR_S
+        label = _parse_cycloribbon(text, flag)
+        parts, tag = label.shape, lincomb.QMR_F
+    else:
+        label = ribbons.parse_colored_composition(text)
+        parts, tag = label.parts, lincomb.MR_R if basis == "R" else lincomb.MR_S
+    if sum(parts) > MAX_LITERAL_SIZE:
+        raise ValueError(f"{flag}: part {max(parts)} is too large (element "
+                         f"sizes above {MAX_LITERAL_SIZE} are not supported)")
     return lincomb.LinComb.single(tag, label)
 
 

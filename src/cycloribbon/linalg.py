@@ -148,7 +148,9 @@ class SparseEchelon:
         if not v:
             return None
         pivot = min(v)
-        v = accumulate({}, v.items(), Fraction(1) / v[pivot])
+        lead = v[pivot]
+        # a unit pivot keeps an integral row integral
+        v = accumulate({}, v.items(), lead if lead in (1, -1) else Fraction(1) / lead)
         # keep stored rows fully reduced against the new pivot
         for row in self.rows:
             if pivot in row:
@@ -164,7 +166,7 @@ class SparseEchelon:
     def coordinates(self, vec):
         """Coefficients of ``vec`` over the stored rows; raises if the
         vector lies outside the span."""
-        record = [Fraction(0)] * len(self.rows)
+        record = [0] * len(self.rows)
         residue = self._reduce(vec, record)
         if residue:
             raise ValueError("vector is not in the span")

@@ -20,6 +20,10 @@ displayed rules plus exact rational linear algebra; no combinatorial
 shortcut from the rest of the package is assumed, which is what makes
 it an oracle for them.
 
+The relations are checked by one evaluator on tables of sparse generator
+columns: one table per color-content block of the regular representation
+(both rules keep the multiset of colors), or the columns of a module.
+
 Induced modules are built as quotients of the left regular
 representation by the left ideal generated by ``g - chi(g)`` over the
 generators ``g`` of the inducing subalgebra.  For a parabolic character
@@ -41,7 +45,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .linalg import (
     SparseEchelon,
@@ -191,21 +195,32 @@ def multiply(params: AlgebraParams, x: AlgebraElement, y: AlgebraElement) -> Alg
 
 @lru_cache(maxsize=None)
 def lagrange_coeffs(u: tuple, k: int) -> tuple:
-    """Coefficients (ascending degree) of the interpolation polynomial
-    taking value 1 at u_k and 0 at the other parameters."""
-    num = [Fraction(1)]
-    denom = Fraction(1)
+    """The interpolation polynomial taking value 1 at u_k and 0 at the
+    other parameters, as ``(numerators, denominator)``: integer
+    coefficients in ascending degree, all over one positive integer."""
+    poly, value = [1], 1
     for l, ul in enumerate(u, start=1):
         if l == k:
             continue
-        num = [a - ul * b for a, b in
-               zip([Fraction(0)] + num, num + [Fraction(0)])]
-        denom *= u[k - 1] - ul
-    return tuple(a / denom for a in num)
+        poly = [a - ul * b for a, b in zip([0] + poly, poly + [0])]
+        value *= u[k - 1] - ul
+    coeffs = [Fraction(a) / value for a in poly]
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * denom) for c in coeffs), denom
+
+
+def _lagrange_apply(u, k, xi, add, scale, v):
+    """``l_k(xi) v`` by Horner's rule on the integer numerators, divided
+    once by the common denominator at the end."""
+    nums, denom = lagrange_coeffs(u, k)
+    acc = scale(nums[-1], v)
+    for a in reversed(nums[:-1]):
+        acc = add(xi(acc), scale(a, v))
+    return acc if denom == 1 else scale(Fraction(1, denom), acc)
 
 
 # ---------------------------------------------------------------------------
-# the defining relations, checked both on the basis and on module matrices
+# the defining relations, evaluated on sparse tables of generator columns
 
 def _relation_suite(params: AlgebraParams, T, XI, add, sub, scale):
     """All defining relations at q = 0 as residual maps ``v -> LHS - RHS``
@@ -214,11 +229,7 @@ def _relation_suite(params: AlgebraParams, T, XI, add, sub, scale):
     n, u = params.n, params.u
 
     def lagrange_apply(k, j, v):
-        coeffs = lagrange_coeffs(u, k)
-        acc = scale(coeffs[-1], v)
-        for a in reversed(coeffs[:-1]):
-            acc = add(XI(j, acc), scale(a, v))
-        return acc
+        return _lagrange_apply(u, k, lambda w: XI(j, w), add, scale, v)
 
     checks = []
     for i in range(1, n):
@@ -268,34 +279,74 @@ def _relation_suite(params: AlgebraParams, T, XI, add, sub, scale):
     return checks
 
 
-def _algebra_checks(params):
-    return _relation_suite(
+def _columns(mat) -> list:
+    """Sparse columns of a dense square matrix: tuples of (row, entry)."""
+    return [tuple((i, row[j]) for i, row in enumerate(mat) if row[j])
+            for j in range(len(mat))]
+
+
+def _act(table, v: dict) -> dict:
+    """Apply the operator whose sparse columns are ``table`` to a dict vector."""
+    out = {}
+    for idx, c in v.items():
+        accumulate(out, table[idx], c)
+    return out
+
+
+def _table_residuals(params, tables):
+    """``(check, instance, residual)`` for every defining relation on a
+    representation whose generators ``T_1..T_{n-1}, xi_1..xi_n`` act by
+    the given tables of sparse columns.  The suite is applied to the
+    identity, so ``residual[k]`` is the residual on basis vector k."""
+    n = params.n
+    checks = _relation_suite(
         params,
-        T=lambda i, v: left_mult_T(params, i, v),
-        XI=lambda j, v: left_mult_xi(params, j, v),
-        add=lambda a, b: a + b,
-        sub=lambda a, b: a - b,
-        scale=lambda s, v: s * v)
+        T=lambda i, vs: [_act(tables[i - 1], v) for v in vs],
+        XI=lambda j, vs: [_act(tables[n + j - 2], v) for v in vs],
+        add=lambda a, b: [accumulate(dict(x), y.items()) for x, y in zip(a, b)],
+        sub=lambda a, b: [accumulate(dict(x), y.items(), -1) for x, y in zip(a, b)],
+        scale=lambda s, a: [accumulate({}, x.items(), s) for x in a])
+    probe = [{k: 1} for k in range(len(tables[-1]))]
+    for name, instance, residual in checks:
+        yield name, instance, residual(probe)
 
 
 def verify_relations(params: AlgebraParams) -> list:
     """Check every defining relation on every basis element of the left
     regular representation.  Returns one report dict per relation
-    instance, with a counterexample on failure."""
-    keys = list(basis_keys(params))
-    reports = []
-    for name, instance, residual in _algebra_checks(params):
-        bad = None
-        for key in keys:
-            res = residual(AlgebraElement.basis(*key))
-            if res:
-                bad = {"basis_element": {"colors": list(key[0]),
-                                         "perm": list(key[1])},
-                       "residual_terms": len(res.terms)}
-                break
-        reports.append({"check": name, "instance": instance,
-                        "pass": bad is None, "counterexample": bad})
-    return reports
+    instance, with a counterexample on failure: the least basis element
+    with a nonzero residual, and its number of terms.
+
+    Both displayed rules keep the multiset of colors, so generator columns
+    are built once per color-content block, and an image leaving its
+    block raises :class:`OracleError`."""
+    perms = list(itertools.permutations(range(1, params.n + 1)))
+    ops = _generator_ops(params)
+    found = {}   # (check, instance) -> least failing (key, residual terms)
+    for content in itertools.combinations_with_replacement(
+            range(1, params.r + 1), params.n):
+        keys = [(c, w) for c in sorted(set(itertools.permutations(content)))
+                for w in perms]
+        index = {key: k for k, key in enumerate(keys)}
+
+        def column(op, key):
+            image = op({key: 1})
+            if not image.keys() <= index.keys():
+                raise OracleError(f"B{key} is mapped outside its color-content block")
+            return tuple((index[k], c) for k, c in image.items())
+
+        tables = [[column(op, key) for key in keys] for op in ops]
+        for name, instance, residual in _table_residuals(params, tables):
+            bad = next(((keys[k], len(col)) for k, col in enumerate(residual)
+                        if col), None)
+            old = found.get((name, instance))
+            found[name, instance] = min(filter(None, (old, bad)), default=None)
+    return [{"check": name, "instance": instance, "pass": bad is None,
+             "counterexample": None if bad is None else {
+                 "basis_element": {"colors": list(bad[0][0]),
+                                   "perm": list(bad[0][1])},
+                 "residual_terms": bad[1]}}
+            for (name, instance), bad in found.items()]
 
 
 @dataclass(frozen=True)
@@ -310,30 +361,25 @@ class ExplicitModule:
         return len(self.xi_mats[0])
 
 
-def _module_checks(params, module):
-    return _relation_suite(
-        params,
-        T=lambda i, v: mat_mul(module.t_mats[i - 1], v),
-        XI=lambda j, v: mat_mul(module.xi_mats[j - 1], v),
-        add=mat_add, sub=mat_sub, scale=mat_scale)
+def _module_residuals(params, module):
+    return _table_residuals(
+        params, [_columns(m) for m in module.t_mats + module.xi_mats])
 
 
 def verify_module_relations(params: AlgebraParams, module: ExplicitModule) -> list:
-    probe = mat_identity(module.dim)
     return [{"check": name, "instance": instance,
-             "pass": mat_is_zero(residual(probe)), "counterexample": None}
-            for name, instance, residual in _module_checks(params, module)]
+             "pass": not any(residual), "counterexample": None}
+            for name, instance, residual in _module_residuals(params, module)]
 
 
 def module_relations_ok(params: AlgebraParams, module: ExplicitModule) -> bool:
-    probe = mat_identity(module.dim)
-    return all(mat_is_zero(residual(probe))
-               for _, _, residual in _module_checks(params, module))
+    return not any(any(residual)
+                   for _, _, residual in _module_residuals(params, module))
 
 
 def character_module(params: AlgebraParams, char: Character) -> ExplicitModule:
     return ExplicitModule(
-        t_mats=tuple([[Fraction(t)]] for t in char.t_values),
+        t_mats=tuple([[t]] for t in char.t_values),
         xi_mats=tuple([[params.u[c - 1]]] for c in char.xi_colors))
 
 
@@ -387,13 +433,14 @@ def _quotient_matrices(params, ambient: SparseEchelon, sub_rows):
     index_of = {f: k for k, f in enumerate(free)}
 
     def action(op):
-        mat = [[Fraction(0)] * len(free) for _ in range(len(free))]
+        mat = [[0] * len(free) for _ in range(len(free))]
         for col, f in enumerate(free):
             rep = reduce_mod_rref(sub_rref, pivots,
                                   ambient.coordinates(op(ambient.rows[f])))
             for c, val in enumerate(rep):
                 if val:
-                    mat[index_of[c]][col] = val
+                    mat[index_of[c]][col] = (val.numerator if val.denominator == 1
+                                             else val)
         return mat
 
     mats = [action(op) for op in _generator_ops(params)]
@@ -446,7 +493,7 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
             f"right color block has rank {len(block)}, "
             f"expected {math.factorial(params.n)}")
 
-    seeds = [left_mult_T(params, i, cyclic) - Fraction(t) * cyclic
+    seeds = [left_mult_T(params, i, cyclic) - t * cyclic
              for i, t in t_of.items()]
     hecke_ideal = _closure(ops, [s.terms for s in seeds])
 
@@ -475,7 +522,7 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
     t_mats = []
     for i in range(1, params.n):
         t = -1 if i in ds else 0
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        mat = [[0] * dim for _ in range(dim)]
         for w in words:
             col = index[w]
             ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
@@ -490,7 +537,7 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
 
     xi_mats = []
     for j in range(1, params.n + 1):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        mat = [[0] * dim for _ in range(dim)]
         for w in words:
             mat[index[w]][index[w]] = params.u[w[j - 1] - 1]
         xi_mats.append(mat)
@@ -512,13 +559,9 @@ def _weight_projectors(params, module):
     ident = mat_identity(module.dim)
     weights = {(): ident}
     for xi in module.xi_mats:
-        projectors = []
-        for k in range(1, params.r + 1):
-            coeffs = lagrange_coeffs(params.u, k)
-            proj = mat_scale(coeffs[-1], ident)
-            for a in reversed(coeffs[:-1]):
-                proj = mat_add(mat_mul(xi, proj), mat_scale(a, ident))
-            projectors.append(proj)
+        projectors = [_lagrange_apply(params.u, k, lambda m: mat_mul(xi, m),
+                                      mat_add, mat_scale, ident)
+                      for k in range(1, params.r + 1)]
         weights = {c + (k,): prod
                    for c, acc in weights.items()
                    for k, proj in enumerate(projectors, start=1)
@@ -582,26 +625,13 @@ def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counte
 # ---------------------------------------------------------------------------
 # submodule order and socle of the shape modules
 
-def _matrix_op(mat):
-    """The action of a dense matrix on dict vectors keyed by column."""
-    columns = [[(i, row[j]) for i, row in enumerate(mat) if row[j]]
-               for j in range(len(mat))]
-
-    def act(v):
-        out = {}
-        for j, c in v.items():
-            accumulate(out, columns[j], c)
-        return out
-    return act
-
-
 def check_submodule_order(params: AlgebraParams, shape) -> dict:
     """In the shape module, the cyclic submodule of one color-word basis
     vector contains the one of another exactly when the second word is
     below the first in the sorting order of fillings of the shape."""
     module = build_shape_module(params, shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
-    ops = [_matrix_op(m) for m in module.t_mats + module.xi_mats]
+    ops = [partial(_act, _columns(m)) for m in module.t_mats + module.xi_mats]
     spans = {w: _closure(ops, [{k: 1}]) for k, w in enumerate(words)}
     below = {w: fillings_below(shape, w) for w in words}
 

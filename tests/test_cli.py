@@ -189,7 +189,13 @@ def test_oversized_part_reports_error(capsys):
     code, out, err = run(capsys, "product", "--basis", "S",
                          "--lhs", "99999999999999999999^1", "--rhs", "1^1")
     assert code == 1 and not out
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: --lhs: part 99999999999999999999 ")
+    assert err.count("\n") == 1
+    # the budget is on the size of the whole element, and names the flag
+    code, out, err = run(capsys, "coproduct", "--basis", "R",
+                         "--elt", "6000^1.6000^2")
+    assert code == 1 and not out
+    assert err.startswith("error: --elt: part 6000 is too large")
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -8,7 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from cycloribbon.linalg import reduce_mod_rref, rref
+from cycloribbon import oracle
+from cycloribbon.linalg import (
+    mat_add,
+    mat_identity,
+    mat_is_zero,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    reduce_mod_rref,
+    rref,
+)
 from cycloribbon.oracle import (
     AlgebraElement,
     AlgebraParams,
@@ -20,9 +30,12 @@ from cycloribbon.oracle import (
     check_socle,
     check_submodule_order,
     composition_factors,
+    _relation_suite,
+    basis_keys,
     cross_check_induction,
     enumerate_one_dim_characters,
     induced_module_from_seeds,
+    lagrange_coeffs,
     left_mult_T,
     left_mult_xi,
     multiply,
@@ -76,6 +89,48 @@ def peel_composition_factors(params, module):
 
     assert sum(factors.values()) == module.dim
     return factors
+
+
+def reference_verify_relations(params):
+    """Reference for :func:`verify_relations`: the relation suite applied
+    to each basis element of the regular representation in turn, as an
+    :class:`AlgebraElement`, through the generator actions installed on
+    the module at call time."""
+    checks = _relation_suite(
+        params,
+        T=lambda i, v: oracle.left_mult_T(params, i, v),
+        XI=lambda j, v: oracle.left_mult_xi(params, j, v),
+        add=lambda a, b: a + b,
+        sub=lambda a, b: a - b,
+        scale=lambda s, v: s * v)
+    keys = list(basis_keys(params))
+    reports = []
+    for name, instance, residual in checks:
+        bad = None
+        for key in keys:
+            res = residual(AlgebraElement.basis(*key))
+            if res:
+                bad = {"basis_element": {"colors": list(key[0]),
+                                         "perm": list(key[1])},
+                       "residual_terms": len(res.terms)}
+                break
+        reports.append({"check": name, "instance": instance,
+                        "pass": bad is None, "counterexample": bad})
+    return reports
+
+
+def reference_verify_module_relations(params, module):
+    """Reference for :func:`verify_module_relations`: the relation suite
+    on the dense identity matrix with dense matrix arithmetic."""
+    checks = _relation_suite(
+        params,
+        T=lambda i, v: mat_mul(module.t_mats[i - 1], v),
+        XI=lambda j, v: mat_mul(module.xi_mats[j - 1], v),
+        add=mat_add, sub=mat_sub, scale=mat_scale)
+    probe = mat_identity(module.dim)
+    return [{"check": name, "instance": instance,
+             "pass": mat_is_zero(residual(probe)), "counterexample": None}
+            for name, instance, residual in checks]
 
 
 def B(colors, perm):
@@ -169,9 +224,74 @@ def test_relations_with_other_parameters(n, r, u):
     assert all(rep["pass"] for rep in reports)
 
 
+RELATION_PARAMS = [
+    (1, 1, ()), (1, 3, ()), (2, 3, (1, 3, 7)), (3, 2, (Fraction(-5, 6), 0)),
+    (3, 3, (Fraction(-1, 2), 3, 0)), (4, 2, ()), (4, 3, (5, 6, 7)),
+    (5, 2, (2, -7))]
+
+
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_relation_tables_agree_with_reference(n, r, u):
+    p = AlgebraParams(n, r, u)
+    assert verify_relations(p) == reference_verify_relations(p)
+
+
+@pytest.mark.parametrize("n, r, u", [
+    (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
+def test_broken_T_rule_reported_as_reference(monkeypatch, n, r, u):
+    # T_1 + 1 in place of T_1: a linear defect that keeps color content
+    good = oracle.left_mult_T
+
+    def broken(params, i, x):
+        return good(params, i, x) + x if i == 1 else good(params, i, x)
+    monkeypatch.setattr(oracle, "left_mult_T", broken)
+    p = AlgebraParams(n, r, u)
+    got = verify_relations(p)
+    assert got == reference_verify_relations(p)
+    failing = {rep["check"] for rep in got if not rep["pass"]}
+    assert {"quadratic", "cross-commutation"} <= failing
+    assert "commute-xi-xi" not in failing
+
+
+def test_image_leaving_color_content_block_is_rejected(monkeypatch):
+    good = oracle.left_mult_T
+
+    def recolored(params, i, x):
+        # a term of color word (1, ..., 1) whatever the input's colors
+        out = good(params, i, x)
+        return out + AlgebraElement({((1,) * params.n, w): 1
+                                     for (c, w) in x.terms})
+    monkeypatch.setattr(oracle, "left_mult_T", recolored)
+    with pytest.raises(OracleError, match="outside its color-content block"):
+        verify_relations(AlgebraParams(2, 2))
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (4, 2)])
+def test_module_relations_agree_with_dense_reference(n, r):
+    p = AlgebraParams(n, r)
+    for shape in compositions(n):
+        mod = build_shape_module(p, shape)
+        broken = ExplicitModule(
+            t_mats=(mat_scale(2, mod.t_mats[0]),) + mod.t_mats[1:],
+            xi_mats=mod.xi_mats)
+        for m in (mod, broken):
+            assert verify_module_relations(p, m) == \
+                reference_verify_module_relations(p, m)
+        assert not all(rep["pass"] for rep in verify_module_relations(p, broken))
+
+
+@pytest.mark.parametrize("u", [(1, 2, 3), (Fraction(-1, 2), 3, 0), (2, -7)])
+def test_lagrange_coeffs_interpolate(u):
+    for k in range(1, len(u) + 1):
+        nums, denom = lagrange_coeffs(u, k)
+        assert all(type(a) is int for a in nums) and type(denom) is int
+        for l, ul in enumerate(u, start=1):
+            value = Fraction(sum(a * ul ** d for d, a in enumerate(nums)), denom)
+            assert value == (1 if l == k else 0)
+
+
 def test_basis_size():
     p = AlgebraParams(3, 2)
-    from cycloribbon.oracle import basis_keys
     assert len(list(basis_keys(p))) == 48 == p.dimension
 
 
