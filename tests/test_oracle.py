@@ -25,13 +25,13 @@ from cycloribbon.oracle import (
     ExplicitModule,
     OracleError,
     _character_kernel,
+    _relation_suite,
+    basis_keys,
     build_induced_module,
     build_shape_module,
     check_socle,
     check_submodule_order,
     composition_factors,
-    _relation_suite,
-    basis_keys,
     cross_check_induction,
     enumerate_one_dim_characters,
     induced_module_from_seeds,
