@@ -46,6 +46,13 @@ CASES = README_EXAMPLES + [
     ["oracle", "verify", "--n", "3", "--r", "2", "--u=-5/6,0"],
     ["oracle", "verify", "--n", "4", "--r", "3"],
     ["oracle", "verify", "--n", "4", "--r", "3", "--u=5,6,7"],
+    ["enumerate", "--n", "4", "--r", "3"],
+    ["enumerate", "--n", "4", "--r", "3", "--anti"],
+    ["enumerate", "--n", "5", "--r", "2", "--shape", "2,1,2", "--anti"],
+    ["cartan", "--n", "5", "--r", "2", "--format", "csv"],
+    ["cartan", "--n", "4", "--r", "3", "--format", "csv"],
+    ["decomp", "--n", "4", "--r", "3", "--format", "csv"],
+    ["induce-hecke-projective", "--shape", "1,2,1", "--r", "3"],
 ]
 
 
