@@ -207,13 +207,16 @@ def qmr_product_F(a: LinComb, b: LinComb, *, negate_colors: bool = False,
     compositions.  ``negate_colors`` switches to the convention where
     colors are inverted in the cyclic group on {1, ..., r} (``r`` defaults
     to the largest color in sight); the plain default is the convention
-    pinned by the structure-constant oracle."""
+    pinned by the structure-constant oracle.  Without negation ``r`` does
+    not change the product and is left out of the cache key."""
     _expect(a, QMR_F), _expect(b, QMR_F)
     terms = []
     for x, ca in a.terms.items():
         for y, cb in b.terms.items():
-            span = r if r is not None else max(
-                max(x.colors, default=1), max(y.colors, default=1))
+            span = None
+            if negate_colors:
+                span = r if r is not None else max(
+                    max(x.colors, default=1), max(y.colors, default=1))
             for lab, mult in _f_label_product(x, y, span, negate_colors):
                 terms.append((lab, ca * cb * mult))
     return LinComb(QMR_F, terms)

@@ -21,16 +21,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .hopf import (
-    cartan_map,
     mr_product_R,
     mr_to_ncsf,
+    mr_to_sym,
     multipartition_class,
     split_ribbon,
     projective_fundamental_partner,
     qmr_product_F,
     sym_to_qmr,
 )
-from .lincomb import LinComb, MR_R, QMR_F
+from .lincomb import LinComb, MR_R, QMR_F, SYM_H
 from .ribbons import (
     ColoredComposition,
     ColoredRibbon,
@@ -123,7 +123,7 @@ def induce_hecke_projective(shape, r: int) -> list:
     projective of the colorless subalgebra: one summand per
     anticycloribbon of the given shape, with its dimension."""
     out = []
-    for rib in enumerate_anticycloribbons(sum(shape), r, shape=tuple(shape)):
+    for rib in enumerate_anticycloribbons(sum(shape), r, shape=shape):
         cc = anticycloribbon_to_colored_comp(rib)
         out.append((cc, dim_projective(cc)))
     return out
@@ -161,34 +161,39 @@ def _as_int(x):
     return int(x)
 
 
+def _matrix_through_sym(rows, to_sym, n: int, r: int) -> LabeledMatrix:
+    """Matrix of ``sym_to_qmr . to_sym`` on the row labels against the
+    cycloribbons of size n, as E·D: each row's monomial expansion E times
+    the fundamental images D of the monomials, each computed once."""
+    cols = simple_labels(n, r)
+    col_index = {lab: k for k, lab in enumerate(cols)}
+    images = {}  # monomial -> ((column index, coeff), ...)
+    entries = []
+    for label in rows:
+        row = [0] * len(cols)
+        for mono, c in to_sym(label).terms.items():
+            image = images.get(mono)
+            if image is None:
+                image = images[mono] = tuple(
+                    (col_index[lab], _as_int(coeff)) for lab, coeff in
+                    sym_to_qmr(LinComb.single(SYM_H, mono)).terms.items())
+            c = _as_int(c)
+            for k, coeff in image:
+                row[k] += c * coeff
+        entries.append(tuple(row))
+    return LabeledMatrix(tuple(rows), tuple(cols), tuple(entries))
+
+
 def cartan_matrix(n: int, r: int) -> LabeledMatrix:
     """Multiplicities of the simples in the projectives: rows are colored
     compositions, columns cycloribbons, entries the fundamental
     coefficients of the Cartan map on the ribbon basis."""
-    rows = projective_labels(n, r)
-    cols = simple_labels(n, r)
-    col_index = {lab: k for k, lab in enumerate(cols)}
-    entries = []
-    for cc in rows:
-        image = cartan_map(LinComb.single(MR_R, cc))
-        row = [0] * len(cols)
-        for lab, coeff in image.terms.items():
-            row[col_index[lab]] = _as_int(coeff)
-        entries.append(tuple(row))
-    return LabeledMatrix(tuple(rows), tuple(cols), tuple(entries))
+    return _matrix_through_sym(projective_labels(n, r),
+                               lambda cc: mr_to_sym(LinComb.single(MR_R, cc)),
+                               n, r)
 
 
 def decomposition_matrix(n: int, r: int) -> LabeledMatrix:
     """Images of Schur-function products on the fundamental basis: rows
     are r-tuples of partitions of total size n, columns cycloribbons."""
-    rows = multipartitions(n, r)
-    cols = simple_labels(n, r)
-    col_index = {lab: k for k, lab in enumerate(cols)}
-    entries = []
-    for mp in rows:
-        image = sym_to_qmr(multipartition_class(mp))
-        row = [0] * len(cols)
-        for lab, coeff in image.terms.items():
-            row[col_index[lab]] = _as_int(coeff)
-        entries.append(tuple(row))
-    return LabeledMatrix(tuple(rows), tuple(cols), tuple(entries))
+    return _matrix_through_sym(multipartitions(n, r), multipartition_class, n, r)

@@ -208,38 +208,30 @@ def is_anticycloribbon(rib: ColoredRibbon) -> bool:
 
 
 def _enumerate_fillings(n, r, shape, row_weakly_increasing):
-    """Shared generator behind the cycloribbon/anticycloribbon enumerations."""
-    if n == 0:
-        yield ColoredRibbon((), ())
-        return
-    forced = None if shape is None else descent_set(shape)
-
-    def extend(i, desc, colors):
-        # i cells placed so far, desc = descent positions, colors reversed-built
-        if i == n:
-            yield ColoredRibbon(composition_from_descents(n, desc), tuple(colors))
-            return
-        last = colors[-1]
-        for c in range(1, r + 1):
-            if c == last:
-                steps = (False, True)
-            elif (c > last) == row_weakly_increasing:
-                steps = (False,)  # row step forced
+    """Shared body of the cycloribbon/anticycloribbon enumerations, in
+    :func:`ribbon_sort_key` order: shapes by increasing descent bitmask,
+    and within a shape the color words grown cell by cell with the next
+    color taken in increasing order, which keeps them lexicographic."""
+    if shape is None:
+        shapes = compositions(n)
+    else:
+        shape = tuple(shape)
+        if sum(shape) != n or any(p < 1 for p in shape):
+            raise ValueError(f"shape {shape} is not a composition of {n}")
+        shapes = (shape,)
+    out = []
+    for parts in shapes:
+        ds = descent_set(parts)
+        words = [(c,) for c in range(1, r + 1)] if n else [()]
+        for i in range(1, n):
+            # the next color may be >= the last one exactly on a row step
+            # of a cycloribbon or a column step of an anticycloribbon
+            if (i in ds) != row_weakly_increasing:
+                words = [w + (c,) for w in words for c in range(w[-1], r + 1)]
             else:
-                steps = (True,)   # column step forced
-            for down in steps:
-                if forced is not None and (i in forced) != down:
-                    continue
-                if down:
-                    desc.append(i)
-                colors.append(c)
-                yield from extend(i + 1, desc, colors)
-                colors.pop()
-                if down:
-                    desc.pop()
-
-    for c0 in range(1, r + 1):
-        yield from extend(1, [], [c0])
+                words = [w + (c,) for w in words for c in range(1, w[-1] + 1)]
+        out.extend(ColoredRibbon(parts, w) for w in words)
+    return out
 
 
 def enumerate_cycloribbons(n: int, r: int, shape: Optional[Composition] = None) -> list:
@@ -250,16 +242,12 @@ def enumerate_cycloribbons(n: int, r: int, shape: Optional[Composition] = None) 
     >>> [rib.colors for rib in enumerate_cycloribbons(3, 2, shape=(2, 1))]
     [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
     """
-    if shape is not None and sum(shape) != n:
-        raise ValueError(f"shape {shape} is not a composition of {n}")
-    return sorted(_enumerate_fillings(n, r, shape, True), key=ribbon_sort_key)
+    return _enumerate_fillings(n, r, shape, True)
 
 
 def enumerate_anticycloribbons(n: int, r: int, shape: Optional[Composition] = None) -> list:
     """Anticycloribbon counterpart of :func:`enumerate_cycloribbons`."""
-    if shape is not None and sum(shape) != n:
-        raise ValueError(f"shape {shape} is not a composition of {n}")
-    return sorted(_enumerate_fillings(n, r, shape, False), key=ribbon_sort_key)
+    return _enumerate_fillings(n, r, shape, False)
 
 
 def flip_ribbon(rib: ColoredRibbon) -> ColoredRibbon:

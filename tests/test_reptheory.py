@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
-from cycloribbon.hopf import mr_to_sym, sym_to_qmr
+from cycloribbon import hopf, reptheory
+from cycloribbon.hopf import (
+    cartan_map,
+    colored_partitions,
+    multipartition_class,
+    mr_to_sym,
+    sym_to_qmr,
+)
 from cycloribbon.lincomb import LinComb, MR_R
 from cycloribbon.reptheory import (
     Character,
@@ -139,6 +146,27 @@ def test_induce_hecke_projective_one_color():
             assert total == r ** n * descent_class_size(shape)
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 1), (3, 0), (1, -1, 3)])
+def test_induce_hecke_projective_rejects_nonpositive_parts(shape):
+    with pytest.raises(ValueError):
+        induce_hecke_projective(shape, 2)
+
+
+def test_induce_hecke_projective_list_shape():
+    assert induce_hecke_projective([2, 1], 2) == induce_hecke_projective((2, 1), 2)
+
+
+def test_induce_simples_cache_ignores_r_without_negation():
+    a, b = RIB((1, 1), (2, 1)), RIB((2,), (1, 2))
+    hopf._f_label_product.cache_clear()
+    assert induce_simples(a, b, r=3) == induce_simples(a, b, r=2)
+    info = hopf._f_label_product.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    induce_simples(a, b, negate_colors=True, r=3)
+    induce_simples(a, b, negate_colors=True, r=2)
+    assert hopf._f_label_product.cache_info().misses == 3
+
+
 def test_dimension_identity():
     for n in range(1, 5):
         for r in (1, 2, 3):
@@ -189,7 +217,6 @@ def test_cartan_row_sums_are_dimensions():
 
 
 def test_cartan_factorizes():
-    from cycloribbon.hopf import colored_partitions
     from cycloribbon.lincomb import SYM_H
     n, r = 3, 2
     monomials = colored_partitions(n, r)
@@ -211,6 +238,49 @@ def test_cartan_factorizes():
                for i in range(len(rows))]
     cartan = cartan_matrix(n, r)
     assert [list(row) for row in cartan.entries] == product
+
+
+def reference_matrix(rows, image, n, r):
+    """One fundamental expansion per row label, placed column by column:
+    the reference for the E·D path of the two matrices."""
+    cols = simple_labels(n, r)
+    col_index = {lab: k for k, lab in enumerate(cols)}
+    entries = []
+    for label in rows:
+        row = [0] * len(cols)
+        for lab, coeff in image(label).terms.items():
+            row[col_index[lab]] = coeff
+        entries.append(tuple(row))
+    return tuple(rows), tuple(cols), tuple(entries)
+
+
+MATRIX_SIZES = [(n, r) for n in range(6) for r in (1, 2)] + \
+    [(n, 3) for n in range(5)]
+
+
+@pytest.mark.parametrize("n, r", MATRIX_SIZES)
+def test_matrices_match_per_row_reference(n, r):
+    m = cartan_matrix(n, r)
+    assert (m.row_labels, m.col_labels, m.entries) == reference_matrix(
+        projective_labels(n, r),
+        lambda cc: cartan_map(LinComb.single(MR_R, cc)), n, r)
+    d = decomposition_matrix(n, r)
+    assert (d.row_labels, d.col_labels, d.entries) == reference_matrix(
+        multipartitions(n, r),
+        lambda mp: sym_to_qmr(multipartition_class(mp)), n, r)
+
+
+@pytest.mark.parametrize("matrix", [cartan_matrix, decomposition_matrix])
+def test_matrices_embed_each_monomial_once(matrix, monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(tuple(a.terms))
+        return sym_to_qmr(a)
+
+    monkeypatch.setattr(reptheory, "sym_to_qmr", counted)
+    matrix(4, 2)
+    assert len(calls) == len(set(calls)) == len(colored_partitions(4, 2))
 
 
 # ---------------------------------------------------------------------------

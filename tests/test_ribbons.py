@@ -35,6 +35,7 @@ from cycloribbon.ribbons import (
     parse_composition,
     parse_ribbon,
     ribbon_literal,
+    ribbon_sort_key,
     shifted_shuffle,
     sorting_covers,
 )
@@ -100,6 +101,74 @@ def test_enumeration_against_predicate_filter():
 
 def test_empty_ribbon():
     assert enumerate_cycloribbons(0, 3) == [ColoredRibbon((), ())]
+
+
+def reference_fillings(n, r, shape, row_weakly_increasing):
+    """Monotone fillings by a depth-first walk over (color, step) choices,
+    then sorted: the reference for the enumerators, which grow the color
+    words of each shape already in sort order."""
+    def walk():
+        if n == 0:
+            yield ColoredRibbon((), ())
+            return
+        forced = None if shape is None else descent_set(shape)
+
+        def extend(i, desc, colors):
+            if i == n:
+                yield ColoredRibbon(composition_from_descents(n, desc),
+                                    tuple(colors))
+                return
+            last = colors[-1]
+            for c in range(1, r + 1):
+                if c == last:
+                    steps = (False, True)
+                elif (c > last) == row_weakly_increasing:
+                    steps = (False,)  # row step forced
+                else:
+                    steps = (True,)   # column step forced
+                for down in steps:
+                    if forced is not None and (i in forced) != down:
+                        continue
+                    if down:
+                        desc.append(i)
+                    colors.append(c)
+                    yield from extend(i + 1, desc, colors)
+                    colors.pop()
+                    if down:
+                        desc.pop()
+
+        for c0 in range(1, r + 1):
+            yield from extend(1, [], [c0])
+
+    return sorted(walk(), key=ribbon_sort_key)
+
+
+def test_enumeration_matches_reference():
+    for n in range(7):
+        for r in range(1, 5):
+            for shape in [None, *compositions(n)]:
+                assert enumerate_cycloribbons(n, r, shape=shape) == \
+                    reference_fillings(n, r, shape, True)
+                assert enumerate_anticycloribbons(n, r, shape=shape) == \
+                    reference_fillings(n, r, shape, False)
+
+
+@pytest.mark.parametrize("enum", [enumerate_cycloribbons,
+                                  enumerate_anticycloribbons])
+@pytest.mark.parametrize("n, shape", [(3, (1, -1, 3)), (3, (3, 0)),
+                                      (3, (0, 3)), (3, (2, 2)), (0, (0,))])
+def test_enumeration_rejects_bad_shapes(enum, n, shape):
+    with pytest.raises(ValueError):
+        enum(n, 2, shape=shape)
+
+
+def test_enumeration_list_shape_is_a_tuple():
+    ribs = enumerate_cycloribbons(3, 2, shape=[2, 1])
+    assert ribs == enumerate_cycloribbons(3, 2, shape=(2, 1))
+    assert all(type(rib.shape) is tuple for rib in ribs)
+    assert len(set(ribs)) == 5
+    anti = enumerate_anticycloribbons(3, 2, shape=[1, 2])
+    assert set(anti) == set(enumerate_anticycloribbons(3, 2, shape=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
