@@ -135,6 +135,7 @@ def test_induce_hecke_projective_shape_21():
     assert labels == {CC((1, 1, 1), (2, 1, 1)), CC((1, 1, 1), (2, 1, 2)),
                       CC((2, 1), (1, 2)), CC((2, 1), (2, 2)),
                       CC((2, 1), (1, 1))}
+    assert induce_hecke_projective([2, 1], 2) == summands
 
 
 def test_induce_hecke_projective_one_color():
@@ -150,10 +151,6 @@ def test_induce_hecke_projective_one_color():
 def test_induce_hecke_projective_rejects_nonpositive_parts(shape):
     with pytest.raises(ValueError):
         induce_hecke_projective(shape, 2)
-
-
-def test_induce_hecke_projective_list_shape():
-    assert induce_hecke_projective([2, 1], 2) == induce_hecke_projective((2, 1), 2)
 
 
 def test_induce_simples_cache_ignores_r_without_negation():
