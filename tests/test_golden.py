@@ -46,6 +46,7 @@ CASES = README_EXAMPLES + [
     ["oracle", "verify", "--n", "3", "--r", "2", "--u=-5/6,0"],
     ["oracle", "verify", "--n", "4", "--r", "3"],
     ["oracle", "verify", "--n", "4", "--r", "3", "--u=5,6,7"],
+    ["oracle", "verify", "--n", "3", "--r", "3", "--u=1/2,-3,0"],
     ["enumerate", "--n", "4", "--r", "3"],
     ["enumerate", "--n", "4", "--r", "3", "--anti"],
     ["enumerate", "--n", "5", "--r", "2", "--shape", "2,1,2", "--anti"],
