@@ -23,6 +23,8 @@ it an oracle for them.
 The relations are checked by one evaluator on tables of sparse generator
 columns: one table per color-content block of the regular representation
 (both rules keep the multiset of colors), or the columns of a module.
+It applies each relation once to the identity operator, stored as a
+single dict keyed by ``column * dim + row``.
 
 Induced modules are built as quotients of the left regular
 representation by the left ideal generated by ``g - chi(g)`` over the
@@ -286,27 +288,29 @@ def _columns(mat) -> list:
 
 
 def _act(table, v: dict) -> dict:
-    """Apply the operator whose sparse columns are ``table`` to a dict vector."""
-    out = {}
-    for idx, c in v.items():
-        accumulate(out, table[idx], c)
-    return out
+    """Apply the generator whose sparse columns are ``table`` to ``v``, an
+    operator stored as one dict keyed by ``column * dim + row`` (a plain
+    vector is the operator of column 0)."""
+    dim = len(table)
+    return accumulate({}, ((key - row + k, c * a) for key, c in v.items()
+                           for row in (key % dim,) for k, a in table[row]))
 
 
 def _table_residuals(params, tables):
     """``(check, instance, residual)`` for every defining relation on a
     representation whose generators ``T_1..T_{n-1}, xi_1..xi_n`` act by
-    the given tables of sparse columns.  The suite is applied to the
-    identity, so ``residual[k]`` is the residual on basis vector k."""
-    n = params.n
+    the given tables of sparse columns, applied once to the identity
+    operator: ``residual`` is keyed by ``column * dim + row`` and is empty
+    (test ``not``; key 0 is falsy) exactly when the relation holds."""
+    n, dim = params.n, len(tables[-1])
     checks = _relation_suite(
         params,
-        T=lambda i, vs: [_act(tables[i - 1], v) for v in vs],
-        XI=lambda j, vs: [_act(tables[n + j - 2], v) for v in vs],
-        add=lambda a, b: [accumulate(dict(x), y.items()) for x, y in zip(a, b)],
-        sub=lambda a, b: [accumulate(dict(x), y.items(), -1) for x, y in zip(a, b)],
-        scale=lambda s, a: [accumulate({}, x.items(), s) for x in a])
-    probe = [{k: 1} for k in range(len(tables[-1]))]
+        T=lambda i, v: _act(tables[i - 1], v),
+        XI=lambda j, v: _act(tables[n + j - 2], v),
+        add=lambda a, b: accumulate(dict(a), b.items()),
+        sub=lambda a, b: accumulate(dict(a), b.items(), -1),
+        scale=lambda s, a: accumulate({}, a.items(), s))
+    probe = {k * dim + k: 1 for k in range(dim)}
     for name, instance, residual in checks:
         yield name, instance, residual(probe)
 
@@ -336,9 +340,12 @@ def verify_relations(params: AlgebraParams) -> list:
             return tuple((index[k], c) for k, c in image.items())
 
         tables = [[column(op, key) for key in keys] for op in ops]
+        dim = len(keys)
         for name, instance, residual in _table_residuals(params, tables):
-            bad = next(((keys[k], len(col)) for k, col in enumerate(residual)
-                        if col), None)
+            bad = None
+            if residual:
+                k = min(residual) // dim
+                bad = keys[k], sum(key // dim == k for key in residual)
             old = found.get((name, instance))
             found[name, instance] = min(filter(None, (old, bad)), default=None)
     return [{"check": name, "instance": instance, "pass": bad is None,
@@ -368,13 +375,13 @@ def _module_residuals(params, module):
 
 def verify_module_relations(params: AlgebraParams, module: ExplicitModule) -> list:
     return [{"check": name, "instance": instance,
-             "pass": not any(residual), "counterexample": None}
+             "pass": not residual, "counterexample": None}
             for name, instance, residual in _module_residuals(params, module)]
 
 
 def module_relations_ok(params: AlgebraParams, module: ExplicitModule) -> bool:
-    return not any(any(residual)
-                   for _, _, residual in _module_residuals(params, module))
+    return all(not residual
+               for _, _, residual in _module_residuals(params, module))
 
 
 def character_module(params: AlgebraParams, char: Character) -> ExplicitModule:

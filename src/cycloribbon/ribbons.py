@@ -127,6 +127,8 @@ def descent_bitmask(parts: Sequence[int]) -> int:
 
 def compositions(n: int) -> Iterator[Composition]:
     """All 2**(n-1) compositions of n, by increasing descent bitmask."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     if n == 0:
         yield ()
         return
@@ -311,11 +313,11 @@ def anticycloribbon_to_colored_comp(rib: ColoredRibbon) -> ColoredComposition:
 
 
 def colored_compositions(n: int, r: int) -> list:
-    """All colored compositions of n with r colors, canonically sorted."""
-    out = [ColoredComposition(parts, cols)
-           for parts in compositions(n)
-           for cols in itertools.product(range(1, r + 1), repeat=len(parts))]
-    return sorted(out, key=colored_composition_sort_key)
+    """All colored compositions of n with r colors, canonically sorted: the
+    shapes by descent bitmask, then the color words in product order."""
+    return [ColoredComposition(parts, cols)
+            for parts in compositions(n)
+            for cols in itertools.product(range(1, r + 1), repeat=len(parts))]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from cycloribbon.oracle import (
     basis_keys,
     build_induced_module,
     build_shape_module,
+    character_module,
     check_socle,
     check_submodule_order,
     composition_factors,
@@ -38,6 +39,7 @@ from cycloribbon.oracle import (
     lagrange_coeffs,
     left_mult_T,
     left_mult_xi,
+    module_relations_ok,
     multiply,
     one,
     verify_relations,
@@ -280,6 +282,39 @@ def test_module_relations_agree_with_dense_reference(n, r):
         assert not all(rep["pass"] for rep in verify_module_relations(p, broken))
 
 
+def test_residual_at_key_zero_fails():
+    # t = 1 breaks T_1^2 = -T_1 on the one-dimensional module, so the
+    # quadratic residual is nonzero only at column 0, row 0: key 0
+    p = AlgebraParams(2, 2)
+    mod = character_module(p, Character((1, 2), (1,)))
+    assert not module_relations_ok(p, mod)
+    reports = verify_module_relations(p, mod)
+    assert reports == reference_verify_module_relations(p, mod)
+    assert {rep["check"] for rep in reports if not rep["pass"]} == \
+        {"quadratic", "cross-commutation"}
+
+
+def test_module_relations_act_on_whole_operators(monkeypatch):
+    p = AlgebraParams(3, 2)
+    small = character_module(p, enumerate_one_dim_characters(p)[0])
+    big = build_shape_module(p, (1, 2))
+    calls = []
+    act = oracle._act
+
+    def counted(table, v):
+        calls.append(len(table))
+        return act(table, v)
+
+    monkeypatch.setattr(oracle, "_act", counted)
+    counts = []
+    for mod in (small, big):
+        calls.clear()
+        assert module_relations_ok(p, mod)
+        counts.append(len(calls))
+    assert (small.dim, big.dim) == (1, 8)
+    assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.parametrize("u", [(1, 2, 3), (Fraction(-1, 2), 3, 0), (2, -7)])
 def test_lagrange_coeffs_interpolate(u):
     for k in range(1, len(u) + 1):
@@ -409,7 +444,6 @@ def test_factors_independent_of_parameters():
 
 
 def test_composition_factors_of_character_module():
-    from cycloribbon.oracle import character_module
     p = AlgebraParams(2, 2)
     for char in enumerate_one_dim_characters(p):
         assert composition_factors(p, character_module(p, char)) == \

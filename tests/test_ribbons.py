@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cycloribbon.reptheory import cartan_matrix
 from cycloribbon.ribbons import (
     ColoredComposition,
     ColoredPermutation,
@@ -14,6 +15,8 @@ from cycloribbon.ribbons import (
     anticycloribbon_to_colored_comp,
     colored_comp_to_anticycloribbon,
     colored_composition_literal,
+    colored_composition_sort_key,
+    colored_compositions,
     colored_descent_composition,
     composition_from_descents,
     compositions,
@@ -160,6 +163,35 @@ def test_enumeration_matches_reference():
 def test_enumeration_rejects_bad_shapes(enum, n, shape):
     with pytest.raises(ValueError):
         enum(n, 2, shape=shape)
+
+
+def reference_colored_compositions(n, r):
+    """Every colored composition of n, from all tuples of positive parts
+    and all color words, then sorted: the reference for the enumerator,
+    which yields them already in order."""
+    out = [ColoredComposition(parts, cols)
+           for k in range(n + 1)
+           for parts in itertools.product(range(1, n + 1), repeat=k)
+           if sum(parts) == n
+           for cols in itertools.product(range(1, r + 1), repeat=k)]
+    return sorted(out, key=colored_composition_sort_key)
+
+
+def test_colored_compositions_match_reference():
+    for n in range(7):
+        for r in range(1, 5):
+            assert colored_compositions(n, r) == \
+                reference_colored_compositions(n, r)
+
+
+@pytest.mark.parametrize("call, n", [
+    (lambda: enumerate_cycloribbons(-1, 2), -1),
+    (lambda: cartan_matrix(-1, 2), -1),
+    (lambda: colored_compositions(-2, 2), -2)],
+    ids=["enumerate_cycloribbons", "cartan_matrix", "colored_compositions"])
+def test_negative_size_names_n(call, n):
+    with pytest.raises(ValueError, match=f"n = {n}$"):
+        call()
 
 
 def test_enumeration_list_shape_is_a_tuple():
