@@ -302,7 +302,7 @@ def test_module_relations_act_on_whole_operators(monkeypatch):
     act = oracle._act
 
     def counted(table, v):
-        calls.append(len(table))
+        calls.append(table)
         return act(table, v)
 
     monkeypatch.setattr(oracle, "_act", counted)
