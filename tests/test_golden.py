@@ -54,6 +54,8 @@ CASES = README_EXAMPLES + [
     ["cartan", "--n", "4", "--r", "3", "--format", "csv"],
     ["decomp", "--n", "4", "--r", "3", "--format", "csv"],
     ["induce-hecke-projective", "--shape", "1,2,1", "--r", "3"],
+    ["oracle", "cross-check", "--max-grade", "4", "--r", "2"],
+    ["oracle", "cross-check", "--max-grade", "3", "--r", "3"],
 ]
 
 
