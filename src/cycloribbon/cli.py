@@ -35,10 +35,9 @@ def _emit(obj) -> int:
 
 
 def _check_sizes(args, min_n=0) -> None:
-    if getattr(args, "n", min_n) < min_n:
-        raise ValueError(f"--n must be at least {min_n}")
-    if getattr(args, "r", 1) < 1:
-        raise ValueError("--r must be at least 1")
+    for flag, least in (("n", min_n), ("max_grade", 0), ("r", 1)):
+        if getattr(args, flag, least) < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}")
 
 
 def cmd_enumerate(args) -> int:
@@ -184,6 +183,7 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_oracle_cross_check(args) -> int:
+    _check_sizes(args)
     cap = _max_dim()
     dim = args.r ** args.max_grade * math.factorial(args.max_grade)
     if dim > cap:

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are lists of row lists holding ints or Fractions; sparse
-vectors are dicts keyed by arbitrary orderable labels.  Everything is
-eliminated exactly -- no floating point.
+Sparse vectors are dicts keyed by orderable labels, dense matrices lists
+of row lists; entries are ints, or Fractions when not integral.  There
+is one eliminator, :class:`SparseEchelon`, exact with no floating point;
+``rref``, ``reduce_mod_rref`` and ``kernel_basis`` are views of it.
 """
 
 from __future__ import annotations
@@ -50,53 +51,33 @@ def mat_is_zero(a):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rref rows without zero rows,
-    pivot column indices)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    """Reduced row echelon form of a dense matrix: the rows of its
+    :class:`SparseEchelon` in pivot order, as dense lists, and their
+    pivot column indices."""
+    ncols = len(rows[0]) if rows else 0
+    ech = SparseEchelon()
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    order = sorted(range(len(ech)), key=ech.pivot_of.__getitem__)
+    return ([[ech.rows[i].get(c, 0) for c in range(ncols)] for i in order],
+            [ech.pivot_of[i] for i in order])
 
 
-def reduce_mod_rref(rref_rows, pivots, vec):
-    """Representative of ``vec`` modulo the row space: pivot coordinates
-    are cleared."""
-    v = list(map(Fraction, vec))
-    for row, p in zip(rref_rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
+def reduce_mod_rref(echelon, vec):
+    """Representative of the dict vector ``vec`` modulo the span of a
+    :class:`SparseEchelon`: its pivot coordinates are cleared."""
+    return echelon._reduce(vec)
 
 
 def kernel_basis(mat, ncols=None):
     """Basis of the right kernel of a matrix (rows = equations)."""
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    if not mat:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     rows, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = 1
         for row, p in zip(rows, pivots):
             v[p] = -row[fc]
         basis.append(v)
@@ -122,7 +103,7 @@ class SparseEchelon:
     def _reduce(self, vec, record=None):
         # Every stored row has its pivot as minimal key with coefficient 1,
         # so reducing at a key only disturbs larger keys: one ordered pass
-        # over a lazy heap suffices.
+        # over a lazy heap suffices, and reaches each pivot at most once.
         v = accumulate({}, vec.items())
         heap = list(v)
         heapq.heapify(heap)
@@ -133,7 +114,7 @@ class SparseEchelon:
                 continue
             coeff = v[key]
             if record is not None:
-                record[idx] += coeff
+                record[idx] = coeff
             row = self.rows[idx]
             for k2 in row:
                 if k2 not in v:
@@ -164,9 +145,9 @@ class SparseEchelon:
         return not self._reduce(vec)
 
     def coordinates(self, vec):
-        """Coefficients of ``vec`` over the stored rows; raises if the
-        vector lies outside the span."""
-        record = [0] * len(self.rows)
+        """Coefficients of ``vec`` over the stored rows, as a dict keyed
+        by row index; raises if the vector lies outside the span."""
+        record = {}
         residue = self._reduce(vec, record)
         if residue:
             raise ValueError("vector is not in the span")

@@ -384,23 +384,23 @@ def module_relations_ok(params: AlgebraParams, module: ExplicitModule) -> bool:
                for _, _, residual in _module_residuals(params, module))
 
 
-def character_module(params: AlgebraParams, char: Character) -> ExplicitModule:
-    return ExplicitModule(
-        t_mats=tuple([[t]] for t in char.t_values),
-        xi_mats=tuple([[params.u[c - 1]]] for c in char.xi_colors))
-
-
 @lru_cache(maxsize=None)
 def enumerate_one_dim_characters(params: AlgebraParams) -> tuple:
     """Brute force: all assignments of 0/-1 to the Hecke generators and a
-    parameter to each color generator that satisfy every relation."""
-    out = []
-    for colors in itertools.product(range(1, params.r + 1), repeat=params.n):
-        for tvals in itertools.product((0, -1), repeat=params.n - 1):
-            char = Character(colors, tvals)
-            if module_relations_ok(params, character_module(params, char)):
-                out.append(char)
-    return tuple(sorted(out))
+    parameter to each color generator that satisfy every relation.  The
+    candidates are checked in one pass, as the columns of their direct
+    sum: a candidate fails when a residual has an entry in its column."""
+    chars = [Character(colors, tvals)
+             for colors in itertools.product(range(1, params.r + 1), repeat=params.n)
+             for tvals in itertools.product((0, -1), repeat=params.n - 1)]
+    values = [ch.t_values + tuple(params.u[c - 1] for c in ch.xi_colors)
+              for ch in chars]
+    tables = [[((k, v[g]),) if v[g] else () for k, v in enumerate(values)]
+              for g in range(2 * params.n - 1)]
+    failed = {key // len(chars)
+              for _, _, residual in _table_residuals(params, tables)
+              for key in residual}
+    return tuple(sorted(ch for k, ch in enumerate(chars) if k not in failed))
 
 
 # ---------------------------------------------------------------------------
@@ -433,42 +433,24 @@ def _generator_ops(params: AlgebraParams) -> list:
 def _quotient_matrices(params, ambient: SparseEchelon, sub_rows):
     """Matrices of the generators on (span of ambient) / (span of sub_rows),
     in the coordinates given by the ambient echelon rows."""
-    dim = len(ambient)
-    coords = [ambient.coordinates(row) for row in sub_rows]
-    sub_rref, pivots = rref(coords) if coords else ([], [])
-    free = [c for c in range(dim) if c not in pivots]
+    sub = SparseEchelon()
+    for row in sub_rows:
+        sub.insert(ambient.coordinates(row))
+    free = sorted(set(range(len(ambient))) - set(sub.pivot_of))
     index_of = {f: k for k, f in enumerate(free)}
 
     def action(op):
         mat = [[0] * len(free) for _ in range(len(free))]
         for col, f in enumerate(free):
-            rep = reduce_mod_rref(sub_rref, pivots,
-                                  ambient.coordinates(op(ambient.rows[f])))
-            for c, val in enumerate(rep):
-                if val:
-                    mat[index_of[c]][col] = (val.numerator if val.denominator == 1
-                                             else val)
+            rep = reduce_mod_rref(sub, ambient.coordinates(op(ambient.rows[f])))
+            for c, val in rep.items():
+                mat[index_of[c]][col] = val
         return mat
 
     mats = [action(op) for op in _generator_ops(params)]
     module = ExplicitModule(t_mats=tuple(mats[:params.n - 1]),
                             xi_mats=tuple(mats[params.n - 1:]))
     return module, len(free)
-
-
-def induced_module_from_seeds(params: AlgebraParams, seeds,
-                              expected_dim=None) -> ExplicitModule:
-    """Reference construction: quotient of the whole left regular
-    representation by the left ideal generated by the seeds.  Exponential
-    in size, used to cross-validate the staged constructions."""
-    ideal = _closure(_generator_ops(params), [s.terms for s in seeds])
-    ambient = SparseEchelon()
-    for key in basis_keys(params):
-        ambient.insert({key: 1})
-    module, dim = _quotient_matrices(params, ambient, ideal.rows)
-    if expected_dim is not None and dim != expected_dim:
-        raise OracleError(f"induced module has dimension {dim}, expected {expected_dim}")
-    return module
 
 
 def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
@@ -675,7 +657,7 @@ def check_socle(params: AlgebraParams, shape) -> dict:
     socle_rows = []
     for char in enumerate_one_dim_characters(params):
         socle_rows.extend(_character_kernel(params, module, char))
-    got = rref(socle_rows)[0] if socle_rows else []
+    got = rref(socle_rows)[0]
     # unit rows in increasing position are already in reduced echelon form
     unit = mat_identity(len(words))
     expected = [unit[k] for k, w in enumerate(words)

@@ -208,6 +208,14 @@ def test_negative_sizes_rejected(capsys):
     assert code == 1
     code, out, err = run(capsys, "dims", "--n", "2", "--r", "0")
     assert code == 1
+    code, out, err = run(capsys, "oracle", "cross-check", "--max-grade", "-1",
+                         "--r", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --max-grade must be at least 0\n"
+    code, out, err = run(capsys, "oracle", "cross-check", "--max-grade", "3",
+                         "--r", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: --r must be at least 1\n"
 
 
 def test_output_deterministic(capsys):

@@ -10,32 +10,28 @@ import pytest
 
 from cycloribbon import oracle
 from cycloribbon.linalg import (
+    SparseEchelon,
     mat_add,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_scale,
     mat_sub,
-    reduce_mod_rref,
-    rref,
 )
 from cycloribbon.oracle import (
     AlgebraElement,
     AlgebraParams,
     ExplicitModule,
     OracleError,
-    _character_kernel,
     _relation_suite,
     basis_keys,
     build_induced_module,
     build_shape_module,
-    character_module,
     check_socle,
     check_submodule_order,
     composition_factors,
     cross_check_induction,
     enumerate_one_dim_characters,
-    induced_module_from_seeds,
     lagrange_coeffs,
     left_mult_T,
     left_mult_xi,
@@ -47,8 +43,86 @@ from cycloribbon.oracle import (
 )
 from cycloribbon.reptheory import Character, simple_character
 from cycloribbon.ribbons import compositions, enumerate_cycloribbons
+from test_linalg import (
+    reference_kernel_basis,
+    reference_reduce_mod_rref,
+    reference_rref,
+)
 
 rng = random.Random(99)
+
+
+def character_module(params, char):
+    return ExplicitModule(
+        t_mats=tuple([[t]] for t in char.t_values),
+        xi_mats=tuple([[params.u[c - 1]]] for c in char.xi_colors))
+
+
+def reference_character_kernel(params, module, char):
+    """Dense common kernel of ``g - chi(g)`` over the generators ``g``."""
+    ident = mat_identity(module.dim)
+    values = char.t_values + tuple(params.u[c - 1] for c in char.xi_colors)
+    stacked = []
+    for mat, value in zip(module.t_mats + module.xi_mats, values):
+        stacked.extend(mat_sub(mat, mat_scale(value, ident)))
+    return reference_kernel_basis(stacked, module.dim)
+
+
+def reference_one_dim_characters(params):
+    """Reference for :func:`enumerate_one_dim_characters`: the relations
+    checked on each candidate's one-dimensional module in turn."""
+    out = []
+    for colors in itertools.product(range(1, params.r + 1), repeat=params.n):
+        for tvals in itertools.product((0, -1), repeat=params.n - 1):
+            char = Character(colors, tvals)
+            if module_relations_ok(params, character_module(params, char)):
+                out.append(char)
+    return tuple(sorted(out))
+
+
+def reference_quotient_matrices(params, ambient, sub_rows):
+    """Reference for ``oracle._quotient_matrices``: the quotient through a
+    dense Fraction row echelon form of the sub-row coordinates."""
+    dim = len(ambient)
+
+    def coordinates(vec):
+        coords = ambient.coordinates(vec)
+        return [coords.get(k, 0) for k in range(dim)]
+
+    coords = [coordinates(row) for row in sub_rows]
+    sub_rref, pivots = reference_rref(coords) if coords else ([], [])
+    free = [c for c in range(dim) if c not in pivots]
+    index_of = {f: k for k, f in enumerate(free)}
+
+    def action(op):
+        mat = [[0] * len(free) for _ in range(len(free))]
+        for col, f in enumerate(free):
+            rep = reference_reduce_mod_rref(sub_rref, pivots,
+                                            coordinates(op(ambient.rows[f])))
+            for c, val in enumerate(rep):
+                if val:
+                    mat[index_of[c]][col] = (val.numerator if val.denominator == 1
+                                             else val)
+        return mat
+
+    mats = [action(op) for op in oracle._generator_ops(params)]
+    module = ExplicitModule(t_mats=tuple(mats[:params.n - 1]),
+                            xi_mats=tuple(mats[params.n - 1:]))
+    return module, len(free)
+
+
+def induced_module_from_seeds(params, seeds, expected_dim=None):
+    """Reference construction: quotient of the whole left regular
+    representation by the left ideal generated by the seeds.  Exponential
+    in size, used to cross-validate the staged constructions."""
+    ideal = oracle._closure(oracle._generator_ops(params), [s.terms for s in seeds])
+    ambient = SparseEchelon()
+    for key in basis_keys(params):
+        ambient.insert({key: 1})
+    module, dim = oracle._quotient_matrices(params, ambient, ideal.rows)
+    if expected_dim is not None and dim != expected_dim:
+        raise OracleError(f"induced module has dimension {dim}, expected {expected_dim}")
+    return module
 
 
 def peel_composition_factors(params, module):
@@ -65,12 +139,12 @@ def peel_composition_factors(params, module):
         current = ExplicitModule(tuple(t_mats), tuple(xi_mats))
         socle_rows, counts = [], {}
         for char in candidates:
-            ker = _character_kernel(params, current, char)
+            ker = reference_character_kernel(params, current, char)
             if ker:
                 counts[char] = len(ker)
                 socle_rows.extend(ker)
         assert socle_rows, f"no one-dimensional submodule in dimension {dim}"
-        sub_rref, pivots = rref(socle_rows)
+        sub_rref, pivots = reference_rref(socle_rows)
         assert len(sub_rref) == sum(counts.values()), "dependent eigenspaces"
         factors.update(counts)
 
@@ -80,7 +154,7 @@ def peel_composition_factors(params, module):
             out = [[Fraction(0)] * len(free) for _ in range(len(free))]
             for newcol, col in enumerate(free):
                 column = [mat[row][col] for row in range(dim)]
-                rep = reduce_mod_rref(sub_rref, pivots, column)
+                rep = reference_reduce_mod_rref(sub_rref, pivots, column)
                 for k, f in enumerate(free):
                     out[k][newcol] = rep[f]
             return out
@@ -354,6 +428,15 @@ def test_census_equals_combinatorial_characters():
         assert census == combinatorial
 
 
+@pytest.mark.parametrize("n, r, u", [
+    (1, 1, ()), (1, 3, ()), (2, 2, ()), (3, 2, ()), (2, 3, ()), (3, 3, ()),
+    (2, 4, ()), (2, 5, ()), (4, 2, ()), (4, 3, ()), (5, 2, ()),
+    (3, 2, (0, 5)), (3, 3, (Fraction(-1, 2), 3, 0))])
+def test_census_in_one_pass_equals_per_candidate_loop(n, r, u):
+    p = AlgebraParams(n, r, u)
+    assert enumerate_one_dim_characters(p) == reference_one_dim_characters(p)
+
+
 def test_all_zero_T_constant_color_characters_exist():
     census = set(enumerate_one_dim_characters(AlgebraParams(3, 3)))
     for k in (1, 2, 3):
@@ -363,12 +446,37 @@ def test_all_zero_T_constant_color_characters_exist():
 # ---------------------------------------------------------------------------
 # induced modules
 
+def criterion_11_characters(r, max_grade, u=None):
+    """The inducing characters of acceptance criterion 11 at one r."""
+    for total in range(2, max_grade + 1):
+        p = AlgebraParams(total, r, u or ())
+        for m in range(1, total):
+            for a in enumerate_cycloribbons(m, r):
+                for b in enumerate_cycloribbons(total - m, r):
+                    yield p, [simple_character(a), simple_character(b)]
+
+
 def test_induced_module_dimensions():
     p = AlgebraParams(4, 2)
     chars = [Character((1, 2), (-1,)), Character((2, 1), (0,))]
     mod = build_induced_module(p, chars)
     assert mod.dim == 6
     assert all(rep["pass"] for rep in verify_module_relations(p, mod))
+
+
+def exact_entries(module):
+    return [[[(type(x), x) for x in row] for row in mat]
+            for mat in module.t_mats + module.xi_mats]
+
+
+@pytest.mark.parametrize("r, max_grade", [(2, 4), (3, 3)])
+def test_induced_modules_equal_dense_reference(monkeypatch, r, max_grade):
+    for p, chars in criterion_11_characters(r, max_grade):
+        got = build_induced_module(p, chars)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_quotient_matrices", reference_quotient_matrices)
+            expected = build_induced_module(p, chars)
+        assert exact_entries(got) == exact_entries(expected)
 
 
 def test_inducing_a_character_from_the_whole_algebra():
@@ -521,13 +629,8 @@ def test_cross_check_negation_fails_with_three_colors():
 
 def criterion_11_modules(r, max_grade, u=None):
     """The induced modules of acceptance criterion 11 at one r."""
-    for total in range(2, max_grade + 1):
-        p = AlgebraParams(total, r, u or ())
-        for m in range(1, total):
-            for a in enumerate_cycloribbons(m, r):
-                for b in enumerate_cycloribbons(total - m, r):
-                    yield p, build_induced_module(
-                        p, [simple_character(a), simple_character(b)])
+    for p, chars in criterion_11_characters(r, max_grade, u):
+        yield p, build_induced_module(p, chars)
 
 
 def shape_modules(n, r, u=None):
