@@ -159,11 +159,14 @@ def _max_dim() -> int:
 def cmd_oracle_verify(args) -> int:
     _check_sizes(args, min_n=1)
     u = ()
-    if args.u:
+    if args.u is not None:
         try:
             u = tuple(Fraction(piece) for piece in args.u.split(","))
         except ZeroDivisionError:
             raise ValueError(f"--u: zero denominator in {args.u!r}") from None
+        except ValueError:
+            raise ValueError(f"--u: {args.u!r} is not a comma separated "
+                             "list of rationals") from None
     params = oracle.AlgebraParams(args.n, args.r, u)
     cap = _max_dim()
     if params.dimension > cap:

@@ -23,8 +23,10 @@ it an oracle for them.
 The relations are checked by one evaluator on tables of sparse generator
 columns: one table per color-content block of the regular representation
 (both rules keep the multiset of colors), or the columns of a module.
-It applies each relation once to the identity operator, stored as a
-single dict keyed by ``column * dim + row``.
+The relation suite is compiled once per parameter set into polynomials
+with integer coefficients in words of generators; the evaluator applies
+each distinct word once to the identity operator, stored as a single dict
+keyed by ``column * dim + row``, and sums each relation's terms.
 
 Induced modules are built as quotients of the left regular
 representation by the left ideal generated by ``g - chi(g)`` over the
@@ -195,7 +197,7 @@ def multiply(params: AlgebraParams, x: AlgebraElement, y: AlgebraElement) -> Alg
     return AlgebraElement(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def lagrange_coeffs(u: tuple, k: int) -> tuple:
     """The interpolation polynomial taking value 1 at u_k and 0 at the
     other parameters, as ``(numerators, denominator)``: integer
@@ -296,23 +298,95 @@ def _act(table, v: dict) -> dict:
                            for row in (key % dim,) for k, a in table[row]))
 
 
-def _table_residuals(params, tables):
-    """``(check, instance, residual)`` for every defining relation on a
-    representation whose generators ``T_1..T_{n-1}, xi_1..xi_n`` act by
-    the given tables of sparse columns, applied once to the identity
-    operator: ``residual`` is keyed by ``column * dim + row`` and is empty
-    (test ``not``; key 0 is falsy) exactly when the relation holds."""
-    n, dim = params.n, len(tables[-1])
+@lru_cache(maxsize=32)
+def _relation_plan(params: AlgebraParams) -> tuple:
+    """The relation suite compiled into polynomials in generator words,
+    with their schedule: one ``(position in the suite, check, instance,
+    steps)`` per relation.  A word is the tuple of table indices of its
+    generators (``T_1..T_{n-1}``, then ``xi_1..xi_n``), the leftmost
+    applied last.  A step ``(word, coeff, build, drop)`` builds the listed
+    words, each on its suffix, adds ``coeff`` times the word, then drops
+    the words that no later step uses or extends.  Each polynomial is
+    multiplied by the lcm of its denominators, so the coefficients are
+    ints; a nonzero multiple of a residual has the same nonzero entries.
+    Relations run in order of the least and greatest index of their
+    generators (``T_i`` and ``xi_i`` count as ``i``), so that few words
+    are kept from one to the next."""
+    n = params.n
     checks = _relation_suite(
         params,
-        T=lambda i, v: _act(tables[i - 1], v),
-        XI=lambda j, v: _act(tables[n + j - 2], v),
+        T=lambda i, v: {(i - 1,) + w: c for w, c in v.items()},
+        XI=lambda j, v: {(n + j - 2,) + w: c for w, c in v.items()},
         add=lambda a, b: accumulate(dict(a), b.items()),
         sub=lambda a, b: accumulate(dict(a), b.items(), -1),
         scale=lambda s, a: accumulate({}, a.items(), s))
-    probe = {k * dim + k: 1 for k in range(dim)}
-    for name, instance, residual in checks:
-        yield name, instance, residual(probe)
+    polys = []
+    for pos, (name, instance, residual) in enumerate(checks):
+        poly = residual({(): 1})
+        lcm = math.lcm(*(c.denominator for c in poly.values()))
+        span = sorted({g - (n - 1) if g >= n - 1 else g for w in poly for g in w})
+        polys.append((span[:1] + span[-1:], pos, name, instance,
+                      [(w, int(c * lcm)) for w, c in poly.items()]))
+    plan, built, last_use = [], {()}, {}
+    for _, pos, name, instance, terms in sorted(polys):
+        steps = []
+        for w, c in terms:
+            suffixes = [w[k:] for k in range(len(w) - 1, -1, -1)]
+            steps.append((w, c, [s for s in suffixes if s not in built], []))
+            built.update(suffixes)
+            last_use.update(dict.fromkeys(suffixes, steps[-1][3]))
+        plan.append((pos, name, instance, steps))
+    for w, drop in last_use.items():
+        drop.append(w)
+    # the cache hands the plan to every caller, so it is made immutable
+    return tuple((pos, name, instance, tuple((w, c, tuple(b), tuple(d))
+                                             for w, c, b, d in steps))
+                 for pos, name, instance, steps in plan)
+
+
+def _table_residuals(params, tables) -> list:
+    """``(check, instance, residual)`` for every defining relation, in
+    suite order, on a representation whose generators ``T_1..T_{n-1},
+    xi_1..xi_n`` act by the given tables of sparse columns.  Each word of
+    the compiled plan is applied once to the identity operator, by one
+    ``_act`` on its suffix, and dropped after its last use; a residual is
+    the sum of its terms' operators.  It is keyed by ``column * dim +
+    row``, is a nonzero integer multiple of the relation's own residual,
+    and is empty (test ``not``; key 0 is falsy) exactly when the relation
+    holds."""
+    dim = len(tables[-1])
+    ops = {(): {k * dim + k: 1 for k in range(dim)}}
+    plan = _relation_plan(params)
+    out = [None] * len(plan)
+    for pos, name, instance, steps in plan:
+        residual = {}
+        for word, coeff, build, drop in steps:
+            for w in build:
+                ops[w] = _act(tables[w[0]], ops[w[1:]])
+            accumulate(residual, ops[word].items(), coeff)
+            for w in drop:
+                del ops[w]
+        # an emptied dict keeps its size, so keep a fresh one instead
+        out[pos] = name, instance, residual or {}
+    return out
+
+
+def _block_tables(ops, keys) -> list:
+    """Sparse columns of each op on the span of ``keys``, which must be
+    closed under every op.  Equal entries and equal columns are stored
+    once: the tables dominate the memory of the relation check."""
+    index = {key: k for k, key in enumerate(keys)}
+    share = {}
+
+    def column(op, key):
+        image = op({key: 1})
+        if not image.keys() <= index.keys():
+            raise OracleError(f"B{key} is mapped outside its color-content block")
+        col = tuple(share.setdefault(e, e) for e in
+                    ((index[k], c) for k, c in image.items()))
+        return share.setdefault(col, col)
+
+    return [[column(op, key) for key in keys] for op in ops]
 
 
 def verify_relations(params: AlgebraParams) -> list:
@@ -331,15 +405,7 @@ def verify_relations(params: AlgebraParams) -> list:
             range(1, params.r + 1), params.n):
         keys = [(c, w) for c in sorted(set(itertools.permutations(content)))
                 for w in perms]
-        index = {key: k for k, key in enumerate(keys)}
-
-        def column(op, key):
-            image = op({key: 1})
-            if not image.keys() <= index.keys():
-                raise OracleError(f"B{key} is mapped outside its color-content block")
-            return tuple((index[k], c) for k, c in image.items())
-
-        tables = [[column(op, key) for key in keys] for op in ops]
+        tables = _block_tables(ops, keys)
         dim = len(keys)
         for name, instance, residual in _table_residuals(params, tables):
             bad = None

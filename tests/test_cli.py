@@ -145,6 +145,16 @@ def test_oracle_verify_zero_denominator(capsys):
     assert "Traceback" not in err
 
 
+def test_oracle_verify_rejects_malformed_parameters(capsys):
+    # an empty --u is an error, not a request for the default parameters
+    for value in ("", "1,,2", "x"):
+        code, out, err = run(capsys, "oracle", "verify", "--n", "2", "--r", "2",
+                             f"--u={value}")
+        assert (code, out) == (1, "")
+        assert err == (f"error: --u: {value!r} is not a comma separated "
+                       "list of rationals\n")
+
+
 def test_oracle_verify_respects_cap(capsys, monkeypatch):
     monkeypatch.setenv(cli.MAX_DIM_ENV, "10")
     code, out, err = run(capsys, "oracle", "verify", "--n", "3", "--r", "2")

@@ -49,6 +49,7 @@ CASES = README_EXAMPLES + [
     ["oracle", "verify", "--n", "3", "--r", "3", "--u=1/2,-3,0"],
     ["oracle", "verify", "--n", "1", "--r", "1"],
     ["oracle", "verify", "--n", "2", "--r", "4", "--u=1/2,-3,0,7"],
+    ["oracle", "verify", "--n", "2", "--r", "2", "--u="],
     ["enumerate", "--n", "4", "--r", "3"],
     ["enumerate", "--n", "4", "--r", "3", "--anti"],
     ["enumerate", "--n", "5", "--r", "2", "--shape", "2,1,2", "--anti"],

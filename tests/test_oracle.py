@@ -329,6 +329,107 @@ def test_broken_T_rule_reported_as_reference(monkeypatch, n, r, u):
     assert "commute-xi-xi" not in failing
 
 
+@pytest.mark.parametrize("n, r, u", [
+    (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
+def test_broken_xi_rule_reported_as_reference(monkeypatch, n, r, u):
+    # xi_1 acts on color 2 by u_2 + 1, which is not a parameter
+    good = oracle.left_mult_xi
+
+    def broken(params, j, x):
+        out = good(params, j, x)
+        if j == 1:
+            out = out + AlgebraElement({k: c for k, c in x.terms.items()
+                                        if k[0][0] == 2})
+        return out
+    monkeypatch.setattr(oracle, "left_mult_xi", broken)
+    p = AlgebraParams(n, r, u)
+    got = verify_relations(p)
+    assert got == reference_verify_relations(p)
+    failing = {(rep["check"], rep["instance"]) for rep in got if not rep["pass"]}
+    assert {("color-char-poly", "j=1"), ("cross-commutation", "i=1")} <= failing
+    assert not any(check == "commute-xi-xi" for check, _ in failing)
+
+
+def evaluate_word(params, word, x):
+    """A word of the compiled relation plan applied to an element, through
+    the generator actions installed on the module at call time."""
+    for g in reversed(word):
+        x = (oracle.left_mult_T(params, g + 1, x) if g < params.n - 1
+             else oracle.left_mult_xi(params, g - params.n + 2, x))
+    return x
+
+
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u):
+    p = AlgebraParams(n, r, u)
+    plan = sorted(oracle._relation_plan(p))
+    checks = _relation_suite(
+        p,
+        T=lambda i, v: oracle.left_mult_T(p, i, v),
+        XI=lambda j, v: oracle.left_mult_xi(p, j, v),
+        add=lambda a, b: a + b,
+        sub=lambda a, b: a - b,
+        scale=lambda s, v: s * v)
+    assert [(pos, name, instance) for pos, name, instance, _ in plan] == \
+        [(pos, name, instance) for pos, (name, instance, _) in enumerate(checks)]
+    assert all(type(coeff) is int for *_, steps in plan for _, coeff, _, _ in steps)
+
+    # shift every generator by 1/7 (no parameter here has a denominator
+    # divisible by 7) and a random monomial map, so that no relation holds
+    # and each residual is a nonzero element to compare
+    keys = list(basis_keys(p))
+    local = random.Random(7)
+    images = {}
+
+    def perturbed(good):
+        def act(params, g, x):
+            extra = {}
+            for key, c in x.terms.items():
+                if (g, key) not in images:
+                    images[g, key] = local.choice(keys), local.randint(1, 3)
+                target, a = images[g, key]
+                extra[target] = extra.get(target, 0) + a * c
+            return good(params, g, x) + Fraction(1, 7) * x + AlgebraElement(extra)
+        return act
+    monkeypatch.setattr(oracle, "left_mult_T", perturbed(oracle.left_mult_T))
+    monkeypatch.setattr(oracle, "left_mult_xi", perturbed(oracle.left_mult_xi))
+    for _ in range(2):
+        x = AlgebraElement({key: local.randint(1, 3)
+                            for key in local.sample(keys, min(3, len(keys)))})
+        for (_, name, instance, steps), (_, _, residual) in zip(plan, checks):
+            want = residual(x)
+            got = AlgebraElement()
+            for word, coeff, _, _ in steps:
+                got = got + coeff * evaluate_word(p, word, x)
+            assert want, (name, instance)
+            key = min(want.terms)
+            multiple = Fraction(got.terms.get(key, 0)) / want.terms[key]
+            assert multiple and multiple.denominator == 1, (name, instance)
+            assert got == multiple * want, (name, instance)
+
+
+@pytest.mark.parametrize("n, r, expected", [(3, 2, 32), (4, 3, 73)])
+def test_module_relations_apply_each_word_once(monkeypatch, n, r, expected):
+    p = AlgebraParams(n, r)
+    mod = build_shape_module(p, (n,))
+    suffixes = {word[k:] for *_, steps in oracle._relation_plan(p)
+                for word, *_ in steps for k in range(len(word))}
+    calls = []
+    act = oracle._act
+
+    def counted(table, v):
+        calls.append(table)
+        return act(table, v)
+    monkeypatch.setattr(oracle, "_act", counted)
+    assert module_relations_ok(p, mod)
+    assert len(calls) == len(suffixes) == expected
+
+
+def test_relation_caches_are_bounded():
+    for cached in (oracle._relation_plan, lagrange_coeffs):
+        assert cached.cache_info().maxsize is not None
+
+
 def test_image_leaving_color_content_block_is_rejected(monkeypatch):
     good = oracle.left_mult_T
 
