@@ -385,9 +385,9 @@ def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u)
         def act(params, g, x):
             extra = {}
             for key, c in x.terms.items():
-                if (g, key) not in images:
-                    images[g, key] = local.choice(keys), local.randint(1, 3)
-                target, a = images[g, key]
+                if (good, g, key) not in images:
+                    images[good, g, key] = local.choice(keys), local.randint(1, 3)
+                target, a = images[good, g, key]
                 extra[target] = extra.get(target, 0) + a * c
             return good(params, g, x) + Fraction(1, 7) * x + AlgebraElement(extra)
         return act
