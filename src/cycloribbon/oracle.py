@@ -332,9 +332,10 @@ def _relation_plan(params: AlgebraParams) -> tuple:
         steps = []
         for w, c in terms:
             suffixes = [w[k:] for k in range(len(w) - 1, -1, -1)]
-            steps.append((w, c, [s for s in suffixes if s not in built], []))
+            drop = []
+            steps.append((w, c, [s for s in suffixes if s not in built], drop))
             built.update(suffixes)
-            last_use.update(dict.fromkeys(suffixes, steps[-1][3]))
+            last_use.update(dict.fromkeys(suffixes, drop))
         plan.append((pos, name, instance, steps))
     for w, drop in last_use.items():
         drop.append(w)
