@@ -59,6 +59,7 @@ CASES = README_EXAMPLES + [
     ["induce-hecke-projective", "--shape", "1,2,1", "--r", "3"],
     ["oracle", "cross-check", "--max-grade", "4", "--r", "2"],
     ["oracle", "cross-check", "--max-grade", "3", "--r", "3"],
+    ["oracle", "cross-check", "--max-grade", "2", "--r", "4"],
 ]
 
 
