@@ -167,6 +167,9 @@ def cmd_oracle_verify(args) -> int:
         except ValueError:
             raise ValueError(f"--u: {args.u!r} is not a comma separated "
                              "list of rationals") from None
+        if len(u) != args.r or len(set(u)) != args.r:
+            raise ValueError(f"--u: {args.u!r} must list {args.r} pairwise "
+                             "distinct rationals, one per color")
     params = oracle.AlgebraParams(args.n, args.r, u)
     cap = _max_dim()
     if params.dimension > cap:

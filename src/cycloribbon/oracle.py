@@ -20,13 +20,15 @@ displayed rules plus exact rational linear algebra; no combinatorial
 shortcut from the rest of the package is assumed, which is what makes
 it an oracle for them.
 
-The relations are checked by one evaluator on tables of sparse generator
-columns: one table per color-content block of the regular representation
-(both rules keep the multiset of colors), or the columns of a module.
-The relation suite is compiled once per parameter set into polynomials
-with integer coefficients in words of generators; the evaluator applies
-each distinct word once to the identity operator, stored as a single dict
-keyed by ``column * dim + row``, and sums each relation's terms.
+Both rules keep the multiset of colors, so the regular representation
+splits into color-content blocks.  Each rule is written once, for one
+basis element, and builds the tables of sparse generator columns of a
+block.  The relations are checked by one evaluator on such tables, or on
+the columns of a module.  The relation suite is compiled once per
+parameter set into polynomials with integer coefficients in words of
+generators; the evaluator applies each distinct word once to the
+identity operator, stored as a single dict keyed by
+``column * dim + row``, and sums each relation's terms.
 
 Induced modules are built as quotients of the left regular
 representation by the left ideal generated by ``g - chi(g)`` over the
@@ -34,7 +36,8 @@ generators ``g`` of the inducing subalgebra.  For a parabolic character
 the color constraints are applied first: they cut the regular
 representation down to the right ideal generated by the single basis
 element ``B[a, id]`` (``a`` the concatenated color word), inside which
-the Hecke constraints are a small closure/quotient computation.
+the Hecke constraints are a small closure/quotient computation, acting
+by the tables of the block, cached per parameter set and color content.
 
 Composition factors are read off from traces, with no quotient module:
 on the weight space of a color word ``c`` the colors fix ``t_i`` except
@@ -135,14 +138,28 @@ def one(params: AlgebraParams) -> AlgebraElement:
                                              repeat=params.n)})
 
 
-def left_mult_xi(params: AlgebraParams, j: int, x: AlgebraElement) -> AlgebraElement:
-    """Color generators act diagonally through their Lagrange spectrum."""
-    if not 1 <= j <= params.n:
-        raise ValueError(f"xi index {j} outside 1..{params.n}")
-    # no two terms merge, so only a zero eigenvalue can drop a term
-    u = params.u
-    return AlgebraElement._wrap(None, {k: s * c for k, c in x.terms.items()
-                                       if (s := u[k[0][j - 1] - 1])})
+def _T_rule(params: AlgebraParams, i: int, key) -> list:
+    """The displayed action of ``T_i`` on one basis element ``B[c, w]``,
+    as ``((c', w'), coeff)`` terms; a key may occur twice."""
+    c, w = key
+    cs = c[:i - 1] + (c[i], c[i - 1]) + c[i + 1:]
+    # commuting T_i through L_c leaves L_{c.s_i} T_i ...
+    winv = inverse_perm(w)
+    if winv[i - 1] < winv[i]:          # length goes up
+        terms = [((cs, _swap_values(w, i)), 1)]
+    else:                              # T_i^2 = -T_i
+        terms = [((cs, w), -1)]
+    # ... plus the color correction term
+    if c[i - 1] < c[i]:
+        terms.append((key, -1))
+    elif c[i - 1] > c[i]:
+        terms.append(((cs, w), 1))
+    return terms
+
+
+def _xi_rule(params: AlgebraParams, j: int, key) -> list:
+    """The displayed action of ``xi_j`` on ``B[c, w]``: ``u[c_j]`` times it."""
+    return [(key, params.u[key[0][j - 1] - 1])]
 
 
 def _swap_values(word, i):
@@ -150,25 +167,22 @@ def _swap_values(word, i):
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in word)
 
 
+def _left_mult(rule, params, k, x: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement((image, coeff * a) for key, coeff in x.terms.items()
+                          for image, a in rule(params, k, key))
+
+
+def left_mult_xi(params: AlgebraParams, j: int, x: AlgebraElement) -> AlgebraElement:
+    """Color generators act diagonally through their Lagrange spectrum."""
+    if not 1 <= j <= params.n:
+        raise ValueError(f"xi index {j} outside 1..{params.n}")
+    return _left_mult(_xi_rule, params, j, x)
+
+
 def left_mult_T(params: AlgebraParams, i: int, x: AlgebraElement) -> AlgebraElement:
     if not 1 <= i <= params.n - 1:
         raise ValueError(f"T index {i} outside 1..{params.n - 1}")
-    out = []
-    add = out.append
-    for (c, w), coeff in x.terms.items():
-        cs = c[:i - 1] + (c[i], c[i - 1]) + c[i + 1:]
-        # commuting T_i through L_c leaves L_{c.s_i} T_i ...
-        winv = inverse_perm(w)
-        if winv[i - 1] < winv[i]:          # length goes up
-            add(((cs, _swap_values(w, i)), coeff))
-        else:                              # T_i^2 = -T_i
-            add(((cs, w), -coeff))
-        # ... plus the color correction term
-        if c[i - 1] < c[i]:
-            add(((c, w), -coeff))
-        elif c[i - 1] > c[i]:
-            add(((cs, w), coeff))
-    return AlgebraElement(out)
+    return _left_mult(_T_rule, params, i, x)
 
 
 def _sorting_word(perm):
@@ -372,22 +386,34 @@ def _table_residuals(params, tables) -> list:
     return out
 
 
-def _block_tables(ops, keys) -> list:
-    """Sparse columns of each op on the span of ``keys``, which must be
-    closed under every op.  Equal entries and equal columns are stored
-    once: the tables dominate the memory of the relation check."""
+def _content_block(params: AlgebraParams, content: tuple) -> tuple:
+    """The basis keys ``(c, w)`` with ``c`` a rearrangement of the sorted
+    ``content``, in basis order, and the sparse columns of ``T_1..T_{n-1},
+    xi_1..xi_n`` on them, indexed by position in the keys.  An image
+    leaving the block raises :class:`OracleError`.  Equal entries and
+    columns are stored once: the tables dominate the relation check's memory."""
+    keys = tuple((c, w) for c in sorted(set(itertools.permutations(content)))
+                 for w in itertools.permutations(range(1, params.n + 1)))
     index = {key: k for k, key in enumerate(keys)}
     share = {}
 
-    def column(op, key):
-        image = op({key: 1})
+    def column(rule, g, key):
+        image = accumulate({}, rule(params, g, key))
         if not image.keys() <= index.keys():
             raise OracleError(f"B{key} is mapped outside its color-content block")
         col = tuple(share.setdefault(e, e) for e in
                     ((index[k], c) for k, c in image.items()))
         return share.setdefault(col, col)
 
-    return [[column(op, key) for key in keys] for op in ops]
+    gens = ([(_T_rule, i) for i in range(1, params.n)]
+            + [(_xi_rule, j) for j in range(1, params.n + 1)])
+    # immutable, since the cache hands the same block to every caller
+    return keys, tuple(tuple(column(rule, g, key) for key in keys)
+                       for rule, g in gens)
+
+
+# the induced modules of one cross-check share few color contents
+_cached_block = lru_cache(maxsize=64)(_content_block)
 
 
 def verify_relations(params: AlgebraParams) -> list:
@@ -396,17 +422,13 @@ def verify_relations(params: AlgebraParams) -> list:
     instance, with a counterexample on failure: the least basis element
     with a nonzero residual, and its number of terms.
 
-    Both displayed rules keep the multiset of colors, so generator columns
-    are built once per color-content block, and an image leaving its
-    block raises :class:`OracleError`."""
-    perms = list(itertools.permutations(range(1, params.n + 1)))
-    ops = _generator_ops(params)
+    The generator columns are built once per color-content block, and not
+    cached (each block is used once); an image leaving its block raises
+    :class:`OracleError`."""
     found = {}   # (check, instance) -> least failing (key, residual terms)
     for content in itertools.combinations_with_replacement(
             range(1, params.r + 1), params.n):
-        keys = [(c, w) for c in sorted(set(itertools.permutations(content)))
-                for w in perms]
-        tables = _block_tables(ops, keys)
+        keys, tables = _content_block(params, content)
         dim = len(keys)
         for name, instance, residual in _table_residuals(params, tables):
             bad = None
@@ -451,7 +473,7 @@ def module_relations_ok(params: AlgebraParams, module: ExplicitModule) -> bool:
                for _, _, residual in _module_residuals(params, module))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_one_dim_characters(params: AlgebraParams) -> tuple:
     """Brute force: all assignments of 0/-1 to the Hecke generators and a
     parameter to each color generator that satisfy every relation.  The
@@ -488,18 +510,9 @@ def _closure(ops, seeds) -> SparseEchelon:
     return ech
 
 
-def _generator_ops(params: AlgebraParams) -> list:
-    """Left multiplication by ``T_1..T_{n-1}``, then ``xi_1..xi_n``, as
-    maps of dict vectors over the ``B[c, w]`` basis."""
-    def on_dicts(mult, k):
-        return lambda v: mult(params, k, AlgebraElement._wrap(None, v)).terms
-    return ([on_dicts(left_mult_T, i) for i in range(1, params.n)]
-            + [on_dicts(left_mult_xi, j) for j in range(1, params.n + 1)])
-
-
-def _quotient_matrices(params, ambient: SparseEchelon, sub_rows):
-    """Matrices of the generators on (span of ambient) / (span of sub_rows),
-    in the coordinates given by the ambient echelon rows."""
+def _quotient_matrices(params, ops, ambient: SparseEchelon, sub_rows):
+    """Matrices of the generator maps ``ops`` on (span of ambient) / (span
+    of sub_rows), in the coordinates given by the ambient echelon rows."""
     sub = SparseEchelon()
     for row in sub_rows:
         sub.insert(ambient.coordinates(row))
@@ -514,7 +527,7 @@ def _quotient_matrices(params, ambient: SparseEchelon, sub_rows):
                 mat[index_of[c]][col] = val
         return mat
 
-    mats = [action(op) for op in _generator_ops(params)]
+    mats = [action(op) for op in ops]
     module = ExplicitModule(t_mats=tuple(mats[:params.n - 1]),
                             xi_mats=tuple(mats[params.n - 1:]))
     return module, len(free)
@@ -533,30 +546,24 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
     if sum(sizes) != params.n:
         raise ValueError(f"factor sizes {sizes} do not sum to {params.n}")
     a = tuple(c for ch in chars for c in ch.xi_colors)
-    t_of = {}
-    offset = 0
-    for ch, size in zip(chars, sizes):
-        for local, t in enumerate(ch.t_values, start=1):
-            t_of[offset + local] = t
-        offset += size
+    # the value of each T_i inside a factor, None between two factors
+    t_of = [t for ch in chars for t in (*ch.t_values, None)][:-1]
 
-    ident = tuple(range(1, params.n + 1))
-    cyclic = AlgebraElement.basis(a, ident)
-    ops = _generator_ops(params)
-    block = _closure(ops, [cyclic.terms])
+    keys, tables = _cached_block(params, tuple(sorted(a)))
+    ops = [partial(_act, table) for table in tables]
+    cyclic = keys.index((a, tuple(range(1, params.n + 1))))
+    block = _closure(ops, [{cyclic: 1}])
     if len(block) != math.factorial(params.n):
         raise OracleError(
             f"right color block has rank {len(block)}, "
             f"expected {math.factorial(params.n)}")
 
-    seeds = [left_mult_T(params, i, cyclic) - t * cyclic
-             for i, t in t_of.items()]
-    hecke_ideal = _closure(ops, [s.terms for s in seeds])
+    seeds = [accumulate(dict(tables[i][cyclic]), ((cyclic, -t),))
+             for i, t in enumerate(t_of) if t is not None]
+    hecke_ideal = _closure(ops, seeds)
 
-    module, dim = _quotient_matrices(params, block, hecke_ideal.rows)
-    expected = math.factorial(params.n)
-    for size in sizes:
-        expected //= math.factorial(size)
+    module, dim = _quotient_matrices(params, ops, block, hecke_ideal.rows)
+    expected = math.factorial(params.n) // math.prod(map(math.factorial, sizes))
     if dim != expected:
         raise OracleError(f"induced module has dimension {dim}, expected {expected}")
     if not module_relations_ok(params, module):

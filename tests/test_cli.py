@@ -155,6 +155,17 @@ def test_oracle_verify_rejects_malformed_parameters(capsys):
                        "list of rationals\n")
 
 
+def test_oracle_verify_names_wrong_parameter_lists(capsys):
+    # too few, too many or repeated values, as typed (1/2 and 0.5 are equal)
+    for r, value in ((2, "1/2"), (2, "1,1"), (1, "1,2"), (2, "1/2,0.5"),
+                     (3, "1,2,1")):
+        code, out, err = run(capsys, "oracle", "verify", "--n", "2", "--r",
+                             str(r), f"--u={value}")
+        assert (code, out) == (1, "")
+        assert err == (f"error: --u: {value!r} must list {r} pairwise "
+                       "distinct rationals, one per color\n")
+
+
 def test_oracle_verify_respects_cap(capsys, monkeypatch):
     monkeypatch.setenv(cli.MAX_DIM_ENV, "10")
     code, out, err = run(capsys, "oracle", "verify", "--n", "3", "--r", "2")

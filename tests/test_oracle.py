@@ -80,7 +80,18 @@ def reference_one_dim_characters(params):
     return tuple(sorted(out))
 
 
-def reference_quotient_matrices(params, ambient, sub_rows):
+def reference_generator_ops(params):
+    """Left multiplication by ``T_1..T_{n-1}``, then ``xi_1..xi_n``, as
+    maps of dict vectors over the ``(color word, permutation)`` keys,
+    through :class:`AlgebraElement` and the generator actions installed on
+    the module at call time."""
+    def on_dicts(name, k):
+        return lambda v: getattr(oracle, name)(params, k, AlgebraElement(v)).terms
+    return ([on_dicts("left_mult_T", i) for i in range(1, params.n)]
+            + [on_dicts("left_mult_xi", j) for j in range(1, params.n + 1)])
+
+
+def reference_quotient_matrices(params, ops, ambient, sub_rows):
     """Reference for ``oracle._quotient_matrices``: the quotient through a
     dense Fraction row echelon form of the sub-row coordinates."""
     dim = len(ambient)
@@ -105,7 +116,7 @@ def reference_quotient_matrices(params, ambient, sub_rows):
                                              else val)
         return mat
 
-    mats = [action(op) for op in oracle._generator_ops(params)]
+    mats = [action(op) for op in ops]
     module = ExplicitModule(t_mats=tuple(mats[:params.n - 1]),
                             xi_mats=tuple(mats[params.n - 1:]))
     return module, len(free)
@@ -115,14 +126,32 @@ def induced_module_from_seeds(params, seeds, expected_dim=None):
     """Reference construction: quotient of the whole left regular
     representation by the left ideal generated by the seeds.  Exponential
     in size, used to cross-validate the staged constructions."""
-    ideal = oracle._closure(oracle._generator_ops(params), [s.terms for s in seeds])
+    ops = reference_generator_ops(params)
+    ideal = oracle._closure(ops, [s.terms for s in seeds])
     ambient = SparseEchelon()
     for key in basis_keys(params):
         ambient.insert({key: 1})
-    module, dim = oracle._quotient_matrices(params, ambient, ideal.rows)
+    module, dim = oracle._quotient_matrices(params, ops, ambient, ideal.rows)
     if expected_dim is not None and dim != expected_dim:
         raise OracleError(f"induced module has dimension {dim}, expected {expected_dim}")
     return module
+
+
+def reference_induced_module(params, chars):
+    """Reference for :func:`build_induced_module`: the same staged
+    quotient on the ``(color word, permutation)`` keys, acting through
+    :func:`reference_generator_ops`."""
+    a = tuple(c for ch in chars for c in ch.xi_colors)
+    cyclic = AlgebraElement.basis(a, range(1, params.n + 1))
+    ops = reference_generator_ops(params)
+    block = oracle._closure(ops, [cyclic.terms])
+    seeds, offset = [], 0
+    for ch in chars:
+        for local, t in enumerate(ch.t_values, start=1):
+            seeds.append(left_mult_T(params, offset + local, cyclic) - t * cyclic)
+        offset += len(ch.xi_colors)
+    hecke_ideal = oracle._closure(ops, [s.terms for s in seeds])
+    return oracle._quotient_matrices(params, ops, block, hecke_ideal.rows)[0]
 
 
 def peel_composition_factors(params, module):
@@ -312,15 +341,23 @@ def test_relation_tables_agree_with_reference(n, r, u):
     assert verify_relations(p) == reference_verify_relations(p)
 
 
+@pytest.fixture
+def fresh_blocks():
+    """An empty block cache before and after a test that patches a rule."""
+    oracle._cached_block.cache_clear()
+    yield
+    oracle._cached_block.cache_clear()
+
+
 @pytest.mark.parametrize("n, r, u", [
     (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
-def test_broken_T_rule_reported_as_reference(monkeypatch, n, r, u):
+def test_broken_T_rule_reported_as_reference(monkeypatch, fresh_blocks, n, r, u):
     # T_1 + 1 in place of T_1: a linear defect that keeps color content
-    good = oracle.left_mult_T
+    good = oracle._T_rule
 
-    def broken(params, i, x):
-        return good(params, i, x) + x if i == 1 else good(params, i, x)
-    monkeypatch.setattr(oracle, "left_mult_T", broken)
+    def broken(params, i, key):
+        return good(params, i, key) + [(key, 1)] if i == 1 else good(params, i, key)
+    monkeypatch.setattr(oracle, "_T_rule", broken)
     p = AlgebraParams(n, r, u)
     got = verify_relations(p)
     assert got == reference_verify_relations(p)
@@ -331,17 +368,14 @@ def test_broken_T_rule_reported_as_reference(monkeypatch, n, r, u):
 
 @pytest.mark.parametrize("n, r, u", [
     (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
-def test_broken_xi_rule_reported_as_reference(monkeypatch, n, r, u):
+def test_broken_xi_rule_reported_as_reference(monkeypatch, fresh_blocks, n, r, u):
     # xi_1 acts on color 2 by u_2 + 1, which is not a parameter
-    good = oracle.left_mult_xi
+    good = oracle._xi_rule
 
-    def broken(params, j, x):
-        out = good(params, j, x)
-        if j == 1:
-            out = out + AlgebraElement({k: c for k, c in x.terms.items()
-                                        if k[0][0] == 2})
-        return out
-    monkeypatch.setattr(oracle, "left_mult_xi", broken)
+    def broken(params, j, key):
+        out = good(params, j, key)
+        return out + [(key, 1)] if j == 1 and key[0][0] == 2 else out
+    monkeypatch.setattr(oracle, "_xi_rule", broken)
     p = AlgebraParams(n, r, u)
     got = verify_relations(p)
     assert got == reference_verify_relations(p)
@@ -426,19 +460,60 @@ def test_module_relations_apply_each_word_once(monkeypatch, n, r, expected):
 
 
 def test_relation_caches_are_bounded():
-    for cached in (oracle._relation_plan, lagrange_coeffs):
-        assert cached.cache_info().maxsize is not None
+    cached = {obj.__name__: obj for obj in vars(oracle).values()
+              if callable(getattr(obj, "cache_info", None))
+              and getattr(obj, "__module__", None) == oracle.__name__}
+    assert {"_relation_plan", "lagrange_coeffs", "_content_block",
+            "enumerate_one_dim_characters"} <= cached.keys()
+    for fn in cached.values():
+        assert fn.cache_info().maxsize is not None, fn.__name__
 
 
-def test_image_leaving_color_content_block_is_rejected(monkeypatch):
-    good = oracle.left_mult_T
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_block_columns_equal_generator_actions(n, r, u):
+    p = AlgebraParams(n, r, u)
+    seen = []
+    for content in itertools.combinations_with_replacement(range(1, r + 1), n):
+        keys, tables = oracle._content_block(p, content)
+        assert list(keys) == sorted(keys)
+        assert all(sorted(c) == list(content) for c, _ in keys)
+        seen.extend(keys)
+        index = {key: k for k, key in enumerate(keys)}
+        assert len(tables) == 2 * n - 1
+        for g, table in enumerate(tables):
+            for key, col in zip(keys, table):
+                want = (left_mult_T(p, g + 1, B(*key)) if g < n - 1
+                        else left_mult_xi(p, g - n + 2, B(*key)))
+                assert sorted(col) == sorted((index[k], c)
+                                             for k, c in want.terms.items())
+    assert sorted(seen) == list(basis_keys(p))
 
-    def recolored(params, i, x):
+
+def test_verify_relations_keeps_no_block(fresh_blocks):
+    p = AlgebraParams(3, 2)
+    build_induced_module(p, [Character((1, 2), (-1,)), Character((2,), ())])
+    before = oracle._cached_block.cache_info()
+    assert before.currsize == 1
+    verify_relations(p)
+    assert oracle._cached_block.cache_info() == before
+
+
+def test_cross_check_builds_each_block_once(fresh_blocks):
+    report = cross_check_induction(2, 4)
+    contents = {content for n in range(2, 5)
+                for content in itertools.combinations_with_replacement((1, 2), n)}
+    info = oracle._cached_block.cache_info()
+    assert info.misses == len(contents) == 12
+    assert info.hits + info.misses == report["cases"] == 136
+
+
+def test_image_leaving_color_content_block_is_rejected(monkeypatch, fresh_blocks):
+    good = oracle._T_rule
+
+    def recolored(params, i, key):
         # a term of color word (1, ..., 1) whatever the input's colors
-        out = good(params, i, x)
-        return out + AlgebraElement({((1,) * params.n, w): 1
-                                     for (c, w) in x.terms})
-    monkeypatch.setattr(oracle, "left_mult_T", recolored)
+        return good(params, i, key) + [(((1,) * params.n, key[1]), 1)]
+    monkeypatch.setattr(oracle, "_T_rule", recolored)
     with pytest.raises(OracleError, match="outside its color-content block"):
         verify_relations(AlgebraParams(2, 2))
 
@@ -578,6 +653,13 @@ def test_induced_modules_equal_dense_reference(monkeypatch, r, max_grade):
             patch.setattr(oracle, "_quotient_matrices", reference_quotient_matrices)
             expected = build_induced_module(p, chars)
         assert exact_entries(got) == exact_entries(expected)
+
+
+@pytest.mark.parametrize("r, max_grade", [(2, 4), (3, 3)])
+def test_induced_modules_equal_reference_ops_build(r, max_grade):
+    for p, chars in criterion_11_characters(r, max_grade):
+        assert exact_entries(build_induced_module(p, chars)) == \
+            exact_entries(reference_induced_module(p, chars))
 
 
 def test_inducing_a_character_from_the_whole_algebra():
