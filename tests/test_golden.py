@@ -60,6 +60,7 @@ CASES = README_EXAMPLES + [
     ["oracle", "cross-check", "--max-grade", "4", "--r", "2"],
     ["oracle", "cross-check", "--max-grade", "3", "--r", "3"],
     ["oracle", "cross-check", "--max-grade", "2", "--r", "4"],
+    ["dims", "--n", "5", "--r", "3"],
 ]
 
 
