@@ -189,7 +189,7 @@ def _shuffle_rep(rib: ColoredRibbon, r: int, negate: bool) -> ColoredPermutation
     return ColoredPermutation(p.word, q.colors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _f_label_product(x: ColoredRibbon, y: ColoredRibbon, r: int, negate: bool):
     p = _shuffle_rep(x, r, negate)
     q = _shuffle_rep(y, r, negate)
@@ -327,7 +327,7 @@ def mr_to_sym(a: LinComb) -> LinComb:
                            for lab, c in a.terms.items()])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _h_factor_image(color: int, degree: int) -> ColoredRibbon:
     return ColoredRibbon((degree,), (color,) * degree)
 
@@ -373,7 +373,7 @@ def schur_in_h(partition: tuple, color: int = 1) -> LinComb:
     return LinComb(SYM_H, _schur_terms(partition, color))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _schur_terms(partition: tuple, color: int) -> tuple:
     ell = len(partition)
     terms = []

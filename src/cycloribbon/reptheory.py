@@ -16,13 +16,14 @@ Schur-function products under the embedding.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .hopf import (
+    _color_runs,
     mr_product_R,
-    mr_to_ncsf,
     mr_to_sym,
     multipartition_class,
     split_ribbon,
@@ -111,11 +112,25 @@ def induce_projectives(a: ColoredComposition, b: ColoredComposition) -> Counter:
 
 
 def dim_projective(cc: ColoredComposition) -> int:
-    """Dimension of an indecomposable projective: restrict to the
-    colorless subalgebra and add up descent class sizes."""
-    image = mr_to_ncsf(LinComb.single(MR_R, cc))
-    return sum(coeff * descent_class_size(parts)
-               for parts, coeff in image.terms.items())
+    """Dimension of an indecomposable projective: with maximal one-color
+    runs of parts I_1, ..., I_k of sizes m_1, ..., m_k,
+
+        n! / (m_1! ... m_k!) * descent_class_size(I_1) ... descent_class_size(I_k).
+
+    Restricted to the colorless subalgebra H_n(0), the projective is the
+    product of the ordinary ribbons of its runs (see :func:`mr_to_ncsf`),
+    i.e. induced from the parabolic H_{m_1}(0) x ... x H_{m_k}(0).  The
+    ribbon of a composition I is the projective of dimension
+    ``descent_class_size(I)``, and induction multiplies dimensions by the
+    parabolic index, the multinomial coefficient.
+
+    >>> dim_projective(ColoredComposition((1, 2, 1), (2, 2, 1)))
+    8
+    """
+    dim = math.factorial(cc.size)
+    for _, run in _color_runs(cc):
+        dim = dim // math.factorial(sum(run)) * descent_class_size(run)
+    return dim
 
 
 def induce_hecke_projective(shape, r: int) -> list:
@@ -164,23 +179,30 @@ def _as_int(x):
 def _matrix_through_sym(rows, to_sym, n: int, r: int) -> LabeledMatrix:
     """Matrix of ``sym_to_qmr . to_sym`` on the row labels against the
     cycloribbons of size n, as E·D: each row's monomial expansion E times
-    the fundamental images D of the monomials, each computed once."""
+    the fundamental images D of the monomials, each computed once.  Row
+    labels with the same expansion share one row tuple."""
     cols = simple_labels(n, r)
     col_index = {lab: k for k, lab in enumerate(cols)}
     images = {}  # monomial -> ((column index, coeff), ...)
+    shared = {}  # expansion -> row tuple
     entries = []
     for label in rows:
-        row = [0] * len(cols)
-        for mono, c in to_sym(label).terms.items():
-            image = images.get(mono)
-            if image is None:
-                image = images[mono] = tuple(
-                    (col_index[lab], _as_int(coeff)) for lab, coeff in
-                    sym_to_qmr(LinComb.single(SYM_H, mono)).terms.items())
-            c = _as_int(c)
-            for k, coeff in image:
-                row[k] += c * coeff
-        entries.append(tuple(row))
+        expansion = to_sym(label).terms
+        key = frozenset(expansion.items())
+        row = shared.get(key)
+        if row is None:
+            row = [0] * len(cols)
+            for mono, c in expansion.items():
+                image = images.get(mono)
+                if image is None:
+                    image = images[mono] = tuple(
+                        (col_index[lab], _as_int(coeff)) for lab, coeff in
+                        sym_to_qmr(LinComb.single(SYM_H, mono)).terms.items())
+                c = _as_int(c)
+                for k, coeff in image:
+                    row[k] += c * coeff
+            row = shared[key] = tuple(row)
+        entries.append(row)
     return LabeledMatrix(tuple(rows), tuple(cols), tuple(entries))
 
 

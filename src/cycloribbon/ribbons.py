@@ -232,7 +232,10 @@ def _enumerate_fillings(n, r, shape, row_weakly_increasing):
                 words = [w + (c,) for w in words for c in range(w[-1], r + 1)]
             else:
                 words = [w + (c,) for w in words for c in range(1, w[-1] + 1)]
-        out.extend(ColoredRibbon(parts, w) for w in words)
+        # tuple.__new__ builds each ribbon without the Python-level frame
+        # of the NamedTuple constructor
+        out.extend(map(tuple.__new__, itertools.repeat(ColoredRibbon),
+                       zip(itertools.repeat(parts), words)))
     return out
 
 
@@ -470,7 +473,7 @@ def colored_descent_composition(p: ColoredPermutation) -> ColoredRibbon:
     return ColoredRibbon(composition_from_descents(len(w), ds), u)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def descent_class_size(parts: Composition) -> int:
     """Number of permutations whose descent composition is ``parts``,
     by inclusion-exclusion over coarsenings.

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycloribbon import oracle
+from cycloribbon import hopf, oracle, reptheory, ribbons
 from cycloribbon.linalg import (
     SparseEchelon,
     mat_add,
@@ -460,13 +460,19 @@ def test_module_relations_apply_each_word_once(monkeypatch, n, r, expected):
 
 
 def test_relation_caches_are_bounded():
-    cached = {obj.__name__: obj for obj in vars(oracle).values()
+    """Every cache defined in the rings layer and the oracle has a size
+    limit."""
+    cached = {f"{module.__name__.rpartition('.')[2]}.{obj.__name__}": obj
+              for module in (hopf, ribbons, reptheory, oracle)
+              for obj in vars(module).values()
               if callable(getattr(obj, "cache_info", None))
-              and getattr(obj, "__module__", None) == oracle.__name__}
-    assert {"_relation_plan", "lagrange_coeffs", "_content_block",
-            "enumerate_one_dim_characters"} <= cached.keys()
-    for fn in cached.values():
-        assert fn.cache_info().maxsize is not None, fn.__name__
+              and getattr(obj, "__module__", None) == module.__name__}
+    assert {"oracle._relation_plan", "oracle.lagrange_coeffs",
+            "oracle._content_block", "oracle.enumerate_one_dim_characters",
+            "hopf._f_label_product", "hopf._h_factor_image",
+            "hopf._schur_terms", "ribbons.descent_class_size"} <= cached.keys()
+    for name, fn in cached.items():
+        assert fn.cache_info().maxsize is not None, name
 
 
 @pytest.mark.parametrize("n, r, u", RELATION_PARAMS)

@@ -4,12 +4,14 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given
 
 from cycloribbon import hopf, reptheory
 from cycloribbon.hopf import (
     cartan_map,
     colored_partitions,
     multipartition_class,
+    mr_to_ncsf,
     mr_to_sym,
     sym_to_qmr,
 )
@@ -38,6 +40,7 @@ from cycloribbon.ribbons import (
     multipartitions,
     ribbon_literal,
 )
+from test_ribbons import PROPERTY, random_colored_compositions
 
 CC = ColoredComposition
 RIB = ColoredRibbon
@@ -164,6 +167,29 @@ def test_induce_simples_cache_ignores_r_without_negation():
     assert hopf._f_label_product.cache_info().misses == 3
 
 
+def reference_dim_projective(cc):
+    """Restriction to the colorless subalgebra through NCSF, then descent
+    class sizes: the reference for the closed form of dim_projective."""
+    image = mr_to_ncsf(LinComb.single(MR_R, cc))
+    return sum(coeff * descent_class_size(parts)
+               for parts, coeff in image.terms.items())
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(7) for r in (1, 2, 3)]
+                         + [(7, 2)])
+def test_dim_projective_matches_ncsf_reference(n, r):
+    labels = projective_labels(n, r)
+    dims = [dim_projective(cc) for cc in labels]
+    assert dims == [reference_dim_projective(cc) for cc in labels]
+    assert sum(dims) == r ** n * math.factorial(n)
+
+
+@PROPERTY
+@given(random_colored_compositions())
+def test_dim_projective_matches_reference_on_random_labels(cc):
+    assert dim_projective(cc) == reference_dim_projective(cc)
+
+
 def test_dimension_identity():
     for n in range(1, 5):
         for r in (1, 2, 3):
@@ -251,8 +277,8 @@ def reference_matrix(rows, image, n, r):
     return tuple(rows), tuple(cols), tuple(entries)
 
 
-MATRIX_SIZES = [(n, r) for n in range(6) for r in (1, 2)] + \
-    [(n, 3) for n in range(5)]
+MATRIX_SIZES = [(n, r) for n in range(7) for r in (1, 2)] + \
+    [(n, 3) for n in range(6)]
 
 
 @pytest.mark.parametrize("n, r", MATRIX_SIZES)
@@ -278,6 +304,11 @@ def test_matrices_embed_each_monomial_once(matrix, monkeypatch):
     monkeypatch.setattr(reptheory, "sym_to_qmr", counted)
     matrix(4, 2)
     assert len(calls) == len(set(calls)) == len(colored_partitions(4, 2))
+
+
+def test_cartan_rows_with_one_expansion_share_one_tuple():
+    m = cartan_matrix(6, 2)
+    assert len({id(row) for row in m.entries}) == len(set(m.entries)) == 190
 
 
 # ---------------------------------------------------------------------------

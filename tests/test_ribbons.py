@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycloribbon.reptheory import cartan_matrix
 from cycloribbon.ribbons import (
@@ -42,6 +43,36 @@ from cycloribbon.ribbons import (
     shifted_shuffle,
     sorting_covers,
 )
+
+
+# property tests: the same examples on every run, few enough to keep the
+# suite fast
+PROPERTY = settings(derandomize=True, database=None, max_examples=60,
+                    deadline=None)
+
+
+@st.composite
+def random_cycloribbons(draw, max_n=10, max_r=4):
+    """A cycloribbon: any color word, where a color change forces the step
+    and a repeated color takes either step."""
+    r = draw(st.integers(1, max_r))
+    colors = draw(st.lists(st.integers(1, r), max_size=max_n))
+    ds = {i for i in range(1, len(colors))
+          if colors[i - 1] > colors[i]
+          or colors[i - 1] == colors[i] and draw(st.booleans())}
+    return ColoredRibbon(composition_from_descents(len(colors), ds),
+                         tuple(colors))
+
+
+@st.composite
+def random_colored_compositions(draw, max_n=7, max_r=4):
+    r = draw(st.integers(1, max_r))
+    n = draw(st.integers(0, max_n))
+    ds = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    parts = composition_from_descents(n, ds)
+    colors = draw(st.lists(st.integers(1, r), min_size=len(parts),
+                           max_size=len(parts)))
+    return ColoredComposition(parts, tuple(colors))
 
 
 def all_colored_ribbons(n, r):
@@ -235,6 +266,15 @@ def test_flip_swaps_the_two_families():
         assert sorted(map(flip_ribbon, anti)) == sorted(cyclo)
 
 
+@PROPERTY
+@given(random_cycloribbons())
+def test_flip_is_an_involution_on_random_cycloribbons(rib):
+    assert is_cycloribbon(rib)
+    flipped = flip_ribbon(rib)
+    assert is_anticycloribbon(flipped)
+    assert flip_ribbon(flipped) == rib
+
+
 # ---------------------------------------------------------------------------
 # colored compositions vs anticycloribbons
 
@@ -266,6 +306,22 @@ def test_colored_comp_bijection_exhaustive():
                 assert anticycloribbon_to_colored_comp(rib) == cc
                 seen.add(rib)
             assert seen == set(enumerate_anticycloribbons(n, r))
+
+
+@PROPERTY
+@given(random_colored_compositions(max_n=10))
+def test_colored_comp_round_trip_on_random_labels(cc):
+    rib = colored_comp_to_anticycloribbon(cc)
+    assert is_anticycloribbon(rib)
+    assert anticycloribbon_to_colored_comp(rib) == cc
+
+
+@PROPERTY
+@given(random_cycloribbons())
+def test_anticycloribbon_round_trip_on_random_labels(rib):
+    anti = flip_ribbon(rib)
+    assert colored_comp_to_anticycloribbon(
+        anticycloribbon_to_colored_comp(anti)) == anti
 
 
 # ---------------------------------------------------------------------------
