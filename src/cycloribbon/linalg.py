@@ -14,42 +14,6 @@ from fractions import Fraction
 from .lincomb import accumulate
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(s, a):
-    return [[s * x for x in row] for row in a]
-
-
-def mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
 def rref(rows):
     """Reduced row echelon form of a dense matrix: the rows of its
     :class:`SparseEchelon` in pivot order, as dense lists, and their

@@ -42,7 +42,9 @@ by the tables of the block, cached per parameter set and color content.
 Composition factors are read off from traces, with no quotient module:
 on the weight space of a color word ``c`` the colors fix ``t_i`` except
 where ``c_i = c_{i+1}``, and there Norton's 0-Hecke idempotents
-``pi_i = 1 + T_i`` commute with ``L_c`` and count the rest.
+``pi_i = 1 + T_i`` commute with ``L_c`` and count the rest.  Echelon
+rows of a xi-stable span have one weight each, so the modules have
+weight bases, on which each trace is a rank.
 """
 
 from __future__ import annotations
@@ -54,18 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .linalg import (
-    SparseEchelon,
-    kernel_basis,
-    mat_add,
-    mat_identity,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    reduce_mod_rref,
-    rref,
-)
+from .linalg import SparseEchelon, reduce_mod_rref
 from .lincomb import FormalSum, accumulate
 from .reptheory import Character, simple_character
 from .ribbons import (
@@ -297,12 +288,6 @@ def _relation_suite(params: AlgebraParams, T, XI, add, sub, scale):
     return checks
 
 
-def _columns(mat) -> list:
-    """Sparse columns of a dense square matrix: tuples of (row, entry)."""
-    return [tuple((i, row[j]) for i, row in enumerate(mat) if row[j])
-            for j in range(len(mat))]
-
-
 def _act(table, v: dict) -> dict:
     """Apply the generator whose sparse columns are ``table`` to ``v``, an
     operator stored as one dict keyed by ``column * dim + row`` (a plain
@@ -447,30 +432,25 @@ def verify_relations(params: AlgebraParams) -> list:
 
 @dataclass(frozen=True)
 class ExplicitModule:
-    """Concrete module: one square matrix per generator (columns act)."""
+    """Concrete module: the sparse columns of ``T_1..T_{n-1}``, then
+    ``xi_1..xi_n``, one tuple of ``(row, entry)`` pairs per basis vector."""
 
-    t_mats: tuple
-    xi_mats: tuple
+    tables: tuple
 
     @property
     def dim(self):
-        return len(self.xi_mats[0])
-
-
-def _module_residuals(params, module):
-    return _table_residuals(
-        params, [_columns(m) for m in module.t_mats + module.xi_mats])
+        return len(self.tables[-1])
 
 
 def verify_module_relations(params: AlgebraParams, module: ExplicitModule) -> list:
     return [{"check": name, "instance": instance,
              "pass": not residual, "counterexample": None}
-            for name, instance, residual in _module_residuals(params, module)]
+            for name, instance, residual in _table_residuals(params, module.tables)]
 
 
 def module_relations_ok(params: AlgebraParams, module: ExplicitModule) -> bool:
     return all(not residual
-               for _, _, residual in _module_residuals(params, module))
+               for _, _, residual in _table_residuals(params, module.tables))
 
 
 @lru_cache(maxsize=32)
@@ -510,27 +490,21 @@ def _closure(ops, seeds) -> SparseEchelon:
     return ech
 
 
-def _quotient_matrices(params, ops, ambient: SparseEchelon, sub_rows):
-    """Matrices of the generator maps ``ops`` on (span of ambient) / (span
-    of sub_rows), in the coordinates given by the ambient echelon rows."""
+def _quotient_tables(ops, ambient: SparseEchelon, sub_rows) -> tuple:
+    """Sparse columns of the generator maps ``ops`` on (span of ambient) /
+    (span of sub_rows), in the coordinates given by the ambient echelon
+    rows that are not pivots of the sub-row coordinates."""
     sub = SparseEchelon()
     for row in sub_rows:
         sub.insert(ambient.coordinates(row))
     free = sorted(set(range(len(ambient))) - set(sub.pivot_of))
     index_of = {f: k for k, f in enumerate(free)}
 
-    def action(op):
-        mat = [[0] * len(free) for _ in range(len(free))]
-        for col, f in enumerate(free):
-            rep = reduce_mod_rref(sub, ambient.coordinates(op(ambient.rows[f])))
-            for c, val in rep.items():
-                mat[index_of[c]][col] = val
-        return mat
+    def column(op, f):
+        rep = reduce_mod_rref(sub, ambient.coordinates(op(ambient.rows[f])))
+        return tuple((index_of[c], val) for c, val in rep.items())
 
-    mats = [action(op) for op in ops]
-    module = ExplicitModule(t_mats=tuple(mats[:params.n - 1]),
-                            xi_mats=tuple(mats[params.n - 1:]))
-    return module, len(free)
+    return tuple(tuple(column(op, f) for f in free) for op in ops)
 
 
 def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
@@ -562,10 +536,11 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
              for i, t in enumerate(t_of) if t is not None]
     hecke_ideal = _closure(ops, seeds)
 
-    module, dim = _quotient_matrices(params, ops, block, hecke_ideal.rows)
+    module = ExplicitModule(_quotient_tables(ops, block, hecke_ideal.rows))
     expected = math.factorial(params.n) // math.prod(map(math.factorial, sizes))
-    if dim != expected:
-        raise OracleError(f"induced module has dimension {dim}, expected {expected}")
+    if module.dim != expected:
+        raise OracleError(
+            f"induced module has dimension {module.dim}, expected {expected}")
     if not module_relations_ok(params, module):
         raise OracleError("induced module violates the defining relations")
     return module
@@ -580,32 +555,24 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
     ds = descent_set(shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
     index = {w: k for k, w in enumerate(words)}
-    dim = len(words)
 
-    t_mats = []
-    for i in range(1, params.n):
+    def t_column(i, k, w):
         t = -1 if i in ds else 0
-        mat = [[0] * dim for _ in range(dim)]
-        for w in words:
-            col = index[w]
-            ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
-            if w[i - 1] < w[i]:
-                mat[index[ws]][col] += t
-                mat[col][col] += -1
-            elif w[i - 1] == w[i]:
-                mat[col][col] += t
-            else:
-                mat[index[ws]][col] += t + 1
-        t_mats.append(mat)
+        ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+        if w[i - 1] < w[i]:
+            terms = [(index[ws], t), (k, -1)]
+        elif w[i - 1] == w[i]:
+            terms = [(k, t)]
+        else:
+            terms = [(index[ws], t + 1)]
+        return tuple(accumulate({}, terms).items())
 
-    xi_mats = []
-    for j in range(1, params.n + 1):
-        mat = [[0] * dim for _ in range(dim)]
-        for w in words:
-            mat[index[w]][index[w]] = params.u[w[j - 1] - 1]
-        xi_mats.append(mat)
-
-    module = ExplicitModule(t_mats=tuple(t_mats), xi_mats=tuple(xi_mats))
+    module = ExplicitModule(tuple(
+        [tuple(t_column(i, k, w) for k, w in enumerate(words))
+         for i in range(1, params.n)]
+        + [tuple(tuple(accumulate({}, [(k, params.u[w[j - 1] - 1])]).items())
+                 for k, w in enumerate(words))
+           for j in range(1, params.n + 1)]))
     if not module_relations_ok(params, module):
         raise OracleError("shape module violates the defining relations")
     return module
@@ -614,21 +581,23 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
 # ---------------------------------------------------------------------------
 # composition factors from idempotent traces on the xi-weight spaces
 
-def _weight_projectors(params, module):
-    """``{c: L_c}`` over the color words c whose projector
-    ``L_c = prod_j l_{c_j}(xi_j)`` is nonzero on the module.  Words are
-    grown one position at a time and dropped as soon as their partial
-    product vanishes."""
-    ident = mat_identity(module.dim)
-    weights = {(): ident}
-    for xi in module.xi_mats:
-        projectors = [_lagrange_apply(params.u, k, lambda m: mat_mul(xi, m),
-                                      mat_add, mat_scale, ident)
-                      for k in range(1, params.r + 1)]
-        weights = {c + (k,): prod
-                   for c, acc in weights.items()
-                   for k, proj in enumerate(projectors, start=1)
-                   if not mat_is_zero(prod := mat_mul(proj, acc))}
+def _weight_spaces(params, module) -> dict:
+    """``{c: basis indices of weight c}``; raises :class:`OracleError`
+    unless every xi column is diagonal with a parameter as its value."""
+    weights = {}
+    for k in range(module.dim):
+        c = []
+        for j, table in enumerate(module.tables[params.n - 1:], start=1):
+            column = table[k]
+            if column and (len(column) > 1 or column[0][0] != k):
+                raise OracleError(
+                    f"xi_{j} is not diagonal: column {k} is {column}")
+            value = column[0][1] if column else 0
+            if value not in params.u:
+                raise OracleError(f"xi_{j} acts on basis vector {k} by "
+                                  f"{value}, which is not a parameter")
+            c.append(params.u.index(value) + 1)
+        weights.setdefault(tuple(c), []).append(k)
     return weights
 
 
@@ -640,15 +609,18 @@ def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counte
     ``J = {i : c_i = c_{i+1}}``, the trace of the idempotent
     ``e_K = pi_{w0(K)} L_c`` counts the factors of weight ``c`` with
     ``t_i = 0`` on ``K``; Moebius inversion over the subsets of ``J``
-    gives the multiplicities.  Raises :class:`OracleError` unless every
-    ``e_K`` squares to itself, every multiplicity is nonnegative, every
-    factor is in :func:`enumerate_one_dim_characters`, and the
-    multiplicities add up to the dimension.  The tests keep the socle
-    peeling this replaced as a reference.
+    gives the multiplicities.  The trace is the rank of ``pi_{w0(K)}``
+    on the weight space ``W_c``.  Raises :class:`OracleError` unless the
+    basis is a weight basis, ``pi_{w0(K)}`` keeps ``W_c`` and is
+    idempotent there, every multiplicity is nonnegative, every factor is
+    in :func:`enumerate_one_dim_characters`, and the multiplicities add
+    up to the dimension.
     """
     census = set(enumerate_one_dim_characters(params))
+    dim = module.dim
     factors = Counter()
-    for c, proj in _weight_projectors(params, module).items():
+    for c, basis in _weight_spaces(params, module).items():
+        span = set(basis)
         equal = [i for i in range(1, params.n) if c[i - 1] == c[i]]
         subsets = [frozenset(k) for size in range(len(equal) + 1)
                    for k in itertools.combinations(equal, size)]
@@ -656,13 +628,27 @@ def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counte
         for k in subsets:
             # the pi_i along a word give pi of its Demazure product, which
             # is w0(K) for (sorted K)^|K|: it contains a reduced word of w0(K)
-            e = proj
-            for i in sorted(k) * len(k):
-                e = mat_add(e, mat_mul(module.t_mats[i - 1], e))
-            if mat_mul(e, e) != e:
+            word = [module.tables[i - 1] for i in sorted(k) * len(k)]
+
+            def pi(op):
+                for table in word:
+                    op = accumulate(_act(table, op), op.items())
+                return op
+            # all of W_c at once, as an operator keyed by column * dim + row
+            image = pi({b * dim + b: 1 for b in basis})
+            if not {key % dim for key in image} <= span:
+                raise OracleError(f"pi_w0(K) maps the weight space of c = {c} "
+                                  f"outside itself for K = {sorted(k)}")
+            if pi(image) != image:
                 raise OracleError(
                     f"e_K = pi_w0(K) L_c is not idempotent for K = {sorted(k)}, c = {c}")
-            traces[k] = int(sum(e[d][d] for d in range(module.dim)))  # the rank
+            columns = {}
+            for key, x in image.items():
+                columns.setdefault(key // dim, {})[key % dim] = x
+            rank = SparseEchelon()
+            for column in columns.values():
+                rank.insert(column)
+            traces[k] = len(rank)
         for s in subsets:
             mult = sum((-1) ** len(k - s) * traces[k] for k in subsets if k >= s)
             if mult < 0:
@@ -678,10 +664,10 @@ def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counte
                     f"factor {char} is not a one-dimensional character; "
                     "this would falsify the classification of the simples")
             factors[char] += mult
-    if sum(factors.values()) != module.dim:
+    if sum(factors.values()) != dim:
         raise OracleError(
             f"composition factors count {sum(factors.values())}, "
-            f"but the module has dimension {module.dim}")
+            f"but the module has dimension {dim}")
     return factors
 
 
@@ -694,7 +680,7 @@ def check_submodule_order(params: AlgebraParams, shape) -> dict:
     below the first in the sorting order of fillings of the shape."""
     module = build_shape_module(params, shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
-    ops = [partial(_act, _columns(m)) for m in module.t_mats + module.xi_mats]
+    ops = [partial(_act, table) for table in module.tables]
     spans = {w: _closure(ops, [{k: 1}]) for k, w in enumerate(words)}
     below = {w: fillings_below(shape, w) for w in words}
 
@@ -713,13 +699,20 @@ def check_submodule_order(params: AlgebraParams, shape) -> dict:
             "pass": True, "counterexample": None}
 
 
-def _character_kernel(params, module, char):
-    ident = mat_identity(module.dim)
+def _character_kernel(params, module, char) -> list:
+    """Basis of the common kernel of ``g - chi(g)`` over the generators
+    ``g``: the echelon rows with no ``(0, g, row)`` key, after each basis
+    vector ``k`` is keyed ``(1, k)`` beside its image under every map."""
     values = char.t_values + tuple(params.u[c - 1] for c in char.xi_colors)
-    stacked = []
-    for mat, value in zip(module.t_mats + module.xi_mats, values):
-        stacked.extend(mat_sub(mat, mat_scale(value, ident)))
-    return kernel_basis(stacked, module.dim)
+    ech = SparseEchelon()
+    for k in range(module.dim):
+        column = {(1, k): 1}
+        for g, (table, value) in enumerate(zip(module.tables, values)):
+            accumulate(column, (((0, g, row), x) for row, x in table[k]))
+            accumulate(column, (((0, g, k), -value),))
+        ech.insert(column)
+    return [{key[1]: x for key, x in row.items()}
+            for row, pivot in zip(ech.rows, ech.pivot_of) if pivot[0] == 1]
 
 
 def check_socle(params: AlgebraParams, shape) -> dict:
@@ -728,13 +721,14 @@ def check_socle(params: AlgebraParams, shape) -> dict:
     module = build_shape_module(params, shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
 
-    socle_rows = []
+    socle = SparseEchelon()
     for char in enumerate_one_dim_characters(params):
-        socle_rows.extend(_character_kernel(params, module, char))
-    got = rref(socle_rows)[0]
-    # unit rows in increasing position are already in reduced echelon form
-    unit = mat_identity(len(words))
-    expected = [unit[k] for k, w in enumerate(words)
+        for vec in _character_kernel(params, module, char):
+            socle.insert(vec)
+    # reduced echelon rows, so the socle is spanned by unit vectors
+    # exactly when every row is one
+    got = sorted(tuple(row.items()) for row in socle.rows)
+    expected = [((k, 1),) for k, w in enumerate(words)
                 if is_cycloribbon(ColoredRibbon(tuple(shape), w))]
 
     ok = got == expected

@@ -176,21 +176,22 @@ def _as_int(x):
     return int(x)
 
 
-def _matrix_through_sym(rows, to_sym, n: int, r: int) -> LabeledMatrix:
+def _matrix_through_sym(rows, to_sym, n: int, r: int,
+                        row_key=lambda label: label) -> LabeledMatrix:
     """Matrix of ``sym_to_qmr . to_sym`` on the row labels against the
     cycloribbons of size n, as E·D: each row's monomial expansion E times
-    the fundamental images D of the monomials, each computed once.  Row
-    labels with the same expansion share one row tuple."""
+    the fundamental images D of the monomials, each computed once.  One
+    label per ``row_key`` (which must fix the expansion) is expanded, and
+    labels with one expansion share one row tuple."""
     cols = simple_labels(n, r)
     col_index = {lab: k for k, lab in enumerate(cols)}
-    images = {}  # monomial -> ((column index, coeff), ...)
-    shared = {}  # expansion -> row tuple
-    entries = []
-    for label in rows:
-        expansion = to_sym(label).terms
-        key = frozenset(expansion.items())
-        row = shared.get(key)
-        if row is None:
+    images = {}        # monomial -> ((column index, coeff), ...)
+    by_expansion = {}  # expansion -> row tuple
+    by_key = {}        # row key -> row tuple
+
+    def row_of(expansion):
+        frozen = frozenset(expansion.items())
+        if frozen not in by_expansion:
             row = [0] * len(cols)
             for mono, c in expansion.items():
                 image = images.get(mono)
@@ -201,18 +202,27 @@ def _matrix_through_sym(rows, to_sym, n: int, r: int) -> LabeledMatrix:
                 c = _as_int(c)
                 for k, coeff in image:
                     row[k] += c * coeff
-            row = shared[key] = tuple(row)
-        entries.append(row)
+            by_expansion[frozen] = tuple(row)
+        return by_expansion[frozen]
+
+    entries = []
+    for label in rows:
+        key = row_key(label)
+        if key not in by_key:
+            by_key[key] = row_of(to_sym(label).terms)
+        entries.append(by_key[key])
     return LabeledMatrix(tuple(rows), tuple(cols), tuple(entries))
 
 
 def cartan_matrix(n: int, r: int) -> LabeledMatrix:
     """Multiplicities of the simples in the projectives: rows are colored
     compositions, columns cycloribbons, entries the fundamental
-    coefficients of the Cartan map on the ribbon basis."""
+    coefficients of the Cartan map on the ribbon basis.  A row depends
+    only on the multiset of one-color runs of its label: the commutative
+    image is a product over the runs."""
     return _matrix_through_sym(projective_labels(n, r),
                                lambda cc: mr_to_sym(LinComb.single(MR_R, cc)),
-                               n, r)
+                               n, r, lambda cc: tuple(sorted(_color_runs(cc))))
 
 
 def decomposition_matrix(n: int, r: int) -> LabeledMatrix:

@@ -1,9 +1,13 @@
 """Command line behavior: outputs, schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 from importlib import resources
 
 import jsonschema
+from hypothesis import given, settings, strategies as st
 
 from cycloribbon import cli
 
@@ -248,3 +252,64 @@ def test_output_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argument lists: every command ends with exit 0, 1 or 2 and never
+# with a traceback.  Sizes stay small: an unbounded size (``enumerate --n
+# 40``) is a known gap of the CLI, not something to fuzz.
+
+SIZES = st.one_of(st.integers(-2, 3).map(str),
+                  st.sampled_from(["", "x", "1.5", "2e0", "0x2", " 1"]))
+LITERALS = st.one_of(
+    st.sampled_from(["1,1|2,1", "2|1,2", "1|1", "2,1", "2^1.1^2", "1^1",
+                     "", "|", "^", "1,1|2", "99999999999999999999^1",
+                     "99999999999999999999|1", "6000^1.6000^2"]),
+    # single-digit parts only, so that no literal names a large module
+    st.text(alphabet="0123|,^.-/x ", max_size=6).filter(
+        lambda text: not re.search(r"\d\d", text)))
+PARAMETERS = st.one_of(
+    st.sampled_from(["1,3", "1/2,-3", "1/0,2", "1,1", "", ",", "a,b", "1,2,3"]),
+    st.lists(st.integers(-3, 3).map(str), max_size=4).map(",".join))
+BASES = st.sampled_from(["F", "R", "S", "T", ""])
+SIZE_FLAGS = {"--n": SIZES, "--r": SIZES}
+COMMANDS = {
+    "enumerate": {**SIZE_FLAGS, "--shape": LITERALS, "--anti": None},
+    "phi": {"--ribbon": LITERALS},
+    "product": {"--basis": BASES, "--lhs": LITERALS, "--rhs": LITERALS},
+    "coproduct": {"--basis": BASES, "--elt": LITERALS},
+    "induce-simples": {"--lhs": LITERALS, "--rhs": LITERALS},
+    "induce-hecke-projective": {"--shape": LITERALS, "--r": SIZES},
+    "cartan": {**SIZE_FLAGS, "--format": st.sampled_from(["csv", "json", "xml"])},
+    "decomp": {**SIZE_FLAGS, "--format": st.sampled_from(["csv", "json", ""])},
+    "dims": SIZE_FLAGS,
+    "oracle verify": {**SIZE_FLAGS, "--u": PARAMETERS},
+    "oracle cross-check": {"--max-grade": SIZES, "--r": SIZES},
+    "oracle": {},
+    "": {},
+}
+
+
+@st.composite
+def argument_lists(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = command.split()
+    for flag, values in COMMANDS[command].items():
+        if draw(st.integers(0, 3)):            # most flags are given
+            argv.append(flag)
+            if values is not None and draw(st.integers(0, 9)):
+                argv.append(draw(values))      # a few lack their value
+    if not draw(st.integers(0, 4)):
+        stray = draw(st.sampled_from(["--bogus", "-h", "--n", "7", "--", "--r=2"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(argument_lists())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -9,15 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cycloribbon import hopf, oracle, reptheory, ribbons
-from cycloribbon.linalg import (
-    SparseEchelon,
-    mat_add,
-    mat_identity,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-)
+from cycloribbon.linalg import SparseEchelon
 from cycloribbon.oracle import (
     AlgebraElement,
     AlgebraParams,
@@ -42,8 +34,20 @@ from cycloribbon.oracle import (
     verify_module_relations,
 )
 from cycloribbon.reptheory import Character, simple_character
-from cycloribbon.ribbons import compositions, enumerate_cycloribbons
+from cycloribbon.ribbons import (
+    ColoredRibbon,
+    compositions,
+    descent_set,
+    enumerate_cycloribbons,
+    is_cycloribbon,
+)
 from test_linalg import (
+    mat_add,
+    mat_identity,
+    mat_is_zero,
+    mat_mul,
+    mat_scale,
+    mat_sub,
     reference_kernel_basis,
     reference_reduce_mod_rref,
     reference_rref,
@@ -52,20 +56,50 @@ from test_linalg import (
 rng = random.Random(99)
 
 
+def columns(mat) -> tuple:
+    """Sparse columns of a dense square matrix: tuples of (row, entry)."""
+    return tuple(tuple((i, row[j]) for i, row in enumerate(mat) if row[j])
+                 for j in range(len(mat)))
+
+
+def from_dense(mats) -> ExplicitModule:
+    """The module whose generators ``T_1..T_{n-1}, xi_1..xi_n`` act by
+    the given dense square matrices (columns act)."""
+    return ExplicitModule(tuple(columns(m) for m in mats))
+
+
+def dense(module) -> list:
+    """The module's generators as dense square matrices, in table order."""
+    mats = []
+    for table in module.tables:
+        mat = [[0] * module.dim for _ in range(module.dim)]
+        for col, entries in enumerate(table):
+            for row, x in entries:
+                mat[row][col] = x
+        mats.append(mat)
+    return mats
+
+
+def exact_entries(module):
+    return [[sorted((row, type(x), x) for row, x in col) for col in table]
+            for table in module.tables]
+
+
 def character_module(params, char):
-    return ExplicitModule(
-        t_mats=tuple([[t]] for t in char.t_values),
-        xi_mats=tuple([[params.u[c - 1]]] for c in char.xi_colors))
+    values = char.t_values + tuple(params.u[c - 1] for c in char.xi_colors)
+    return from_dense([[[v]] for v in values])
 
 
-def reference_character_kernel(params, module, char):
-    """Dense common kernel of ``g - chi(g)`` over the generators ``g``."""
-    ident = mat_identity(module.dim)
+def reference_character_kernel(params, mats, char):
+    """Dense common kernel of ``g - chi(g)`` over the generators ``g``,
+    acting by the dense matrices ``mats``."""
+    dim = len(mats[0])
+    ident = mat_identity(dim)
     values = char.t_values + tuple(params.u[c - 1] for c in char.xi_colors)
     stacked = []
-    for mat, value in zip(module.t_mats + module.xi_mats, values):
+    for mat, value in zip(mats, values):
         stacked.extend(mat_sub(mat, mat_scale(value, ident)))
-    return reference_kernel_basis(stacked, module.dim)
+    return reference_kernel_basis(stacked, dim)
 
 
 def reference_one_dim_characters(params):
@@ -91,9 +125,10 @@ def reference_generator_ops(params):
             + [on_dicts("left_mult_xi", j) for j in range(1, params.n + 1)])
 
 
-def reference_quotient_matrices(params, ops, ambient, sub_rows):
-    """Reference for ``oracle._quotient_matrices``: the quotient through a
-    dense Fraction row echelon form of the sub-row coordinates."""
+def reference_quotient_tables(ops, ambient, sub_rows):
+    """Reference for ``oracle._quotient_tables``: the quotient through a
+    dense Fraction row echelon form of the sub-row coordinates, as dense
+    matrices, then their columns."""
     dim = len(ambient)
 
     def coordinates(vec):
@@ -116,10 +151,7 @@ def reference_quotient_matrices(params, ops, ambient, sub_rows):
                                              else val)
         return mat
 
-    mats = [action(op) for op in ops]
-    module = ExplicitModule(t_mats=tuple(mats[:params.n - 1]),
-                            xi_mats=tuple(mats[params.n - 1:]))
-    return module, len(free)
+    return tuple(columns(action(op)) for op in ops)
 
 
 def induced_module_from_seeds(params, seeds, expected_dim=None):
@@ -131,9 +163,10 @@ def induced_module_from_seeds(params, seeds, expected_dim=None):
     ambient = SparseEchelon()
     for key in basis_keys(params):
         ambient.insert({key: 1})
-    module, dim = oracle._quotient_matrices(params, ops, ambient, ideal.rows)
-    if expected_dim is not None and dim != expected_dim:
-        raise OracleError(f"induced module has dimension {dim}, expected {expected_dim}")
+    module = ExplicitModule(oracle._quotient_tables(ops, ambient, ideal.rows))
+    if expected_dim is not None and module.dim != expected_dim:
+        raise OracleError(
+            f"induced module has dimension {module.dim}, expected {expected_dim}")
     return module
 
 
@@ -151,7 +184,7 @@ def reference_induced_module(params, chars):
             seeds.append(left_mult_T(params, offset + local, cyclic) - t * cyclic)
         offset += len(ch.xi_colors)
     hecke_ideal = oracle._closure(ops, [s.terms for s in seeds])
-    return oracle._quotient_matrices(params, ops, block, hecke_ideal.rows)[0]
+    return ExplicitModule(oracle._quotient_tables(ops, block, hecke_ideal.rows))
 
 
 def peel_composition_factors(params, module):
@@ -159,16 +192,14 @@ def peel_composition_factors(params, module):
     the socle (the span of all joint eigenvectors) and pass to the
     quotient."""
     factors = Counter()
-    t_mats = [list(map(list, m)) for m in module.t_mats]
-    xi_mats = [list(map(list, m)) for m in module.xi_mats]
+    mats = dense(module)
     dim = module.dim
     candidates = enumerate_one_dim_characters(params)
 
     while dim > 0:
-        current = ExplicitModule(tuple(t_mats), tuple(xi_mats))
         socle_rows, counts = [], {}
         for char in candidates:
-            ker = reference_character_kernel(params, current, char)
+            ker = reference_character_kernel(params, mats, char)
             if ker:
                 counts[char] = len(ker)
                 socle_rows.extend(ker)
@@ -188,12 +219,113 @@ def peel_composition_factors(params, module):
                     out[k][newcol] = rep[f]
             return out
 
-        t_mats = [quotient(m) for m in t_mats]
-        xi_mats = [quotient(m) for m in xi_mats]
+        mats = [quotient(m) for m in mats]
         dim = len(free)
 
     assert sum(factors.values()) == module.dim
     return factors
+
+
+def reference_weight_projectors(params, mats):
+    """``{c: L_c}`` over the color words c whose dense projector
+    ``L_c = prod_j l_{c_j}(xi_j)`` is nonzero on the module acting by the
+    dense matrices ``mats``.  Words are grown one position at a time and
+    dropped as soon as their partial product vanishes."""
+    ident = mat_identity(len(mats[0]))
+    weights = {(): ident}
+    for xi in mats[params.n - 1:]:
+        projectors = [oracle._lagrange_apply(params.u, k, lambda m: mat_mul(xi, m),
+                                             mat_add, mat_scale, ident)
+                      for k in range(1, params.r + 1)]
+        weights = {c + (k,): prod
+                   for c, acc in weights.items()
+                   for k, proj in enumerate(projectors, start=1)
+                   if not mat_is_zero(prod := mat_mul(proj, acc))}
+    return weights
+
+
+def reference_composition_factors(params, module):
+    """Reference for :func:`composition_factors`: the trace of each dense
+    idempotent ``e_K = pi_{w0(K)} L_c``, then the same Moebius inversion."""
+    mats = dense(module)
+    census = set(enumerate_one_dim_characters(params))
+    factors = Counter()
+    for c, proj in reference_weight_projectors(params, mats).items():
+        equal = [i for i in range(1, params.n) if c[i - 1] == c[i]]
+        subsets = [frozenset(k) for size in range(len(equal) + 1)
+                   for k in itertools.combinations(equal, size)]
+        traces = {}
+        for k in subsets:
+            e = proj
+            for i in sorted(k) * len(k):
+                e = mat_add(e, mat_mul(mats[i - 1], e))
+            if mat_mul(e, e) != e:
+                raise OracleError(
+                    f"e_K = pi_w0(K) L_c is not idempotent for K = {sorted(k)}, c = {c}")
+            traces[k] = int(sum(e[d][d] for d in range(module.dim)))
+        for s in subsets:
+            mult = sum((-1) ** len(k - s) * traces[k] for k in subsets if k >= s)
+            if mult < 0:
+                raise OracleError(
+                    f"negative multiplicity {mult} at weight {c}, t = 0 on {sorted(s)}")
+            if mult:
+                char = Character(c, tuple(
+                    -1 if c[i - 1] < c[i] or (c[i - 1] == c[i] and i not in s) else 0
+                    for i in range(1, params.n)))
+                if char not in census:
+                    raise OracleError(f"factor {char} is not a one-dimensional character")
+                factors[char] += mult
+    if sum(factors.values()) != module.dim:
+        raise OracleError(f"composition factors count {sum(factors.values())}")
+    return factors
+
+
+def reference_shape_module(params, shape):
+    """Reference for :func:`build_shape_module`: dense matrices filled
+    entry by entry, then their columns."""
+    ds = descent_set(shape)
+    words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
+    index = {w: k for k, w in enumerate(words)}
+    dim = len(words)
+    mats = []
+    for i in range(1, params.n):
+        t = -1 if i in ds else 0
+        mat = [[0] * dim for _ in range(dim)]
+        for w in words:
+            col = index[w]
+            ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+            if w[i - 1] < w[i]:
+                mat[index[ws]][col] += t
+                mat[col][col] += -1
+            elif w[i - 1] == w[i]:
+                mat[col][col] += t
+            else:
+                mat[index[ws]][col] += t + 1
+        mats.append(mat)
+    for j in range(1, params.n + 1):
+        mat = [[0] * dim for _ in range(dim)]
+        for w in words:
+            mat[index[w]][index[w]] = params.u[w[j - 1] - 1]
+        mats.append(mat)
+    return from_dense(mats)
+
+
+def reference_check_socle(params, shape):
+    """Reference for :func:`check_socle`: dense kernels, one dense
+    Fraction row echelon form of all of them, and unit rows to compare."""
+    mats = dense(build_shape_module(params, shape))
+    words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
+    socle_rows = []
+    for char in enumerate_one_dim_characters(params):
+        socle_rows.extend(reference_character_kernel(params, mats, char))
+    got = reference_rref(socle_rows)[0] if socle_rows else []
+    unit = mat_identity(len(words))
+    expected = [unit[k] for k, w in enumerate(words)
+                if is_cycloribbon(ColoredRibbon(tuple(shape), w))]
+    ok = got == expected
+    return {"check": "socle", "instance": f"shape={shape}", "pass": ok,
+            "counterexample": None if ok else {
+                "socle_dim": len(got), "cycloribbon_count": len(expected)}}
 
 
 def reference_verify_relations(params):
@@ -227,10 +359,11 @@ def reference_verify_relations(params):
 def reference_verify_module_relations(params, module):
     """Reference for :func:`verify_module_relations`: the relation suite
     on the dense identity matrix with dense matrix arithmetic."""
+    mats = dense(module)
     checks = _relation_suite(
         params,
-        T=lambda i, v: mat_mul(module.t_mats[i - 1], v),
-        XI=lambda j, v: mat_mul(module.xi_mats[j - 1], v),
+        T=lambda i, v: mat_mul(mats[i - 1], v),
+        XI=lambda j, v: mat_mul(mats[params.n + j - 2], v),
         add=mat_add, sub=mat_sub, scale=mat_scale)
     probe = mat_identity(module.dim)
     return [{"check": name, "instance": instance,
@@ -529,9 +662,8 @@ def test_module_relations_agree_with_dense_reference(n, r):
     p = AlgebraParams(n, r)
     for shape in compositions(n):
         mod = build_shape_module(p, shape)
-        broken = ExplicitModule(
-            t_mats=(mat_scale(2, mod.t_mats[0]),) + mod.t_mats[1:],
-            xi_mats=mod.xi_mats)
+        mats = dense(mod)
+        broken = from_dense([mat_scale(2, mats[0])] + mats[1:])
         for m in (mod, broken):
             assert verify_module_relations(p, m) == \
                 reference_verify_module_relations(p, m)
@@ -646,17 +778,12 @@ def test_induced_module_dimensions():
     assert all(rep["pass"] for rep in verify_module_relations(p, mod))
 
 
-def exact_entries(module):
-    return [[[(type(x), x) for x in row] for row in mat]
-            for mat in module.t_mats + module.xi_mats]
-
-
 @pytest.mark.parametrize("r, max_grade", [(2, 4), (3, 3)])
 def test_induced_modules_equal_dense_reference(monkeypatch, r, max_grade):
     for p, chars in criterion_11_characters(r, max_grade):
         got = build_induced_module(p, chars)
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_quotient_matrices", reference_quotient_matrices)
+            patch.setattr(oracle, "_quotient_tables", reference_quotient_tables)
             expected = build_induced_module(p, chars)
         assert exact_entries(got) == exact_entries(expected)
 
@@ -855,11 +982,52 @@ def test_non_idempotent_pi_is_rejected():
     # pi_1 = 1 + 2*T_1 act by -1 there, which does not square to itself
     p = AlgebraParams(2, 2)
     mod = build_shape_module(p, (1, 1))
-    (t1,) = mod.t_mats
-    broken = ExplicitModule(t_mats=([[2 * x for x in row] for row in t1],),
-                            xi_mats=mod.xi_mats)
+    t1, xi1, xi2 = dense(mod)
+    broken = from_dense([mat_scale(2, t1), xi1, xi2])
     with pytest.raises(OracleError, match="not idempotent"):
         composition_factors(p, broken)
+
+
+@pytest.mark.parametrize("column, message", [
+    (((0, 1), (1, 1)), "not diagonal"),    # xi_1 of e_0 has an entry at e_1
+    (((1, 1),), "not diagonal"),
+    (((0, 5),), "not a parameter"),
+    ((), "not a parameter"),               # acts by 0, and 0 is no parameter
+])
+def test_xi_column_off_the_parameters_is_rejected(column, message):
+    p = AlgebraParams(2, 2)
+    tables = build_shape_module(p, (1, 1)).tables
+    xi1 = (column,) + tables[1][1:]
+    with pytest.raises(OracleError, match=message):
+        composition_factors(p, ExplicitModule((tables[0], xi1) + tables[2:]))
+
+
+def test_pi_leaving_its_weight_space_is_rejected():
+    # T_1 e_0 = -e_0 on the weight (1, 1); adding e_1, of weight (1, 2),
+    # makes pi_1 e_0 = e_1 leave the weight space
+    p = AlgebraParams(2, 2)
+    t1, *xis = build_shape_module(p, (1, 1)).tables
+    assert t1[0] == ((0, -1),)
+    t1 = (((0, -1), (1, 1)),) + t1[1:]
+    with pytest.raises(OracleError, match="outside itself"):
+        composition_factors(p, ExplicitModule((t1, *xis)))
+
+
+@pytest.mark.parametrize("r, max_grade", [(2, 4), (3, 3)])
+def test_factors_equal_dense_traces_on_induced_modules(r, max_grade):
+    for p, mod in criterion_11_modules(r, max_grade):
+        assert composition_factors(p, mod) == reference_composition_factors(p, mod)
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 4) for r in (1, 2)]
+                         + [(4, 2), (3, 3)])
+def test_shape_modules_and_socles_equal_dense_reference(n, r):
+    p = AlgebraParams(n, r)
+    for shape in compositions(n):
+        mod = build_shape_module(p, shape)
+        assert exact_entries(mod) == exact_entries(reference_shape_module(p, shape))
+        assert composition_factors(p, mod) == reference_composition_factors(p, mod)
+        assert check_socle(p, shape) == reference_check_socle(p, shape)
 
 
 def test_integral_parameters_stay_ints():

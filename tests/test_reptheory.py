@@ -311,6 +311,22 @@ def test_cartan_rows_with_one_expansion_share_one_tuple():
     assert len({id(row) for row in m.entries}) == len(set(m.entries)) == 190
 
 
+@pytest.mark.parametrize("n, r, keys", [(6, 2, 263), (5, 3, 300)])
+def test_cartan_expands_each_run_multiset_once(monkeypatch, n, r, keys):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return mr_to_sym(a)
+
+    monkeypatch.setattr(reptheory, "mr_to_sym", counted)
+    cartan_matrix(n, r)
+    expanded = [cc for call in calls for cc in call.terms]
+    runs = {tuple(sorted(hopf._color_runs(cc))) for cc in projective_labels(n, r)}
+    assert len(calls) == len(runs) == keys
+    assert {tuple(sorted(hopf._color_runs(cc))) for cc in expanded} == runs
+
+
 # ---------------------------------------------------------------------------
 # decomposition matrix
 
