@@ -44,10 +44,10 @@ def cmd_enumerate(args) -> int:
     _check_sizes(args)
     enum = (ribbons.enumerate_anticycloribbons if args.anti
             else ribbons.enumerate_cycloribbons)
-    shape = ribbons.parse_composition(args.shape) if args.shape else None
+    shape = None if args.shape is None else ribbons.parse_composition(args.shape)
     ribs = enum(args.n, args.r, shape=shape)
     return _emit({"n": args.n, "r": args.r,
-                  "shape": list(shape) if shape else None,
+                  "shape": None if shape is None else list(shape),
                   "anti": bool(args.anti),
                   "count": len(ribs),
                   "ribbons": [_ribbon_json(x) for x in ribs]})

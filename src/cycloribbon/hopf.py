@@ -36,7 +36,6 @@ from .lincomb import (
     NCSF_R,
     QMR_F,
     SYM_H,
-    SYM_S,
     TensorComb,
     accumulate,
     tensor_map_sides,
@@ -66,11 +65,8 @@ QMR_UNIT = ColoredRibbon((), ())
 def anti_refinements(cc: ColoredComposition) -> list:
     """All colored compositions obtained from ``cc`` by adding up groups
     of consecutive parts of the same color (including ``cc`` itself)."""
-    runs = [(color, tuple(p for p, _ in group))
-            for color, group in itertools.groupby(
-                zip(cc.parts, cc.colors), key=lambda pc: pc[1])]
     choices = [[(color, merged) for merged in coarsenings(subparts)]
-               for color, subparts in runs]
+               for color, subparts in _color_runs(cc)]
     out = []
     for combo in itertools.product(*choices):
         parts, colors = [], []
@@ -401,15 +397,6 @@ def multipartition_class(mp) -> LinComb:
     for color, comp in enumerate(mp, start=1):
         out = sym_h_product(out, schur_in_h(tuple(comp), color))
     return out
-
-
-def schur_basis_to_h(a: LinComb) -> LinComb:
-    """Expand a combination of Schur-product labels in monomials."""
-    _expect(a, SYM_S)
-    out = {}
-    for mp, c in a.terms.items():
-        accumulate(out, multipartition_class(mp).terms.items(), c)
-    return LinComb(SYM_H, out)
 
 
 def colored_partitions(n: int, r: int) -> list:

@@ -12,8 +12,6 @@ QMR-F    fundamental basis of the colored quasi-symmetric functions;
          labels are cycloribbons
 SYM-h    monomials in the complete homogeneous functions of r variable
          sets; labels are sorted tuples of (color, degree) pairs
-SYM-s    products of Schur functions, one per variable set; labels are
-         r-tuples of partitions
 NCSF-R   ordinary ribbon basis of noncommutative symmetric functions;
          labels are compositions
 ======== ===============================================================
@@ -31,7 +29,6 @@ from .ribbons import (
     ColoredRibbon,
     colored_composition_sort_key,
     descent_bitmask,
-    multipartition_sort_key,
     ribbon_sort_key,
 )
 
@@ -39,10 +36,9 @@ MR_S = "MR-S"
 MR_R = "MR-R"
 QMR_F = "QMR-F"
 SYM_H = "SYM-h"
-SYM_S = "SYM-s"
 NCSF_R = "NCSF-R"
 
-BASES = (MR_S, MR_R, QMR_F, SYM_H, SYM_S, NCSF_R)
+BASES = (MR_S, MR_R, QMR_F, SYM_H, NCSF_R)
 
 
 def accumulate(acc: dict, items, scale=1) -> dict:
@@ -67,8 +63,6 @@ def label_sort_key(basis, label):
         return ribbon_sort_key(label)
     if basis == SYM_H:
         return (sum(d for _, d in label), label)
-    if basis == SYM_S:
-        return multipartition_sort_key(label)
     if basis == NCSF_R:
         return (sum(label), descent_bitmask(label), label)
     raise ValueError(f"unknown basis {basis!r}")
@@ -228,8 +222,6 @@ def label_to_json(basis, label):
         return {"shape": list(label.shape), "colors": list(label.colors)}
     if basis == SYM_H:
         return {"factors": [[c, d] for c, d in label]}
-    if basis == SYM_S:
-        return {"components": [list(comp) for comp in label]}
     if basis == NCSF_R:
         return {"parts": list(label)}
     raise ValueError(f"unknown basis {basis!r}")
@@ -242,8 +234,6 @@ def label_from_json(basis, obj):
         return ColoredRibbon(tuple(obj["shape"]), tuple(obj["colors"]))
     if basis == SYM_H:
         return tuple((c, d) for c, d in obj["factors"])
-    if basis == SYM_S:
-        return tuple(tuple(comp) for comp in obj["components"])
     if basis == NCSF_R:
         return tuple(obj["parts"])
     raise ValueError(f"unknown basis {basis!r}")

@@ -23,12 +23,13 @@ it an oracle for them.
 Both rules keep the multiset of colors, so the regular representation
 splits into color-content blocks.  Each rule is written once, for one
 basis element, and builds the tables of sparse generator columns of a
-block.  The relations are checked by one evaluator on such tables, or on
-the columns of a module.  The relation suite is compiled once per
-parameter set into polynomials with integer coefficients in words of
-generators; the evaluator applies each distinct word once to the
-identity operator, stored as a single dict keyed by
-``column * dim + row``, and sums each relation's terms.
+block, and those of the shape modules, which are induced from the
+colorless Hecke subalgebra.  The relations are checked by one evaluator
+on such tables, or on the columns of a module.  The relation suite is
+compiled once per parameter set into polynomials with integer
+coefficients in words of generators; the evaluator applies each
+distinct word once to the identity operator, stored as a single dict
+keyed by ``column * dim + row``, and sums each relation's terms.
 
 Induced modules are built as quotients of the left regular
 representation by the left ideal generated by ``g - chi(g)`` over the
@@ -97,13 +98,6 @@ class AlgebraParams:
         return self.r ** self.n * math.factorial(self.n)
 
 
-def basis_keys(params: AlgebraParams):
-    """All (color word, permutation) basis indices, in lexicographic order."""
-    for colors in itertools.product(range(1, params.r + 1), repeat=params.n):
-        for perm in itertools.permutations(range(1, params.n + 1)):
-            yield (colors, perm)
-
-
 class AlgebraElement(FormalSum):
     """Sparse rational combination of the ``B[c, w]`` basis."""
 
@@ -119,14 +113,6 @@ class AlgebraElement(FormalSum):
     def __repr__(self):
         bits = " + ".join(f"{c}*B{k}" for k, c in self.sorted_terms())
         return f"AlgebraElement({bits or 0})"
-
-
-def one(params: AlgebraParams) -> AlgebraElement:
-    """The unit: the Lagrange projectors resolve the identity."""
-    ident = tuple(range(1, params.n + 1))
-    return AlgebraElement({(c, ident): 1 for c in
-                           itertools.product(range(1, params.r + 1),
-                                             repeat=params.n)})
 
 
 def _T_rule(params: AlgebraParams, i: int, key) -> list:
@@ -174,32 +160,6 @@ def left_mult_T(params: AlgebraParams, i: int, x: AlgebraElement) -> AlgebraElem
     if not 1 <= i <= params.n - 1:
         raise ValueError(f"T index {i} outside 1..{params.n - 1}")
     return _left_mult(_T_rule, params, i, x)
-
-
-def _sorting_word(perm):
-    """Indices i_1, i_2, ... such that applying ``left_mult_T`` in that
-    order to an element implements left multiplication by ``T_perm``."""
-    w, word = list(perm), []
-    while True:
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                w[i], w[i + 1] = w[i + 1], w[i]
-                word.append(i + 1)
-                break
-        else:
-            return word
-
-
-def multiply(params: AlgebraParams, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product in the algebra: expand ``x`` over its basis terms, apply
-    each ``T_w`` to ``y`` letter by letter, then project on the color."""
-    total = {}
-    for (c, w), coeff in x.terms.items():
-        z = y
-        for i in _sorting_word(w):
-            z = left_mult_T(params, i, z)
-        accumulate(total, ((k, cf) for k, cf in z.terms.items() if k[0] == c), coeff)
-    return AlgebraElement(total)
 
 
 @lru_cache(maxsize=64)
@@ -371,6 +331,13 @@ def _table_residuals(params, tables) -> list:
     return out
 
 
+def _generators(params: AlgebraParams) -> list:
+    """``(rule, index)`` for ``T_1..T_{n-1}``, then ``xi_1..xi_n``: the
+    order of the generator tables everywhere in this module."""
+    return ([(_T_rule, i) for i in range(1, params.n)]
+            + [(_xi_rule, j) for j in range(1, params.n + 1)])
+
+
 def _content_block(params: AlgebraParams, content: tuple) -> tuple:
     """The basis keys ``(c, w)`` with ``c`` a rearrangement of the sorted
     ``content``, in basis order, and the sparse columns of ``T_1..T_{n-1},
@@ -390,11 +357,9 @@ def _content_block(params: AlgebraParams, content: tuple) -> tuple:
                     ((index[k], c) for k, c in image.items()))
         return share.setdefault(col, col)
 
-    gens = ([(_T_rule, i) for i in range(1, params.n)]
-            + [(_xi_rule, j) for j in range(1, params.n + 1)])
     # immutable, since the cache hands the same block to every caller
     return keys, tuple(tuple(column(rule, g, key) for key in keys)
-                       for rule, g in gens)
+                       for rule, g in _generators(params))
 
 
 # the induced modules of one cross-check share few color contents
@@ -440,12 +405,6 @@ class ExplicitModule:
     @property
     def dim(self):
         return len(self.tables[-1])
-
-
-def verify_module_relations(params: AlgebraParams, module: ExplicitModule) -> list:
-    return [{"check": name, "instance": instance,
-             "pass": not residual, "counterexample": None}
-            for name, instance, residual in _table_residuals(params, module.tables)]
 
 
 def module_relations_ok(params: AlgebraParams, module: ExplicitModule) -> bool:
@@ -548,31 +507,28 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
 
 def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
     """Module induced from the one-dimensional module of the colorless
-    Hecke subalgebra attached to a descent composition: basis indexed by
-    color words, explicit generator action."""
+    Hecke subalgebra attached to a descent composition, on the basis
+    ``e_c = B[c, id] (x) 1`` indexed by color words.
+
+    The columns come from the displayed rules: every term ``B[c', w']``
+    of the image of ``B[c, id]`` has ``w'`` the identity or ``s_i``, and
+    ``B[c', w'] (x) 1 = L_{c'} (x) T_{w'} 1 = chi(T_{w'}) e_{c'}``, where
+    ``chi(T_i)`` is -1 on the descents of the shape and 0 elsewhere."""
     if sum(shape) != params.n:
         raise ValueError(f"{shape} is not a composition of {params.n}")
     ds = descent_set(shape)
+    ident = tuple(range(1, params.n + 1))
+    chi = {ident: 1, **{_swap_values(ident, i): -1 if i in ds else 0
+                        for i in range(1, params.n)}}
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
     index = {w: k for k, w in enumerate(words)}
 
-    def t_column(i, k, w):
-        t = -1 if i in ds else 0
-        ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
-        if w[i - 1] < w[i]:
-            terms = [(index[ws], t), (k, -1)]
-        elif w[i - 1] == w[i]:
-            terms = [(k, t)]
-        else:
-            terms = [(index[ws], t + 1)]
-        return tuple(accumulate({}, terms).items())
+    def column(rule, g, c):
+        return tuple(accumulate({}, ((index[cp], a * chi[wp]) for (cp, wp), a
+                                     in rule(params, g, (c, ident)))).items())
 
-    module = ExplicitModule(tuple(
-        [tuple(t_column(i, k, w) for k, w in enumerate(words))
-         for i in range(1, params.n)]
-        + [tuple(tuple(accumulate({}, [(k, params.u[w[j - 1] - 1])]).items())
-                 for k, w in enumerate(words))
-           for j in range(1, params.n + 1)]))
+    module = ExplicitModule(tuple(tuple(column(rule, g, c) for c in words)
+                                  for rule, g in _generators(params)))
     if not module_relations_ok(params, module):
         raise OracleError("shape module violates the defining relations")
     return module

@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 from hypothesis import given, settings, strategies as st
 
-from cycloribbon import cli
+from cycloribbon import cli, lincomb
 
 
 SCHEMA = json.loads(
@@ -40,6 +40,19 @@ def test_enumerate(capsys):
     assert obj["count"] == 5
     assert [rib["colors"] for rib in obj["ribbons"]] == [
         [1, 1, 1], [1, 2, 1], [1, 2, 2], [2, 2, 1], [2, 2, 2]]
+
+
+def test_enumerate_explicit_empty_shape(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--r", "1", "--shape", "")
+    assert (code, out) == (1, "")
+    assert err == "error: shape () is not a composition of 2\n"
+    obj = run_json(capsys, "enumerate", "--n", "0", "--r", "1", "--shape", "",
+                   expect_def="enumerate")
+    assert obj["shape"] == [] and obj["count"] == 1
+
+
+def test_schema_bases_are_the_lincomb_bases():
+    assert SCHEMA["$defs"]["basis"]["enum"] == list(lincomb.BASES)
 
 
 def test_enumerate_anti(capsys):

@@ -22,7 +22,6 @@ from cycloribbon.hopf import (
     qmr_product_F,
     r_to_s,
     s_to_r,
-    schur_basis_to_h,
     schur_in_h,
     split_ribbon,
     sym_h_product,
@@ -36,7 +35,6 @@ from cycloribbon.lincomb import (
     NCSF_R,
     QMR_F,
     SYM_H,
-    SYM_S,
     TensorComb,
     tensor_multiply,
 )
@@ -484,8 +482,6 @@ def test_multipartition_class():
     assert got == schur_in_h((1, 1), 1)
     got = multipartition_class(((1,), (1,)))
     assert got == LinComb.single(SYM_H, ((1, 1), (2, 1)))
-    via_basis = schur_basis_to_h(LinComb.single(SYM_S, ((1,), (1,))))
-    assert via_basis == got
 
 
 def test_colored_partitions():

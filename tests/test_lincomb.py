@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from cycloribbon.lincomb import (
+    BASES,
     LinComb,
     MR_R,
     MR_S,
+    NCSF_R,
     QMR_F,
     SYM_H,
     TensorComb,
     coeff_from_str,
     coeff_to_str,
+    label_from_json,
+    label_sort_key,
+    label_to_json,
     lincomb_from_json,
     lincomb_to_json,
     tensor_of,
@@ -74,6 +79,26 @@ def test_json_roundtrip_bit_exact():
 
     h = LinComb(SYM_H, [(((1, 2), (2, 1)), Fraction(9, 7))])
     assert lincomb_from_json(json.loads(json.dumps(lincomb_to_json(h)))) == h
+
+
+# one label of every basis; a basis without one fails by KeyError
+LABELS = {MR_S: CC1, MR_R: CC2, QMR_F: RIB, SYM_H: ((1, 2), (2, 1)),
+          NCSF_R: (2, 1)}
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_json_roundtrip_every_basis(basis):
+    x = LinComb(basis, [(LABELS[basis], Fraction(-3, 4))])
+    assert lincomb_from_json(json.loads(json.dumps(lincomb_to_json(x)))) == x
+
+
+def test_removed_schur_tag_is_unknown():
+    with pytest.raises(ValueError):
+        label_sort_key("SYM-s", ((1,), ()))
+    with pytest.raises(ValueError):
+        label_to_json("SYM-s", ((1,), ()))
+    with pytest.raises(ValueError):
+        label_from_json("SYM-s", {"components": [[1], []]})
 
 
 def test_json_shape():

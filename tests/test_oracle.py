@@ -10,13 +10,13 @@ import pytest
 
 from cycloribbon import hopf, oracle, reptheory, ribbons
 from cycloribbon.linalg import SparseEchelon
+from cycloribbon.lincomb import accumulate
 from cycloribbon.oracle import (
     AlgebraElement,
     AlgebraParams,
     ExplicitModule,
     OracleError,
     _relation_suite,
-    basis_keys,
     build_induced_module,
     build_shape_module,
     check_socle,
@@ -28,10 +28,7 @@ from cycloribbon.oracle import (
     left_mult_T,
     left_mult_xi,
     module_relations_ok,
-    multiply,
-    one,
     verify_relations,
-    verify_module_relations,
 )
 from cycloribbon.reptheory import Character, simple_character
 from cycloribbon.ribbons import (
@@ -112,6 +109,57 @@ def reference_one_dim_characters(params):
             if module_relations_ok(params, character_module(params, char)):
                 out.append(char)
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# the element layer: products in the algebra through the generator actions
+
+def basis_keys(params):
+    """All (color word, permutation) basis indices, in lexicographic order."""
+    for colors in itertools.product(range(1, params.r + 1), repeat=params.n):
+        for perm in itertools.permutations(range(1, params.n + 1)):
+            yield (colors, perm)
+
+
+def one(params):
+    """The unit: the Lagrange projectors resolve the identity."""
+    ident = tuple(range(1, params.n + 1))
+    return AlgebraElement({(c, ident): 1 for c in
+                           itertools.product(range(1, params.r + 1),
+                                             repeat=params.n)})
+
+
+def sorting_word(perm):
+    """Indices i_1, i_2, ... such that applying ``left_mult_T`` in that
+    order to an element implements left multiplication by ``T_perm``."""
+    w, word = list(perm), []
+    while True:
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                w[i], w[i + 1] = w[i + 1], w[i]
+                word.append(i + 1)
+                break
+        else:
+            return word
+
+
+def multiply(params, x, y):
+    """Product in the algebra: expand ``x`` over its basis terms, apply
+    each ``T_w`` to ``y`` letter by letter, then project on the color."""
+    total = {}
+    for (c, w), coeff in x.terms.items():
+        z = y
+        for i in sorting_word(w):
+            z = oracle.left_mult_T(params, i, z)
+        accumulate(total, ((k, cf) for k, cf in z.terms.items() if k[0] == c), coeff)
+    return AlgebraElement(total)
+
+
+def verify_module_relations(params, module):
+    """One report per relation instance on a module, without counterexamples."""
+    return [{"check": name, "instance": instance,
+             "pass": not residual, "counterexample": None}
+            for name, instance, residual in oracle._table_residuals(params, module.tables)]
 
 
 def reference_generator_ops(params):
@@ -914,6 +962,18 @@ def test_shape_module_matches_ideal_quotient():
                  for i in range(1, n)]
         naive = induced_module_from_seeds(p, seeds, expected_dim=2 ** n)
         assert composition_factors(p, naive) == composition_factors(p, direct)
+
+
+def test_broken_T_rule_reaches_the_shape_modules(monkeypatch):
+    # the shape modules take their columns from the displayed rules, so
+    # a defect there must make the module fail the relations
+    good = oracle._T_rule
+
+    def doubled(params, i, key):
+        return [(image, 2 * coeff) for image, coeff in good(params, i, key)]
+    monkeypatch.setattr(oracle, "_T_rule", doubled)
+    with pytest.raises(OracleError, match="^shape module violates the defining relations$"):
+        build_shape_module(AlgebraParams(2, 2), (1, 1))
 
 
 def test_order_and_socle_checks():
