@@ -61,6 +61,9 @@ CASES = README_EXAMPLES + [
     ["oracle", "cross-check", "--max-grade", "3", "--r", "3"],
     ["oracle", "cross-check", "--max-grade", "2", "--r", "4"],
     ["dims", "--n", "5", "--r", "3"],
+    ["coproduct", "--basis", "R", "--elt", "1^2.2^2.1^1"],
+    ["coproduct", "--basis", "R", "--elt", "2^1.1^1.2^2"],
+    ["coproduct", "--basis", "S", "--elt", "3^1.2^1"],
 ]
 
 
