@@ -24,10 +24,6 @@ DEFAULT_MAX_DIM = 2000
 MAX_LITERAL_SIZE = 10_000
 
 
-def _ribbon_json(rib):
-    return {"shape": list(rib.shape), "colors": list(rib.colors)}
-
-
 def _emit(obj) -> int:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -50,13 +46,15 @@ def cmd_enumerate(args) -> int:
                   "shape": None if shape is None else list(shape),
                   "anti": bool(args.anti),
                   "count": len(ribs),
-                  "ribbons": [_ribbon_json(x) for x in ribs]})
+                  "ribbons": [lincomb.label_to_json(lincomb.QMR_F, x)
+                              for x in ribs]})
 
 
 def cmd_phi(args) -> int:
     rib = ribbons.parse_ribbon(args.ribbon)
-    return _emit({"input": _ribbon_json(rib),
-                  "output": _ribbon_json(ribbons.flip_ribbon(rib))})
+    return _emit({"input": lincomb.label_to_json(lincomb.QMR_F, rib),
+                  "output": lincomb.label_to_json(lincomb.QMR_F,
+                                                  ribbons.flip_ribbon(rib))})
 
 
 def _parse_cycloribbon(text: str, flag: str) -> ribbons.ColoredRibbon:
@@ -146,14 +144,15 @@ def cmd_dims(args) -> int:
                   "algebra_dim": args.r ** args.n * math.factorial(args.n)})
 
 
-def _max_dim() -> int:
+def _check_cap(dim: int, noun: str) -> None:
     raw = os.environ.get(MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
     try:
-        return int(raw)
+        cap = DEFAULT_MAX_DIM if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
+    if dim > cap:
+        raise ValueError(f"{noun} {dim} exceeds the cap {cap} "
+                         f"(set {MAX_DIM_ENV} to raise it)")
 
 
 def cmd_oracle_verify(args) -> int:
@@ -171,11 +170,7 @@ def cmd_oracle_verify(args) -> int:
             raise ValueError(f"--u: {args.u!r} must list {args.r} pairwise "
                              "distinct rationals, one per color")
     params = oracle.AlgebraParams(args.n, args.r, u)
-    cap = _max_dim()
-    if params.dimension > cap:
-        raise ValueError(
-            f"instance dimension {params.dimension} exceeds the cap {cap} "
-            f"(set {MAX_DIM_ENV} to raise it)")
+    _check_cap(params.dimension, "instance dimension")
     checks = oracle.verify_relations(params)
     ok = all(c["pass"] for c in checks)
     _emit({"n": args.n, "r": args.r,
@@ -190,12 +185,8 @@ def cmd_oracle_verify(args) -> int:
 
 def cmd_oracle_cross_check(args) -> int:
     _check_sizes(args)
-    cap = _max_dim()
-    dim = args.r ** args.max_grade * math.factorial(args.max_grade)
-    if dim > cap:
-        raise ValueError(
-            f"largest instance dimension {dim} exceeds the cap {cap} "
-            f"(set {MAX_DIM_ENV} to raise it)")
+    _check_cap(args.r ** args.max_grade * math.factorial(args.max_grade),
+               "largest instance dimension")
     report = oracle.cross_check_induction(args.r, args.max_grade)
     _emit(report)
     if not report["pass"]:

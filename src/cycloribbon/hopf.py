@@ -38,9 +38,6 @@ from .lincomb import (
     SYM_H,
     TensorComb,
     accumulate,
-    tensor_map_sides,
-    tensor_multiply,
-    tensor_of,
 )
 from .ribbons import (
     ColoredComposition,
@@ -58,7 +55,6 @@ from .ribbons import (
     shifted_shuffle,
 )
 
-MR_UNIT = ColoredComposition((), ())
 QMR_UNIT = ColoredRibbon((), ())
 
 
@@ -139,29 +135,39 @@ def r_to_s(a: LinComb) -> LinComb:
                           for fine in anti_refinements(lab)])
 
 
-def mr_unit(basis=MR_S) -> LinComb:
-    return LinComb.single(basis, MR_UNIT)
+def _nonzero_parts(parts, colors) -> ColoredComposition:
+    kept = [(p, c) for p, c in zip(parts, colors) if p]
+    return ColoredComposition(tuple(p for p, _ in kept), tuple(c for _, c in kept))
 
 
 def mr_coproduct(a: LinComb) -> TensorComb:
     """Coproduct of MR.  Each complete generator splits over its degree
-    with the color kept, extended multiplicatively; ribbon input is routed
-    through the complete basis on both tensor factors."""
+    with the color kept, ``S^(c)_p -> sum_i S^(c)_i (x) S^(c)_{p-i}``, and
+    the rule is extended multiplicatively: a complete label with parts
+    p_1..p_k goes to one term per cut vector 0 <= i_j <= p_j, whose left
+    label keeps the nonzero i_j and right label the nonzero p_j - i_j,
+    each part with its color.  Ribbon input is taken to the complete
+    basis, and each side of every term is expanded back into ribbons
+    over its anti-refinements.
+
+    >>> from .ribbons import colored_composition_literal as lit
+    >>> for (l, m), c in mr_coproduct(
+    ...         LinComb.single(MR_S, ColoredComposition((2,), (1,)))).sorted_terms():
+    ...     print(c, lit(l) or "()", lit(m) or "()")
+    1 () 2^1
+    1 1^1 1^1
+    1 2^1 ()
+    """
     if a.basis == MR_R:
-        tc = mr_coproduct(r_to_s(a))
-        return tensor_map_sides(tc, (MR_R, MR_R), s_to_r, s_to_r)
+        return TensorComb((MR_R, MR_R), (
+            (pair, c) for (l, m), c in mr_coproduct(r_to_s(a)).terms.items()
+            for pair in itertools.product(anti_refinements(l), anti_refinements(m))))
     _expect(a, MR_S)
-    out = {}
-    for lab, coeff in a.terms.items():
-        tc = tensor_of(mr_unit(), mr_unit())
-        for part, color in zip(lab.parts, lab.colors):
-            halves = [ColoredComposition((i,), (color,)) if i else MR_UNIT
-                      for i in range(part + 1)]
-            split = TensorComb((MR_S, MR_S), [((halves[i], halves[part - i]), 1)
-                                               for i in range(part + 1)])
-            tc = tensor_multiply(tc, split, mr_product_S)
-        accumulate(out, tc.terms.items(), coeff)
-    return TensorComb((MR_S, MR_S), out)
+    return TensorComb((MR_S, MR_S), (
+        ((_nonzero_parts(cuts, lab.colors),
+          _nonzero_parts([p - i for p, i in zip(lab.parts, cuts)], lab.colors)), c)
+        for lab, c in a.terms.items()
+        for cuts in itertools.product(*(range(p + 1) for p in lab.parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +272,10 @@ def duality_pairing(a: LinComb, f: LinComb):
 
 def tensor_pairing(ta: TensorComb, tf: TensorComb):
     """Factorwise extension of :func:`duality_pairing` to tensors."""
-    total = 0
-    for (a1, a2), ca in ta.terms.items():
-        for (f1, f2), cf in tf.terms.items():
-            p1 = duality_pairing(LinComb.single(MR_R, a1),
-                                 LinComb.single(QMR_F, f1))
-            if not p1:
-                continue
-            p2 = duality_pairing(LinComb.single(MR_R, a2),
-                                 LinComb.single(QMR_F, f2))
-            total += ca * cf * p1 * p2
-    return total
+    _expect(ta, (MR_R, MR_R)), _expect(tf, (QMR_F, QMR_F))
+    partner = projective_fundamental_partner
+    return sum(c * tf.terms.get((partner(a1), partner(a2)), 0)
+               for (a1, a2), c in ta.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +322,6 @@ def mr_to_sym(a: LinComb) -> LinComb:
                            for lab, c in a.terms.items()])
 
 
-@lru_cache(maxsize=64)
-def _h_factor_image(color: int, degree: int) -> ColoredRibbon:
-    return ColoredRibbon((degree,), (color,) * degree)
-
-
 def sym_to_qmr(a: LinComb) -> LinComb:
     """Embedding of the commutative algebra: each complete factor maps to
     the one-row constant-color fundamental function and the factors are
@@ -339,7 +333,7 @@ def sym_to_qmr(a: LinComb) -> LinComb:
         acc = LinComb.single(QMR_F, QMR_UNIT)
         for color, degree in mono:
             acc = qmr_product_F(acc, LinComb.single(
-                QMR_F, _h_factor_image(color, degree)))
+                QMR_F, ColoredRibbon((degree,), (color,) * degree)))
         accumulate(out, acc.terms.items(), c)
     return LinComb(QMR_F, out)
 
@@ -415,6 +409,6 @@ def colored_partitions(n: int, r: int) -> list:
     return sorted(set(out), key=lambda m: (sum(d for _, d in m), m))
 
 
-def _expect(a: LinComb, basis) -> None:
-    if a.basis != basis:
-        raise ValueError(f"expected basis {basis}, got {a.basis}")
+def _expect(a, basis) -> None:
+    if a.tag != basis:
+        raise ValueError(f"expected basis {basis}, got {a.tag}")

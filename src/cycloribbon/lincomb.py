@@ -193,16 +193,6 @@ def tensor_multiply(t1: TensorComb, t2: TensorComb, mul) -> TensorComb:
     return TensorComb._wrap(t1.bases, out)
 
 
-def tensor_map_sides(t: TensorComb, bases, fn_left, fn_right) -> TensorComb:
-    """Apply LinComb->LinComb maps to the two sides of every term."""
-    out = {}
-    for (l, m), c in t.terms.items():
-        left = fn_left(LinComb.single(t.bases[0], l))
-        right = fn_right(LinComb.single(t.bases[1], m))
-        accumulate(out, tensor_of(left, right).terms.items(), c)
-    return TensorComb._wrap(tuple(bases), out)
-
-
 # ---------------------------------------------------------------------------
 # JSON codecs
 

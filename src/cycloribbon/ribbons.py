@@ -183,30 +183,28 @@ def validate_ribbon(rib: ColoredRibbon, r: Optional[int] = None) -> None:
         raise ValueError(f"colors {rib.colors} outside 1..{r}")
 
 
-def is_cycloribbon(rib: ColoredRibbon) -> bool:
-    """Colors weakly increase across row steps, weakly decrease down columns."""
+def _is_filling(rib: ColoredRibbon, row_weakly_increasing: bool) -> bool:
+    """Shared body of the two predicates: the step rule of
+    :func:`_enumerate_fillings`, checked cell by cell."""
     ds = descent_set(rib.shape)
     c = rib.colors
     for i in range(1, len(c)):
-        if i in ds:
-            if c[i - 1] < c[i]:
-                return False
-        elif c[i - 1] > c[i]:
-            return False
-    return True
-
-
-def is_anticycloribbon(rib: ColoredRibbon) -> bool:
-    """Colors weakly decrease across row steps, weakly increase down columns."""
-    ds = descent_set(rib.shape)
-    c = rib.colors
-    for i in range(1, len(c)):
-        if i in ds:
+        if (i in ds) != row_weakly_increasing:
             if c[i - 1] > c[i]:
                 return False
         elif c[i - 1] < c[i]:
             return False
     return True
+
+
+def is_cycloribbon(rib: ColoredRibbon) -> bool:
+    """Colors weakly increase across row steps, weakly decrease down columns."""
+    return _is_filling(rib, True)
+
+
+def is_anticycloribbon(rib: ColoredRibbon) -> bool:
+    """Colors weakly decrease across row steps, weakly increase down columns."""
+    return _is_filling(rib, False)
 
 
 def _enumerate_fillings(n, r, shape, row_weakly_increasing):

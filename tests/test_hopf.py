@@ -3,7 +3,10 @@ graded algebras, against pinned examples and randomized identities."""
 
 import math
 import random
+import re
 from fractions import Fraction
+
+import pytest
 
 from cycloribbon.hopf import (
     anti_refinements,
@@ -36,7 +39,9 @@ from cycloribbon.lincomb import (
     QMR_F,
     SYM_H,
     TensorComb,
+    accumulate,
     tensor_multiply,
+    tensor_of,
 )
 from cycloribbon.ribbons import (
     ColoredComposition,
@@ -229,6 +234,70 @@ def test_coproduct_on_ribbon_basis():
             assert sum(l.parts) + sum(m.parts) == cc.size
 
 
+# the tensor route of the coproduct, kept as a reference for the label rule
+
+MR_UNIT = ColoredComposition((), ())
+
+
+def tensor_map_sides(t, bases, fn_left, fn_right):
+    """Apply LinComb->LinComb maps to the two sides of every term."""
+    out = {}
+    for (l, m), c in t.terms.items():
+        left = fn_left(LinComb.single(t.bases[0], l))
+        right = fn_right(LinComb.single(t.bases[1], m))
+        accumulate(out, tensor_of(left, right).terms.items(), c)
+    return TensorComb._wrap(tuple(bases), out)
+
+
+def reference_mr_coproduct(a):
+    """One tensor per part, multiplied out in MR (x) MR; ribbon input goes
+    through the complete basis on both tensor factors."""
+    if a.basis == MR_R:
+        tc = reference_mr_coproduct(r_to_s(a))
+        return tensor_map_sides(tc, (MR_R, MR_R), s_to_r, s_to_r)
+    assert a.basis == MR_S
+    out = {}
+    for lab, coeff in a.terms.items():
+        tc = tensor_of(LinComb.single(MR_S, MR_UNIT), LinComb.single(MR_S, MR_UNIT))
+        for part, color in zip(lab.parts, lab.colors):
+            halves = [ColoredComposition((i,), (color,)) if i else MR_UNIT
+                      for i in range(part + 1)]
+            split = TensorComb((MR_S, MR_S), [((halves[i], halves[part - i]), 1)
+                                               for i in range(part + 1)])
+            tc = tensor_multiply(tc, split, mr_product_S)
+        accumulate(out, tc.terms.items(), coeff)
+    return TensorComb((MR_S, MR_S), out)
+
+
+def test_coproduct_equals_tensor_reference():
+    checked = 0
+    for n in range(6):
+        for cc in colored_compositions(n, 3):
+            for basis in (MR_S, MR_R):
+                a = LinComb.single(basis, cc)
+                got = mr_coproduct(a)
+                assert got == reference_mr_coproduct(a), (basis, cc)
+                assert got.bases == (basis, basis)
+                checked += 1
+    assert checked == 2048
+    a = S((2, 1), (1, 2), 3) - S((1, 1, 1), (2, 2, 1), 2)
+    assert mr_coproduct(a) == reference_mr_coproduct(a)
+    assert mr_coproduct(s_to_r(a)) == reference_mr_coproduct(s_to_r(a))
+
+
+def test_coproduct_uses_no_tensor_arithmetic(monkeypatch):
+    import cycloribbon.hopf as hopf
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tensor arithmetic on the coproduct path")
+
+    monkeypatch.setattr(LinComb, "single", forbidden)
+    monkeypatch.setattr(hopf, "mr_product_S", forbidden)
+    cc = ColoredComposition((2, 1, 2), (1, 1, 2))
+    for basis in (MR_S, MR_R):
+        assert mr_coproduct(LinComb(basis, [(cc, 1)]))
+
+
 # ---------------------------------------------------------------------------
 # QMR product
 
@@ -325,6 +394,36 @@ def test_pairing_matrix_is_permutation():
     assert sorted(sum(col) for col in zip(*mat)) == [1] * 6
 
 
+def reference_tensor_pairing(ta, tf):
+    """Double loop over both tensors, pairing single labels."""
+    total = 0
+    for (a1, a2), ca in ta.terms.items():
+        for (f1, f2), cf in tf.terms.items():
+            p1 = duality_pairing(LinComb.single(MR_R, a1),
+                                 LinComb.single(QMR_F, f1))
+            if not p1:
+                continue
+            p2 = duality_pairing(LinComb.single(MR_R, a2),
+                                 LinComb.single(QMR_F, f2))
+            total += ca * cf * p1 * p2
+    return total
+
+
+def test_tensor_pairing_checks_bases():
+    s_side = TensorComb((MR_S, MR_S), [((ColoredComposition((1,), (1,)),
+                                         ColoredComposition((1,), (2,))), 1)])
+    f_side = qmr_coproduct_F(F((1, 1), (2, 1)))
+    message = "expected basis ('MR-R', 'MR-R'), got ('MR-S', 'MR-S')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tensor_pairing(s_side, f_side)
+    r_side = TensorComb((MR_R, MR_R), [((ColoredComposition((1,), (2,)),
+                                         ColoredComposition((1,), (1,))), 1)])
+    assert tensor_pairing(r_side, f_side) == 1 == \
+        reference_tensor_pairing(r_side, f_side)
+    with pytest.raises(ValueError, match="expected basis"):
+        tensor_pairing(r_side, r_side)
+
+
 def test_duality_product_vs_coproduct():
     for _ in range(80):
         r = rng.randint(1, 3)
@@ -333,9 +432,9 @@ def test_duality_product_vs_coproduct():
         b = random_colored_comp(n, r)
         f = random_cycloribbon(m + n, r)
         lhs = duality_pairing(mr_product_R(R(*a), R(*b)), F(*f))
-        rhs = tensor_pairing(TensorComb((MR_R, MR_R), [((a, b), 1)]),
-                             qmr_coproduct_F(F(*f)))
-        assert lhs == rhs
+        ta = TensorComb((MR_R, MR_R), [((a, b), 1)])
+        rhs = tensor_pairing(ta, qmr_coproduct_F(F(*f)))
+        assert lhs == rhs == reference_tensor_pairing(ta, qmr_coproduct_F(F(*f)))
 
 
 def test_duality_coproduct_vs_product():
@@ -345,10 +444,10 @@ def test_duality_coproduct_vs_product():
         a = random_colored_comp(m + n, r)
         f = random_cycloribbon(m, r)
         g = random_cycloribbon(n, r)
-        lhs = tensor_pairing(mr_coproduct(R(*a)),
-                             TensorComb((QMR_F, QMR_F), [((f, g), 1)]))
+        tf = TensorComb((QMR_F, QMR_F), [((f, g), 1)])
+        lhs = tensor_pairing(mr_coproduct(R(*a)), tf)
         rhs = duality_pairing(R(*a), qmr_product_F(F(*f), F(*g)))
-        assert lhs == rhs
+        assert lhs == rhs == reference_tensor_pairing(mr_coproduct(R(*a)), tf)
 
 
 # ---------------------------------------------------------------------------
