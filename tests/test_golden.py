@@ -64,6 +64,8 @@ CASES = README_EXAMPLES + [
     ["coproduct", "--basis", "R", "--elt", "1^2.2^2.1^1"],
     ["coproduct", "--basis", "R", "--elt", "2^1.1^1.2^2"],
     ["coproduct", "--basis", "S", "--elt", "3^1.2^1"],
+    ["decomp", "--n", "5", "--r", "2", "--format", "json"],
+    ["cartan", "--n", "3", "--r", "4", "--format", "csv"],
 ]
 
 
