@@ -16,6 +16,7 @@ Schur-function products under the embedding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,13 +26,15 @@ from .hopf import (
     _color_runs,
     mr_product_R,
     mr_to_sym,
-    multipartition_class,
     split_ribbon,
     projective_fundamental_partner,
+    ncsf_product_R,
     qmr_product_F,
+    schur_in_h,
+    sym_h_product,
     sym_to_qmr,
 )
-from .lincomb import LinComb, MR_R, QMR_F, SYM_H
+from .lincomb import LinComb, MR_R, NCSF_R, QMR_F, SYM_H, accumulate
 from .ribbons import (
     ColoredComposition,
     ColoredRibbon,
@@ -168,48 +171,95 @@ class LabeledMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _as_int(x):
-    if isinstance(x, int):
-        return x
-    if x.denominator != 1:
-        raise ValueError(f"non-integral matrix entry {x}")
-    return int(x)
+def _cell_runs(rib: ColoredRibbon) -> list:
+    """Maximal one-color runs of a ribbon's cells, as (color, composition)
+    pairs: the run from cell s to cell e carries the composition of
+    e - s + 1 whose descents are those of the shape strictly inside it."""
+    ds = descent_set(rib.shape)
+    colors = rib.colors
+    out, parts, start = [], [], 0
+    for i in range(1, len(colors) + 1):
+        if i == len(colors) or colors[i] != colors[i - 1]:
+            parts.append(i - start)
+            out.append((colors[i - 1], tuple(parts)))
+            parts, start = [], i
+        elif i in ds:
+            parts.append(i - start)
+            start = i
+    return out
 
 
-def _matrix_through_sym(rows, to_sym, n: int, r: int,
-                        row_key=lambda label: label) -> LabeledMatrix:
-    """Matrix of ``sym_to_qmr . to_sym`` on the row labels against the
-    cycloribbons of size n, as E·D: each row's monomial expansion E times
-    the fundamental images D of the monomials, each computed once.  One
-    label per ``row_key`` (which must fix the expansion) is expanded, and
-    labels with one expansion share one row tuple."""
+def _by_color(runs, r: int) -> tuple:
+    """The multiset of runs of each color 1..r, as one sorted tuple each."""
+    per_color = [[] for _ in range(r)]
+    for color, run in runs:
+        per_color[color - 1].append(run)
+    return tuple(tuple(sorted(group)) for group in per_color)
+
+
+def _ribbons_in_h(runs) -> LinComb:
+    """One-color complete expansion of the product of the ordinary ribbon
+    Schur functions of ``runs``."""
+    out = LinComb.single(SYM_H, ())
+    for run in runs:
+        out = sym_h_product(out, mr_to_sym(LinComb.single(
+            MR_R, ColoredComposition(run, (1,) * len(run)))))
+    return out
+
+
+def _matrix_by_colors(rows, row_key, row_factor, n: int, r: int) -> LabeledMatrix:
+    """Matrix of the row labels against the cycloribbons of size n, with
+    entry prod_c <A_c, B_c(col)> (see :func:`cartan_matrix`).
+
+    ``row_key`` gives a row label one key X_c per color, and
+    ``row_factor(X_c)`` the one-color complete expansion of A_c.  Each
+    pairing is E·D in one color: <A, B> = sum_mu [h_mu]A * <h_mu, B>, and
+    <h_mu, B> sums the one-color fundamental image of h_mu (its
+    ``sym_to_qmr``) over the concatenate-or-glue expansion of B's runs.
+    Each image, pairing vector and row factor is computed once per call,
+    a row once per key, and equal rows share one tuple."""
     cols = simple_labels(n, r)
-    col_index = {lab: k for k, lab in enumerate(cols)}
-    images = {}        # monomial -> ((column index, coeff), ...)
-    by_expansion = {}  # expansion -> row tuple
-    by_key = {}        # row key -> row tuple
+    members = {}   # one run multiset per color -> its column indices
+    for j, rib in enumerate(cols):
+        members.setdefault(_by_color(_cell_runs(rib), r), []).append(j)
+    glued = {}     # size -> [(run multiset Y, ribbon expansion of B(Y))]
+    for y in {y for key in members for y in key}:
+        b = LinComb.single(NCSF_R, ())
+        for run in y:
+            b = ncsf_product_R(b, LinComb.single(NCSF_R, run))
+        glued.setdefault(sum(map(sum, y)), []).append((y, b.terms))
+    pairings = {}  # one-color monomial h_mu -> {Y: <h_mu, B(Y)>}
+    factors = {}   # row key X_c -> {Y: <A(X_c), B(Y)>}
 
-    def row_of(expansion):
-        frozen = frozenset(expansion.items())
-        if frozen not in by_expansion:
-            row = [0] * len(cols)
-            for mono, c in expansion.items():
-                image = images.get(mono)
-                if image is None:
-                    image = images[mono] = tuple(
-                        (col_index[lab], _as_int(coeff)) for lab, coeff in
-                        sym_to_qmr(LinComb.single(SYM_H, mono)).terms.items())
-                c = _as_int(c)
-                for k, coeff in image:
-                    row[k] += c * coeff
-            by_expansion[frozen] = tuple(row)
-        return by_expansion[frozen]
+    def pairing(mono):
+        if mono not in pairings:
+            image = {rib.shape: c for rib, c in
+                     sym_to_qmr(LinComb.single(SYM_H, mono)).terms.items()}
+            pairings[mono] = accumulate({}, (
+                (y, sum(c * image.get(shape, 0) for shape, c in b.items()))
+                for y, b in glued.get(sum(d for _, d in mono), ())))
+        return pairings[mono]
 
-    entries = []
+    def factor(x):
+        if x not in factors:
+            factors[x] = {}
+            for mono, c in row_factor(x).terms.items():
+                accumulate(factors[x], pairing(mono).items(), c)
+        return factors[x]
+
+    by_key, shared, entries = {}, {}, []
     for label in rows:
         key = row_key(label)
         if key not in by_key:
-            by_key[key] = row_of(to_sym(label).terms)
+            row = [0] * len(cols)
+            for combo in itertools.product(*(factor(x).items() for x in key)):
+                js = members.get(tuple(y for y, _ in combo))
+                if js:
+                    value = math.prod(v for _, v in combo)
+                    for j in js:
+                        row[j] = value
+            row = tuple(row)
+            by_key[key] = shared.setdefault(row, row)
         entries.append(by_key[key])
     return LabeledMatrix(tuple(rows), tuple(cols), tuple(entries))
 
@@ -217,15 +267,39 @@ def _matrix_through_sym(rows, to_sym, n: int, r: int,
 def cartan_matrix(n: int, r: int) -> LabeledMatrix:
     """Multiplicities of the simples in the projectives: rows are colored
     compositions, columns cycloribbons, entries the fundamental
-    coefficients of the Cartan map on the ribbon basis.  A row depends
-    only on the multiset of one-color runs of its label: the commutative
-    image is a product over the runs."""
-    return _matrix_through_sym(projective_labels(n, r),
-                               lambda cc: mr_to_sym(LinComb.single(MR_R, cc)),
-                               n, r, lambda cc: tuple(sorted(_color_runs(cc))))
+    coefficients of the Cartan map on the ribbon basis.
+
+    Computed color by color.  Let A_c(cc) be the product of the ordinary
+    ribbon Schur functions r_I over the maximal one-color runs I of cc of
+    color c, and B_c(rib) the same product over the one-color runs of the
+    cells of rib (:func:`_cell_runs`).  With <,> the Hall scalar product
+    (zero unless the sizes agree),
+
+        cartan(cc, rib) = prod_c <A_c(cc), B_c(rib)>.
+
+    The commutative image of R_cc is the product over c of A_c(cc) in the
+    c-th variable set, and the image of such a product in QMR shuffles one
+    word per color.  A colored descent compares letters only between
+    adjacent cells of the same color, so the coefficient of F_rib is a
+    product over the colors; in color c it counts the words whose descents
+    inside each run of color c are those of the run, with either step
+    between runs, which is the one-color fundamental expansion of A_c
+    summed over the concatenate-or-glue expansion of B_c(rib), i.e.
+    <A_c(cc), B_c(rib)>.  A row depends only on the runs of each color."""
+    return _matrix_by_colors(projective_labels(n, r),
+                             lambda cc: _by_color(_color_runs(cc), r),
+                             _ribbons_in_h, n, r)
 
 
 def decomposition_matrix(n: int, r: int) -> LabeledMatrix:
     """Images of Schur-function products on the fundamental basis: rows
-    are r-tuples of partitions of total size n, columns cycloribbons."""
-    return _matrix_through_sym(multipartitions(n, r), multipartition_class, n, r)
+    are r-tuples of partitions of total size n, columns cycloribbons.
+
+    With B_c as in :func:`cartan_matrix`,
+
+        decomp(lam, rib) = prod_c <s_{lam^(c)}, B_c(rib)>,
+
+    for the same reason: the row is the product over c of the Schur
+    function s_{lam^(c)} in the c-th variable set."""
+    return _matrix_by_colors(multipartitions(n, r), lambda mp: mp,
+                             schur_in_h, n, r)

@@ -174,13 +174,13 @@ def partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 # ribbon predicates, enumeration, the flip involution
 
-def validate_ribbon(rib: ColoredRibbon, r: Optional[int] = None) -> None:
+def validate_ribbon(rib: ColoredRibbon) -> None:
     if sum(rib.shape) != len(rib.colors):
         raise ValueError(f"shape {rib.shape} does not match {len(rib.colors)} colors")
     if any(p < 1 for p in rib.shape):
         raise ValueError(f"non-positive part in {rib.shape}")
-    if any(c < 1 or (r is not None and c > r) for c in rib.colors):
-        raise ValueError(f"colors {rib.colors} outside 1..{r}")
+    if any(c < 1 for c in rib.colors):
+        raise ValueError(f"non-positive color in {rib.colors}")
 
 
 def _is_filling(rib: ColoredRibbon, row_weakly_increasing: bool) -> bool:
@@ -211,29 +211,39 @@ def _enumerate_fillings(n, r, shape, row_weakly_increasing):
     """Shared body of the cycloribbon/anticycloribbon enumerations, in
     :func:`ribbon_sort_key` order: shapes by increasing descent bitmask,
     and within a shape the color words grown cell by cell with the next
-    color taken in increasing order, which keeps them lexicographic."""
+    color taken in increasing order, which keeps them lexicographic.
+
+    A word is grown as its index in the lexicographic table of all r**n
+    words (appending color c takes k to k*r + c - 1), so each word tuple
+    is built once per call and shared by every shape that has it: all
+    shapes read one ``itertools.product`` table, and a single shape
+    decodes only its own words."""
     if shape is None:
-        shapes = compositions(n)
+        shapes = list(compositions(n))  # raises for n < 0
+        word_of = list(itertools.product(range(1, r + 1), repeat=n)).__getitem__
     else:
         shape = tuple(shape)
         if sum(shape) != n or any(p < 1 for p in shape):
             raise ValueError(f"shape {shape} is not a composition of {n}")
         shapes = (shape,)
+
+        def word_of(k):
+            return tuple(k // r ** (n - 1 - i) % r + 1 for i in range(n))
     out = []
     for parts in shapes:
         ds = descent_set(parts)
-        words = [(c,) for c in range(1, r + 1)] if n else [()]
+        codes = range(r) if n else [0]
         for i in range(1, n):
             # the next color may be >= the last one exactly on a row step
             # of a cycloribbon or a column step of an anticycloribbon
             if (i in ds) != row_weakly_increasing:
-                words = [w + (c,) for w in words for c in range(w[-1], r + 1)]
+                codes = [k * r + d for k in codes for d in range(k % r, r)]
             else:
-                words = [w + (c,) for w in words for c in range(1, w[-1] + 1)]
+                codes = [k * r + d for k in codes for d in range(k % r + 1)]
         # tuple.__new__ builds each ribbon without the Python-level frame
         # of the NamedTuple constructor
         out.extend(map(tuple.__new__, itertools.repeat(ColoredRibbon),
-                       zip(itertools.repeat(parts), words)))
+                       zip(itertools.repeat(parts), map(word_of, codes))))
     return out
 
 

@@ -103,6 +103,12 @@ def test_induce_simples_rejects_noncycloribbon(capsys):
     assert code == 1 and "not a cycloribbon" in err
 
 
+def test_nonpositive_color_error_names_no_bound(capsys):
+    code, out, err = run(capsys, "induce-simples", "--lhs", "1|2", "--rhs", "1|0")
+    assert (code, out) == (1, "")
+    assert err == "error: non-positive color in (0,)\n"
+
+
 def test_f_basis_rejects_noncycloribbon(capsys):
     for argv in (("product", "--basis", "F", "--lhs", "2|3,1", "--rhs", "1|1"),
                  ("product", "--basis", "F", "--lhs", "1|1", "--rhs", "2|3,1"),

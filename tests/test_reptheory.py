@@ -10,6 +10,7 @@ from cycloribbon import hopf, reptheory
 from cycloribbon.hopf import (
     cartan_map,
     colored_partitions,
+    h_monomial,
     multipartition_class,
     mr_to_ncsf,
     mr_to_sym,
@@ -38,6 +39,7 @@ from cycloribbon.ribbons import (
     descent_class_size,
     multipartition_literal,
     multipartitions,
+    partitions,
     ribbon_literal,
 )
 from test_ribbons import PROPERTY, random_colored_compositions
@@ -215,6 +217,11 @@ def test_cartan_identity_in_degree_one():
             [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
 
+def test_cartan_with_no_colors():
+    assert cartan_matrix(0, 0).entries == ((1,),)
+    assert cartan_matrix(2, 0).entries == ()
+
+
 def test_cartan_2_2_pinned():
     m = cartan_matrix(2, 2)
     rows = {colored_composition_literal(l): list(e)
@@ -277,8 +284,8 @@ def reference_matrix(rows, image, n, r):
     return tuple(rows), tuple(cols), tuple(entries)
 
 
-MATRIX_SIZES = [(n, r) for n in range(7) for r in (1, 2)] + \
-    [(n, 3) for n in range(6)]
+MATRIX_SIZES = [(n, r) for n in range(7) for r in (1, 2, 3)] + \
+    [(n, 4) for n in range(6)] + [(7, 2)]
 
 
 @pytest.mark.parametrize("n, r", MATRIX_SIZES)
@@ -293,17 +300,22 @@ def test_matrices_match_per_row_reference(n, r):
         lambda mp: sym_to_qmr(multipartition_class(mp)), n, r)
 
 
+def one_color_monomials(n):
+    return sorted(h_monomial((1, d) for d in lam)
+                  for k in range(n + 1) for lam in partitions(k))
+
+
 @pytest.mark.parametrize("matrix", [cartan_matrix, decomposition_matrix])
-def test_matrices_embed_each_monomial_once(matrix, monkeypatch):
+def test_matrices_image_each_one_color_monomial_once(matrix, monkeypatch):
     calls = []
 
     def counted(a):
-        calls.append(tuple(a.terms))
+        calls.extend(a.terms)
         return sym_to_qmr(a)
 
     monkeypatch.setattr(reptheory, "sym_to_qmr", counted)
     matrix(4, 2)
-    assert len(calls) == len(set(calls)) == len(colored_partitions(4, 2))
+    assert sorted(calls) == one_color_monomials(4)
 
 
 def test_cartan_rows_with_one_expansion_share_one_tuple():
@@ -311,20 +323,33 @@ def test_cartan_rows_with_one_expansion_share_one_tuple():
     assert len({id(row) for row in m.entries}) == len(set(m.entries)) == 190
 
 
-@pytest.mark.parametrize("n, r, keys", [(6, 2, 263), (5, 3, 300)])
-def test_cartan_expands_each_run_multiset_once(monkeypatch, n, r, keys):
+def runs_of_each_color(cc, r):
+    return [tuple(sorted(run for color, run in hopf._color_runs(cc) if color == c))
+            for c in range(1, r + 1)]
+
+
+@pytest.mark.parametrize("n, r, keys", [(6, 2, 93), (5, 3, 43)])
+def test_matrices_compute_each_row_factor_once(monkeypatch, n, r, keys):
     calls = []
 
-    def counted(a):
-        calls.append(a)
-        return mr_to_sym(a)
+    def counted(factor):
+        def wrapper(x):
+            calls.append(x)
+            return factor(x)
+        return wrapper
 
-    monkeypatch.setattr(reptheory, "mr_to_sym", counted)
+    monkeypatch.setattr(reptheory, "_ribbons_in_h",
+                        counted(reptheory._ribbons_in_h))
     cartan_matrix(n, r)
-    expanded = [cc for call in calls for cc in call.terms]
-    runs = {tuple(sorted(hopf._color_runs(cc))) for cc in projective_labels(n, r)}
-    assert len(calls) == len(runs) == keys
-    assert {tuple(sorted(hopf._color_runs(cc))) for cc in expanded} == runs
+    runs = {x for cc in projective_labels(n, r) for x in runs_of_each_color(cc, r)}
+    assert len(calls) == len(set(calls)) == len(runs) == keys
+    assert set(calls) == runs
+    calls.clear()
+    monkeypatch.setattr(reptheory, "schur_in_h", counted(reptheory.schur_in_h))
+    decomposition_matrix(n, r)
+    parts = {lam for mp in multipartitions(n, r) for lam in mp}
+    assert len(calls) == len(set(calls)) == len(parts)
+    assert set(calls) == parts
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ randomized properties on small sizes."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,13 +179,33 @@ def reference_fillings(n, r, shape, row_weakly_increasing):
 
 
 def test_enumeration_matches_reference():
-    for n in range(7):
+    for n in range(8):
         for r in range(1, 5):
             for shape in [None, *compositions(n)]:
                 assert enumerate_cycloribbons(n, r, shape=shape) == \
                     reference_fillings(n, r, shape, True)
                 assert enumerate_anticycloribbons(n, r, shape=shape) == \
                     reference_fillings(n, r, shape, False)
+
+
+def test_enumeration_builds_each_color_word_once():
+    ribs = enumerate_cycloribbons(6, 3)
+    assert len(ribs) == 3 * 4 ** 5
+    assert len({id(rib.colors) for rib in ribs}) <= 3 ** 6
+
+
+@pytest.mark.parametrize("enum", [enumerate_cycloribbons,
+                                  enumerate_anticycloribbons])
+def test_enumeration_of_one_shape_builds_no_word_table(enum):
+    # all 4**9 color words would take tens of MB; the 220 of one shape few kB
+    tracemalloc.start()
+    try:
+        ribs = enum(9, 4, shape=(9,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ribs) == math.comb(12, 9)
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("enum", [enumerate_cycloribbons,
