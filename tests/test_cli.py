@@ -260,6 +260,13 @@ def test_negative_sizes_rejected(capsys):
                          "--r", "0")
     assert (code, out) == (1, "")
     assert err == "error: --r must be at least 1\n"
+    code, out, err = run(capsys, "dims", "--n", "-1", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --n must be at least 0\n"
+    # the relation checks need at least one strand
+    code, out, err = run(capsys, "oracle", "verify", "--n", "0", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --n must be at least 1\n"
 
 
 def test_output_deterministic(capsys):

@@ -66,6 +66,9 @@ CASES = README_EXAMPLES + [
     ["coproduct", "--basis", "S", "--elt", "3^1.2^1"],
     ["decomp", "--n", "5", "--r", "2", "--format", "json"],
     ["cartan", "--n", "3", "--r", "4", "--format", "csv"],
+    ["product", "--basis", "F", "--lhs", "1,1|2,1", "--rhs", "2|1,2"],
+    ["product", "--basis", "S", "--lhs", "2^1.1^2", "--rhs", "1^1"],
+    ["oracle", "verify", "--n", "0", "--r", "2"],
 ]
 
 
