@@ -30,14 +30,13 @@ def _emit(obj) -> int:
     return 0
 
 
-def _check_sizes(args, min_n=0) -> None:
-    for flag, least in (("n", min_n), ("max_grade", 0), ("r", 1)):
+def _check_sizes(args) -> None:
+    for flag, least in (("n", getattr(args, "min_n", 0)), ("max_grade", 0), ("r", 1)):
         if getattr(args, flag, least) < least:
             raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}")
 
 
 def cmd_enumerate(args) -> int:
-    _check_sizes(args)
     enum = (ribbons.enumerate_anticycloribbons if args.anti
             else ribbons.enumerate_cycloribbons)
     shape = None if args.shape is None else ribbons.parse_composition(args.shape)
@@ -57,16 +56,12 @@ def cmd_phi(args) -> int:
                                                   ribbons.flip_ribbon(rib))})
 
 
-def _parse_cycloribbon(text: str, flag: str) -> ribbons.ColoredRibbon:
-    rib = ribbons.parse_ribbon(text)
-    if not ribbons.is_cycloribbon(rib):
-        raise ValueError(f"{flag}: {ribbons.ribbon_literal(rib)} is not a cycloribbon")
-    return rib
-
-
 def _parse_elt(basis: str, text: str, flag: str) -> lincomb.LinComb:
     if basis == "F":
-        label = _parse_cycloribbon(text, flag)
+        label = ribbons.parse_ribbon(text)
+        if not ribbons.is_cycloribbon(label):
+            raise ValueError(
+                f"{flag}: {ribbons.ribbon_literal(label)} is not a cycloribbon")
         parts, tag = label.shape, lincomb.QMR_F
     else:
         label = ribbons.parse_colored_composition(text)
@@ -91,14 +86,7 @@ def cmd_coproduct(args) -> int:
     return _emit(lincomb.tensorcomb_to_json(cop(elt)))
 
 
-def cmd_induce_simples(args) -> int:
-    prod = hopf.qmr_product_F(_parse_elt("F", args.lhs, "--lhs"),
-                              _parse_elt("F", args.rhs, "--rhs"))
-    return _emit(lincomb.lincomb_to_json(prod))
-
-
 def cmd_induce_hecke_projective(args) -> int:
-    _check_sizes(args)
     shape = ribbons.parse_composition(args.shape)
     summands = reptheory.induce_hecke_projective(shape, args.r)
     return _emit({"shape": list(shape), "r": args.r,
@@ -110,31 +98,24 @@ def cmd_induce_hecke_projective(args) -> int:
                   "total_dim": sum(d for _, d in summands)})
 
 
-def _emit_matrix(matrix, row_fmt, col_fmt, args, extra) -> int:
+# subcommand -> (matrix function, row label literal, JSON "matrix" value)
+MATRICES = {"cartan": (reptheory.cartan_matrix,
+                       ribbons.colored_composition_literal, "cartan"),
+            "decomp": (reptheory.decomposition_matrix,
+                       ribbons.multipartition_literal, "decomposition")}
+
+
+def cmd_matrix(args) -> int:
+    build, row_fmt, name = MATRICES[args.command]
+    matrix = build(args.n, args.r)
     if args.format == "csv":
-        sys.stdout.write(matrix.to_csv(row_fmt, col_fmt))
+        sys.stdout.write(matrix.to_csv(row_fmt))
         return 0
-    out = {"n": args.n, "r": args.r, **extra,
-           **matrix.to_json_dict(row_fmt, col_fmt)}
-    return _emit(out)
-
-
-def cmd_cartan(args) -> int:
-    _check_sizes(args)
-    matrix = reptheory.cartan_matrix(args.n, args.r)
-    return _emit_matrix(matrix, ribbons.colored_composition_literal,
-                        ribbons.ribbon_literal, args, {"matrix": "cartan"})
-
-
-def cmd_decomp(args) -> int:
-    _check_sizes(args)
-    matrix = reptheory.decomposition_matrix(args.n, args.r)
-    return _emit_matrix(matrix, ribbons.multipartition_literal,
-                        ribbons.ribbon_literal, args, {"matrix": "decomposition"})
+    return _emit({"n": args.n, "r": args.r, "matrix": name,
+                  **matrix.to_json_dict(row_fmt)})
 
 
 def cmd_dims(args) -> int:
-    _check_sizes(args)
     labels = reptheory.projective_labels(args.n, args.r)
     dims = [(cc, reptheory.dim_projective(cc)) for cc in labels]
     return _emit({"n": args.n, "r": args.r,
@@ -156,7 +137,6 @@ def _check_cap(dim: int, noun: str) -> None:
 
 
 def cmd_oracle_verify(args) -> int:
-    _check_sizes(args, min_n=1)
     u = ()
     if args.u is not None:
         try:
@@ -184,7 +164,6 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_oracle_cross_check(args) -> int:
-    _check_sizes(args)
     _check_cap(args.r ** args.max_grade * math.factorial(args.max_grade),
                "largest instance dimension")
     report = oracle.cross_check_induction(args.r, args.max_grade)
@@ -202,10 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="colored ribbon combinatorics and module bookkeeping "
                     "for the colored 0-Hecke algebras")
     sub = parser.add_subparsers(dest="command", required=True)
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--n", type=int, required=True)
+    sizes.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("enumerate", help="list cycloribbons or anticycloribbons")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("enumerate", parents=[sizes],
+                       help="list cycloribbons or anticycloribbons")
     p.add_argument("--shape", help="composition literal, e.g. 2,1")
     p.add_argument("--anti", action="store_true")
     p.set_defaults(func=cmd_enumerate)
@@ -229,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="composition factors of an induction product")
     p.add_argument("--lhs", required=True, help='cycloribbon "shape|colors"')
     p.add_argument("--rhs", required=True, help='cycloribbon "shape|colors"')
-    p.set_defaults(func=cmd_induce_simples)
+    p.set_defaults(func=cmd_product, basis="F")
 
     p = sub.add_parser("induce-hecke-projective",
                        help="induce a colorless projective module")
@@ -237,25 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=cmd_induce_hecke_projective)
 
-    for name, fn in (("cartan", cmd_cartan), ("decomp", cmd_decomp)):
-        p = sub.add_parser(name, help=f"{name} matrix")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
+    for name in MATRICES:
+        p = sub.add_parser(name, parents=[sizes], help=f"{name} matrix")
         p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("dims", help="dimensions of the projectives")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("dims", parents=[sizes], help="dimensions of the projectives")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("oracle", help="structure-constant checks")
     osub = p.add_subparsers(dest="oracle_command", required=True)
-    q = osub.add_parser("verify", help="check the defining relations")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
+    q = osub.add_parser("verify", parents=[sizes], help="check the defining relations")
     q.add_argument("--u", help='comma separated parameters, e.g. "1,3,7"')
-    q.set_defaults(func=cmd_oracle_verify)
+    q.set_defaults(func=cmd_oracle_verify, min_n=1)
     q = osub.add_parser("cross-check",
                         help="combinatorial vs explicit induction products")
     q.add_argument("--max-grade", type=int, required=True)
@@ -272,6 +247,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
+        _check_sizes(args)
         return args.func(args)
     except (ValueError, OverflowError, oracle.OracleError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -48,6 +48,7 @@ from .ribbons import (
     flip_ribbon,
     is_cycloribbon,
     multipartitions,
+    ribbon_literal,
 )
 
 
@@ -159,13 +160,13 @@ class LabeledMatrix:
     def row_sums(self):
         return [sum(row) for row in self.entries]
 
-    def to_json_dict(self, row_fmt, col_fmt) -> dict:
+    def to_json_dict(self, row_fmt) -> dict:
         return {"rows": [row_fmt(l) for l in self.row_labels],
-                "cols": [col_fmt(l) for l in self.col_labels],
+                "cols": [ribbon_literal(l) for l in self.col_labels],
                 "entries": [list(row) for row in self.entries]}
 
-    def to_csv(self, row_fmt, col_fmt) -> str:
-        lines = ["," + ",".join(col_fmt(l) for l in self.col_labels)]
+    def to_csv(self, row_fmt) -> str:
+        lines = ["," + ",".join(ribbon_literal(l) for l in self.col_labels)]
         for label, row in zip(self.row_labels, self.entries):
             lines.append(row_fmt(label) + "," + ",".join(map(str, row)))
         return "\n".join(lines) + "\n"
@@ -218,6 +219,8 @@ def _matrix_by_colors(rows, row_key, row_factor, n: int, r: int) -> LabeledMatri
     ``sym_to_qmr``) over the concatenate-or-glue expansion of B's runs.
     Each image, pairing vector and row factor is computed once per call,
     a row once per key, and equal rows share one tuple."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r = {r}")
     cols = simple_labels(n, r)
     members = {}   # one run multiset per color -> its column indices
     for j, rib in enumerate(cols):

@@ -527,6 +527,8 @@ def multipartitions(n: int, r: int) -> list:
                 for rest in split(remaining - here, k - 1):
                     yield (lam,) + rest
 
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r = {r}")
     return sorted(split(n, r), key=multipartition_sort_key)
 
 

@@ -217,9 +217,11 @@ def test_cartan_identity_in_degree_one():
             [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
 
-def test_cartan_with_no_colors():
-    assert cartan_matrix(0, 0).entries == ((1,),)
-    assert cartan_matrix(2, 0).entries == ()
+def test_matrices_need_at_least_one_color():
+    for n, r in ((0, 0), (2, 0), (2, -1)):
+        for build in (multipartitions, cartan_matrix, decomposition_matrix):
+            with pytest.raises(ValueError, match=f"^need r >= 1, got r = {r}$"):
+                build(n, r)
 
 
 def test_cartan_2_2_pinned():
@@ -375,16 +377,30 @@ def test_decomposition_entries_nonnegative():
                 assert all(isinstance(v, int) and v >= 0 for v in row)
 
 
+@pytest.mark.parametrize("n, r", [(n, 2) for n in range(5)] + [(3, 3), (2, 4)])
+def test_brauer_reciprocity(n, r):
+    # the Schur functions are orthonormal, so the row of a projective in
+    # the Cartan matrix pairs the decomposition column of its simple
+    # quotient with every decomposition column
+    cartan, decomp = cartan_matrix(n, r), decomposition_matrix(n, r)
+    assert cartan.col_labels == decomp.col_labels
+    column = {rib: j for j, rib in enumerate(decomp.col_labels)}
+    for cc, row in zip(cartan.row_labels, cartan.entries):
+        q = column[projective_simple_quotient(cc)]
+        assert row == tuple(sum(d[q] * d[j] for d in decomp.entries)
+                            for j in range(len(column)))
+
+
 # ---------------------------------------------------------------------------
 # exports
 
 def test_matrix_exports():
     m = cartan_matrix(1, 2)
-    csv = m.to_csv(colored_composition_literal, ribbon_literal)
+    csv = m.to_csv(colored_composition_literal)
     assert csv == ",1|1,1|2\n1^1,1,0\n1^2,0,1\n"
-    obj = m.to_json_dict(colored_composition_literal, ribbon_literal)
+    obj = m.to_json_dict(colored_composition_literal)
     assert obj == {"rows": ["1^1", "1^2"], "cols": ["1|1", "1|2"],
                    "entries": [[1, 0], [0, 1]]}
     d = decomposition_matrix(1, 2)
-    assert d.to_json_dict(multipartition_literal, ribbon_literal)["rows"] == \
+    assert d.to_json_dict(multipartition_literal)["rows"] == \
         [";1", "1;"]
