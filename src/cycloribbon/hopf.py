@@ -45,6 +45,7 @@ from .ribbons import (
     ColoredRibbon,
     coarsenings,
     colored_comp_to_anticycloribbon,
+    color_runs,
     colored_descent_composition,
     composition_from_descents,
     descent_set,
@@ -62,7 +63,7 @@ def anti_refinements(cc: ColoredComposition) -> list:
     """All colored compositions obtained from ``cc`` by adding up groups
     of consecutive parts of the same color (including ``cc`` itself)."""
     choices = [[(color, merged) for merged in coarsenings(subparts)]
-               for color, subparts in _color_runs(cc)]
+               for color, subparts in color_runs(cc)]
     out = []
     for combo in itertools.product(*choices):
         parts, colors = [], []
@@ -251,10 +252,10 @@ def qmr_coproduct_F(a: LinComb) -> TensorComb:
 # ---------------------------------------------------------------------------
 # duality between the ribbon and fundamental bases
 
-def projective_fundamental_partner(cc: ColoredComposition) -> ColoredRibbon:
-    """Cycloribbon pairing with a colored composition: flip the attached
-    anticycloribbon.  This is the label of the simple quotient of the
-    projective module the colored composition indexes."""
+def projective_simple_quotient(cc: ColoredComposition) -> ColoredRibbon:
+    """Label of the simple quotient of the projective a colored
+    composition indexes: flip the attached anticycloribbon.  The inverse
+    is :func:`~cycloribbon.ribbons.cell_composition`."""
     return flip_ribbon(colored_comp_to_anticycloribbon(cc))
 
 
@@ -264,7 +265,7 @@ def duality_pairing(a: LinComb, f: LinComb):
     _expect(a, MR_R), _expect(f, QMR_F)
     total = 0
     for cc, ca in a.terms.items():
-        cf = f.terms.get(projective_fundamental_partner(cc))
+        cf = f.terms.get(projective_simple_quotient(cc))
         if cf:
             total += ca * cf
     return total
@@ -273,19 +274,13 @@ def duality_pairing(a: LinComb, f: LinComb):
 def tensor_pairing(ta: TensorComb, tf: TensorComb):
     """Factorwise extension of :func:`duality_pairing` to tensors."""
     _expect(ta, (MR_R, MR_R)), _expect(tf, (QMR_F, QMR_F))
-    partner = projective_fundamental_partner
+    partner = projective_simple_quotient
     return sum(c * tf.terms.get((partner(a1), partner(a2)), 0)
                for (a1, a2), c in ta.terms.items())
 
 
 # ---------------------------------------------------------------------------
 # the morphisms: color erasure, commutative image, embedding, Cartan map
-
-def _color_runs(cc: ColoredComposition):
-    return [(color, tuple(p for p, _ in grp))
-            for color, grp in itertools.groupby(
-                zip(cc.parts, cc.colors), key=lambda pc: pc[1])]
-
 
 def mr_to_ncsf(a: LinComb) -> LinComb:
     """Erase colors.  A complete label maps to the colorless complete
@@ -300,7 +295,7 @@ def mr_to_ncsf(a: LinComb) -> LinComb:
     out = {}
     for lab, c in a.terms.items():
         acc = LinComb.single(NCSF_R, ())
-        for _, subparts in _color_runs(lab):
+        for _, subparts in color_runs(lab):
             acc = ncsf_product_R(acc, LinComb.single(NCSF_R, subparts))
         accumulate(out, acc.terms.items(), c)
     return LinComb(NCSF_R, out)

@@ -59,7 +59,7 @@ from functools import lru_cache, partial
 
 from .linalg import SparseEchelon, reduce_mod_rref
 from .lincomb import FormalSum, accumulate
-from .reptheory import Character, simple_character
+from .reptheory import Character, induce_simples, simple_character
 from .ribbons import (
     ColoredRibbon,
     descent_set,
@@ -701,7 +701,6 @@ def cross_check_induction(r: int, max_grade: int, *,
     induction product with the factors computed from an explicitly
     induced module.  This is the test that pins down the color
     convention used when inverting colored permutations."""
-    from .reptheory import induce_simples
     cases, failures = 0, []
     for total in range(2, max_grade + 1):
         params = AlgebraParams(total, r)

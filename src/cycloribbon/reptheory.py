@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .hopf import (
-    _color_runs,
     mr_product_R,
     mr_to_sym,
     split_ribbon,
-    projective_fundamental_partner,
+    projective_simple_quotient,
     ncsf_product_R,
     qmr_product_F,
     schur_in_h,
@@ -39,6 +38,8 @@ from .ribbons import (
     ColoredComposition,
     ColoredRibbon,
     anticycloribbon_to_colored_comp,
+    cell_composition,
+    color_runs,
     colored_compositions,
     composition_from_descents,
     descent_class_size,
@@ -87,11 +88,6 @@ def projective_labels(n: int, r: int) -> list:
     return colored_compositions(n, r)
 
 
-def projective_simple_quotient(cc: ColoredComposition) -> ColoredRibbon:
-    """Cycloribbon labelling the unique simple quotient of a projective."""
-    return projective_fundamental_partner(cc)
-
-
 def induce_simples(a: ColoredRibbon, b: ColoredRibbon, *,
                    negate_colors: bool = False, r: int = None) -> Counter:
     """Composition factors of the induction product of two simples, as a
@@ -132,7 +128,7 @@ def dim_projective(cc: ColoredComposition) -> int:
     8
     """
     dim = math.factorial(cc.size)
-    for _, run in _color_runs(cc):
+    for _, run in color_runs(cc):
         dim = dim // math.factorial(sum(run)) * descent_class_size(run)
     return dim
 
@@ -172,24 +168,6 @@ class LabeledMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _cell_runs(rib: ColoredRibbon) -> list:
-    """Maximal one-color runs of a ribbon's cells, as (color, composition)
-    pairs: the run from cell s to cell e carries the composition of
-    e - s + 1 whose descents are those of the shape strictly inside it."""
-    ds = descent_set(rib.shape)
-    colors = rib.colors
-    out, parts, start = [], [], 0
-    for i in range(1, len(colors) + 1):
-        if i == len(colors) or colors[i] != colors[i - 1]:
-            parts.append(i - start)
-            out.append((colors[i - 1], tuple(parts)))
-            parts, start = [], i
-        elif i in ds:
-            parts.append(i - start)
-            start = i
-    return out
-
-
 def _by_color(runs, r: int) -> tuple:
     """The multiset of runs of each color 1..r, as one sorted tuple each."""
     per_color = [[] for _ in range(r)]
@@ -219,12 +197,11 @@ def _matrix_by_colors(rows, row_key, row_factor, n: int, r: int) -> LabeledMatri
     ``sym_to_qmr``) over the concatenate-or-glue expansion of B's runs.
     Each image, pairing vector and row factor is computed once per call,
     a row once per key, and equal rows share one tuple."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r = {r}")
     cols = simple_labels(n, r)
     members = {}   # one run multiset per color -> its column indices
     for j, rib in enumerate(cols):
-        members.setdefault(_by_color(_cell_runs(rib), r), []).append(j)
+        key = _by_color(color_runs(cell_composition(rib)), r)
+        members.setdefault(key, []).append(j)
     glued = {}     # size -> [(run multiset Y, ribbon expansion of B(Y))]
     for y in {y for key in members for y in key}:
         b = LinComb.single(NCSF_R, ())
@@ -274,9 +251,10 @@ def cartan_matrix(n: int, r: int) -> LabeledMatrix:
 
     Computed color by color.  Let A_c(cc) be the product of the ordinary
     ribbon Schur functions r_I over the maximal one-color runs I of cc of
-    color c, and B_c(rib) the same product over the one-color runs of the
-    cells of rib (:func:`_cell_runs`).  With <,> the Hall scalar product
-    (zero unless the sizes agree),
+    color c, and B_c(rib) = A_c(cell_composition(rib)), keyed as the row
+    of the projective with simple quotient rib: ``cell_composition``
+    inverts :func:`projective_simple_quotient` on cycloribbons.  With <,>
+    the Hall scalar product (zero unless the sizes agree),
 
         cartan(cc, rib) = prod_c <A_c(cc), B_c(rib)>.
 
@@ -290,7 +268,7 @@ def cartan_matrix(n: int, r: int) -> LabeledMatrix:
     summed over the concatenate-or-glue expansion of B_c(rib), i.e.
     <A_c(cc), B_c(rib)>.  A row depends only on the runs of each color."""
     return _matrix_by_colors(projective_labels(n, r),
-                             lambda cc: _by_color(_color_runs(cc), r),
+                             lambda cc: _by_color(color_runs(cc), r),
                              _ribbons_in_h, n, r)
 
 

@@ -183,28 +183,26 @@ def validate_ribbon(rib: ColoredRibbon) -> None:
         raise ValueError(f"non-positive color in {rib.colors}")
 
 
-def _is_filling(rib: ColoredRibbon, row_weakly_increasing: bool) -> bool:
-    """Shared body of the two predicates: the step rule of
-    :func:`_enumerate_fillings`, checked cell by cell."""
-    ds = descent_set(rib.shape)
-    c = rib.colors
-    for i in range(1, len(c)):
-        if (i in ds) != row_weakly_increasing:
-            if c[i - 1] > c[i]:
-                return False
-        elif c[i - 1] < c[i]:
-            return False
-    return True
+def _violations(shape: Composition, colors: ColorWord,
+                row_weakly_increasing: bool) -> list:
+    """Positions i where the step from cell i to cell i+1 breaks the step
+    rule of :func:`_enumerate_fillings`: the color may rise only across a
+    row step of a cycloribbon or a column step of an anticycloribbon, and
+    may fall only across the other kind of step."""
+    ds = descent_set(shape)
+    return [i for i in range(1, len(colors))
+            if (colors[i - 1] > colors[i] if (i in ds) != row_weakly_increasing
+                else colors[i - 1] < colors[i])]
 
 
 def is_cycloribbon(rib: ColoredRibbon) -> bool:
     """Colors weakly increase across row steps, weakly decrease down columns."""
-    return _is_filling(rib, True)
+    return not _violations(rib.shape, rib.colors, True)
 
 
 def is_anticycloribbon(rib: ColoredRibbon) -> bool:
     """Colors weakly decrease across row steps, weakly increase down columns."""
-    return _is_filling(rib, False)
+    return not _violations(rib.shape, rib.colors, False)
 
 
 def _enumerate_fillings(n, r, shape, row_weakly_increasing):
@@ -218,6 +216,8 @@ def _enumerate_fillings(n, r, shape, row_weakly_increasing):
     is built once per call and shared by every shape that has it: all
     shapes read one ``itertools.product`` table, and a single shape
     decodes only its own words."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r = {r}")
     if shape is None:
         shapes = list(compositions(n))  # raises for n < 0
         word_of = list(itertools.product(range(1, r + 1), repeat=n)).__getitem__
@@ -302,14 +302,18 @@ def colored_comp_to_anticycloribbon(cc: ColoredComposition) -> ColoredRibbon:
 
 
 def anticycloribbon_to_colored_comp(rib: ColoredRibbon) -> ColoredComposition:
-    """Inverse of :func:`colored_comp_to_anticycloribbon`.
-
-    Part boundaries are the color changes plus the column steps between
-    equal colors.  Rejects ribbons that are not anticycloribbons.
-    """
+    """Inverse of :func:`colored_comp_to_anticycloribbon`: the
+    :func:`cell_composition` of an anticycloribbon, rejecting others."""
     validate_ribbon(rib)
     if not is_anticycloribbon(rib):
         raise ValueError(f"{rib} is not an anticycloribbon")
+    return cell_composition(rib)
+
+
+def cell_composition(rib: ColoredRibbon) -> ColoredComposition:
+    """Cut the cells at each color change and at each column step; each
+    piece is one part, colored by its cells.  On cycloribbons this inverts
+    the simple-quotient map ``hopf.projective_simple_quotient``."""
     c = rib.colors
     ds = descent_set(rib.shape)
     boundaries = [i for i in range(1, len(c))
@@ -323,9 +327,21 @@ def anticycloribbon_to_colored_comp(rib: ColoredRibbon) -> ColoredComposition:
     return ColoredComposition(tuple(parts), tuple(colors))
 
 
+def color_runs(cc: ColoredComposition) -> list:
+    """Maximal one-color runs of the parts, as (color, parts) pairs."""
+    out, start, colors = [], 0, cc.colors
+    for i in range(1, len(colors) + 1):
+        if i == len(colors) or colors[i] != colors[i - 1]:
+            out.append((colors[start], cc.parts[start:i]))
+            start = i
+    return out
+
+
 def colored_compositions(n: int, r: int) -> list:
     """All colored compositions of n with r colors, canonically sorted: the
     shapes by descent bitmask, then the color words in product order."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r = {r}")
     return [ColoredComposition(parts, cols)
             for parts in compositions(n)
             for cols in itertools.product(range(1, r + 1), repeat=len(parts))]
@@ -344,15 +360,11 @@ def sorting_covers(shape: Composition, colors: ColorWord) -> list:
     >>> sorting_covers((2,), (1, 2))
     []
     """
-    ds = descent_set(shape)
-    c = list(colors)
     out = []
-    for i in range(1, len(c)):
-        lo, hi = c[i - 1], c[i]
-        if (i not in ds and lo > hi) or (i in ds and lo < hi):
-            swapped = c[:]
-            swapped[i - 1], swapped[i] = hi, lo
-            out.append(tuple(swapped))
+    for i in _violations(shape, colors, True):
+        swapped = list(colors)
+        swapped[i - 1], swapped[i] = colors[i], colors[i - 1]
+        out.append(tuple(swapped))
     return out
 
 
@@ -541,7 +553,7 @@ def _parse_int_list(text: str, what: str, offset: int = 0) -> tuple:
         return ()
     out, pos = [], 0
     for piece in text.split(","):
-        if not piece.strip().isdigit():
+        if not piece.strip().isdecimal():
             raise ValueError(
                 f"position {offset + pos}: expected a positive integer "
                 f"{what}, got {piece!r}")
@@ -591,7 +603,7 @@ def parse_colored_composition(text: str) -> ColoredComposition:
         if piece.count("^") != 1:
             raise ValueError(f"position {pos}: expected 'length^color', got {piece!r}")
         a, b = piece.split("^")
-        if not a.isdigit() or not b.isdigit() or int(a) < 1 or int(b) < 1:
+        if not a.isdecimal() or not b.isdecimal() or int(a) < 1 or int(b) < 1:
             raise ValueError(f"position {pos}: bad part {piece!r}")
         parts.append(int(a))
         colors.append(int(b))

@@ -227,6 +227,14 @@ def test_malformed_literal_reports_position(capsys):
     code, out, err = run(capsys, "phi", "--ribbon", "2,x|1,1")
     assert code == 1
     assert "position" in err
+    # superscript digits pass str.isdigit but not int()
+    bad_part = "error: position 0: expected a positive integer part, got '²'\n"
+    for argv, message in (
+            (("phi", "--ribbon", "²|1"), bad_part),
+            (("enumerate", "--n", "1", "--r", "1", "--shape", "²"), bad_part),
+            (("product", "--basis", "R", "--lhs", "1^²", "--rhs", "1^1"),
+             "error: position 0: bad part '1^²'\n")):
+        assert run(capsys, *argv) == (1, "", message)
 
 
 def test_oversized_part_reports_error(capsys):

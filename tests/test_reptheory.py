@@ -35,14 +35,19 @@ from cycloribbon.reptheory import (
 from cycloribbon.ribbons import (
     ColoredComposition,
     ColoredRibbon,
+    cell_composition,
+    color_runs,
     colored_composition_literal,
+    colored_compositions,
     descent_class_size,
+    enumerate_anticycloribbons,
+    enumerate_cycloribbons,
     multipartition_literal,
     multipartitions,
     partitions,
     ribbon_literal,
 )
-from test_ribbons import PROPERTY, random_colored_compositions
+from test_ribbons import PROPERTY, random_colored_compositions, random_cycloribbons
 
 CC = ColoredComposition
 RIB = ColoredRibbon
@@ -207,6 +212,20 @@ def test_projective_simple_quotient_bijective():
             assert sorted(quotients) == sorted(simple_labels(n, r))
 
 
+@pytest.mark.parametrize("n, r", [(n, r) for r in (1, 2, 3) for n in range(7)])
+def test_cell_composition_inverts_simple_quotient(n, r):
+    for cc in projective_labels(n, r):
+        assert cell_composition(projective_simple_quotient(cc)) == cc
+    for rib in simple_labels(n, r):
+        assert projective_simple_quotient(cell_composition(rib)) == rib
+
+
+@PROPERTY
+@given(random_cycloribbons())
+def test_cell_composition_inverts_simple_quotient_on_random_labels(rib):
+    assert projective_simple_quotient(cell_composition(rib)) == rib
+
+
 # ---------------------------------------------------------------------------
 # Cartan matrix
 
@@ -218,8 +237,12 @@ def test_cartan_identity_in_degree_one():
 
 
 def test_matrices_need_at_least_one_color():
+    labels = (enumerate_cycloribbons, enumerate_anticycloribbons,
+              colored_compositions, simple_labels, projective_labels,
+              lambda n, r: enumerate_cycloribbons(n, r, shape=(1,) * n),
+              lambda n, r: induce_hecke_projective((1,) * n, r))
     for n, r in ((0, 0), (2, 0), (2, -1)):
-        for build in (multipartitions, cartan_matrix, decomposition_matrix):
+        for build in (multipartitions, cartan_matrix, decomposition_matrix) + labels:
             with pytest.raises(ValueError, match=f"^need r >= 1, got r = {r}$"):
                 build(n, r)
 
@@ -326,7 +349,7 @@ def test_cartan_rows_with_one_expansion_share_one_tuple():
 
 
 def runs_of_each_color(cc, r):
-    return [tuple(sorted(run for color, run in hopf._color_runs(cc) if color == c))
+    return [tuple(sorted(run for color, run in color_runs(cc) if color == c))
             for c in range(1, r + 1)]
 
 

@@ -15,6 +15,7 @@ from cycloribbon.ribbons import (
     ColoredPermutation,
     ColoredRibbon,
     anticycloribbon_to_colored_comp,
+    color_runs,
     colored_comp_to_anticycloribbon,
     colored_composition_literal,
     colored_composition_sort_key,
@@ -343,6 +344,12 @@ def test_anticycloribbon_round_trip_on_random_labels(rib):
     anti = flip_ribbon(rib)
     assert colored_comp_to_anticycloribbon(
         anticycloribbon_to_colored_comp(anti)) == anti
+
+
+def test_color_runs_split_at_each_color_change():
+    assert color_runs(ColoredComposition((1, 2, 1, 3), (1, 1, 2, 1))) == \
+        [(1, (1, 2)), (2, (1,)), (1, (3,))]
+    assert color_runs(ColoredComposition((), ())) == []
 
 
 # ---------------------------------------------------------------------------
