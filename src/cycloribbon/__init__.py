@@ -1,6 +1,15 @@
 """Colored ribbon combinatorics, the Grothendieck rings of the colored
 0-Hecke algebras, and an explicit structure-constant oracle validating
-the combinatorial rules."""
+the combinatorial rules.
+
+``reptheory`` and ``oracle`` are lazy modules: they are in
+``sys.modules`` from the start, but each body runs on the first access
+to the module or to one of its names exported here (``linalg``, which
+only the oracle imports, loads with it).  A process that never uses
+them, such as most CLI commands, does not pay for them.  The first
+access takes no lock, so a threaded program should touch
+``cycloribbon.oracle``, which loads both, before it starts threads.
+"""
 
 from .ribbons import (
     ColoredComposition,
@@ -53,35 +62,49 @@ from .hopf import (
     schur_in_h,
     sym_to_qmr,
 )
-from .reptheory import (
-    Character,
-    cartan_matrix,
-    decomposition_matrix,
-    dim_projective,
-    induce_hecke_projective,
-    induce_projectives,
-    induce_simples,
-    restrict_simple,
-    ribbon_from_character,
-    simple_character,
-    simple_labels,
-    projective_labels,
-)
-from .oracle import (
-    AlgebraParams,
-    AlgebraElement,
-    ExplicitModule,
-    OracleError,
-    build_induced_module,
-    build_shape_module,
-    check_socle,
-    check_submodule_order,
-    composition_factors,
-    cross_check_induction,
-    enumerate_one_dim_characters,
-    left_mult_T,
-    left_mult_xi,
-    verify_relations,
-)
+
+# the public names of each lazy module, read from it on first use
+_LAZY_EXPORTS = {
+    "reptheory": ("Character", "cartan_matrix", "decomposition_matrix",
+                  "dim_projective", "induce_hecke_projective",
+                  "induce_projectives", "induce_simples", "restrict_simple",
+                  "ribbon_from_character", "simple_character", "simple_labels",
+                  "projective_labels"),
+    "oracle": ("AlgebraParams", "AlgebraElement", "ExplicitModule",
+               "OracleError", "build_induced_module", "build_shape_module",
+               "check_socle", "check_submodule_order", "composition_factors",
+               "cross_check_induction", "enumerate_one_dim_characters",
+               "left_mult_T", "left_mult_xi", "verify_relations"),
+}
+_OWNER = {name: module for module, names in _LAZY_EXPORTS.items()
+          for name in names}
+
+
+def _lazy_module(name: str):
+    """Register the submodule ``name`` in ``sys.modules`` unexecuted."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+reptheory = _lazy_module("reptheory")
+oracle = _lazy_module("oracle")
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# every public name and submodule; the star import loads them all
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")),
+                  *_OWNER, "linalg"})
 
 __version__ = "0.1.0"

@@ -25,9 +25,14 @@ MAX_LITERAL_SIZE = 10_000
 
 
 def _emit(obj) -> int:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write: with unbuffered stdout, json.dump writes each encoder chunk
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     return 0
+
+
+def _fail(failures) -> int:
+    sys.stderr.write(json.dumps(failures) + "\n")
+    return 2
 
 
 def _check_sizes(args) -> None:
@@ -66,8 +71,12 @@ def _parse_elt(basis: str, text: str, flag: str) -> lincomb.LinComb:
     else:
         label = ribbons.parse_colored_composition(text)
         parts, tag = label.parts, lincomb.MR_R if basis == "R" else lincomb.MR_S
-    if sum(parts) > MAX_LITERAL_SIZE:
-        raise ValueError(f"{flag}: part {max(parts)} is too large (element "
+    size = sum(parts)
+    if size > MAX_LITERAL_SIZE:
+        # name one part only when it alone is over the budget
+        culprit = (f"part {max(parts)}" if max(parts) > MAX_LITERAL_SIZE
+                   else f"size {size}")
+        raise ValueError(f"{flag}: {culprit} is too large (element "
                          f"sizes above {MAX_LITERAL_SIZE} are not supported)")
     return lincomb.LinComb.single(tag, label)
 
@@ -98,16 +107,17 @@ def cmd_induce_hecke_projective(args) -> int:
                   "total_dim": sum(d for _, d in summands)})
 
 
-# subcommand -> (matrix function, row label literal, JSON "matrix" value)
-MATRICES = {"cartan": (reptheory.cartan_matrix,
+# subcommand -> (reptheory function, row label literal, JSON "matrix"
+# value); the function is named so that importing the CLI runs no reptheory
+MATRICES = {"cartan": ("cartan_matrix",
                        ribbons.colored_composition_literal, "cartan"),
-            "decomp": (reptheory.decomposition_matrix,
+            "decomp": ("decomposition_matrix",
                        ribbons.multipartition_literal, "decomposition")}
 
 
 def cmd_matrix(args) -> int:
     build, row_fmt, name = MATRICES[args.command]
-    matrix = build(args.n, args.r)
+    matrix = getattr(reptheory, build)(args.n, args.r)
     if args.format == "csv":
         sys.stdout.write(matrix.to_csv(row_fmt))
         return 0
@@ -131,6 +141,8 @@ def _check_cap(dim: int, noun: str) -> None:
         cap = DEFAULT_MAX_DIM if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
+    if cap < 0:
+        raise ValueError(f"{MAX_DIM_ENV} must not be negative, got {raw!r}")
     if dim > cap:
         raise ValueError(f"{noun} {dim} exceeds the cap {cap} "
                          f"(set {MAX_DIM_ENV} to raise it)")
@@ -156,11 +168,7 @@ def cmd_oracle_verify(args) -> int:
     _emit({"n": args.n, "r": args.r,
            "u": [str(x) for x in params.u],
            "checks": checks, "pass": ok})
-    if not ok:
-        json.dump([c for c in checks if not c["pass"]], sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    return 0
+    return 0 if ok else _fail([c for c in checks if not c["pass"]])
 
 
 def cmd_oracle_cross_check(args) -> int:
@@ -168,11 +176,7 @@ def cmd_oracle_cross_check(args) -> int:
                "largest instance dimension")
     report = oracle.cross_check_induction(args.r, args.max_grade)
     _emit(report)
-    if not report["pass"]:
-        json.dump(report["failures"][:3], sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    return 0
+    return 0 if report["pass"] else _fail(report["failures"][:3])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,9 +253,13 @@ def main(argv=None) -> int:
     try:
         _check_sizes(args)
         return args.func(args)
-    except (ValueError, OverflowError, oracle.OracleError) as exc:
+    except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2 if isinstance(exc, oracle.OracleError) else 1
+        return 1
+    # a separate clause, so that an exit-1 error never loads the oracle
+    except oracle.OracleError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -195,6 +195,14 @@ def test_oracle_verify_respects_cap(capsys, monkeypatch):
     assert code == 1 and "exceeds the cap" in err
 
 
+def test_negative_cap_rejected(capsys, monkeypatch):
+    monkeypatch.setenv(cli.MAX_DIM_ENV, "-5")
+    for argv in (("oracle", "verify", "--n", "2", "--r", "2"),
+                 ("oracle", "cross-check", "--max-grade", "0", "--r", "1")):
+        assert run(capsys, *argv) == (
+            1, "", f"error: {cli.MAX_DIM_ENV} must not be negative, got '-5'\n")
+
+
 def test_oracle_cross_check(capsys):
     obj = run_json(capsys, "oracle", "cross-check", "--max-grade", "2",
                    "--r", "2", expect_def="oracle_cross_check")
@@ -247,7 +255,13 @@ def test_oversized_part_reports_error(capsys):
     code, out, err = run(capsys, "coproduct", "--basis", "R",
                          "--elt", "6000^1.6000^2")
     assert code == 1 and not out
-    assert err.startswith("error: --elt: part 6000 is too large")
+    assert err.startswith("error: --elt: size 12000 is too large")
+    # many parts, none of them large: the size is what is too large
+    code, out, err = run(capsys, "coproduct", "--basis", "S",
+                         "--elt", ".".join(["1^1"] * 10_001))
+    assert (code, out) == (1, "")
+    assert err == ("error: --elt: size 10001 is too large (element sizes "
+                   "above 10000 are not supported)\n")
 
 
 def test_unknown_flag_exits_1(capsys):

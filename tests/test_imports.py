@@ -1,0 +1,149 @@
+"""The package entry point: the star import, the README tour, and which
+modules each CLI command loads.  ``reptheory`` and ``oracle`` are lazy
+modules, so a command must pay only for the modules it runs; the
+footprints are read in fresh interpreters."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cycloribbon
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(cycloribbon.__file__).resolve().parents[1]
+
+STAR_NAMES = """
+AlgebraElement AlgebraParams Character ColoredComposition ColoredPermutation
+ColoredRibbon ExplicitModule LinComb MR_R MR_S NCSF_R OracleError QMR_F SYM_H
+TensorComb anti_refinements anticycloribbon_to_colored_comp
+build_induced_module build_shape_module cartan_map cartan_matrix check_socle
+check_submodule_order colored_comp_to_anticycloribbon colored_compositions
+colored_descent_composition composition_factors composition_from_descents
+cross_check_induction decomposition_matrix descent_class_size descent_set
+dim_projective duality_pairing enumerate_anticycloribbons
+enumerate_cycloribbons enumerate_one_dim_characters fillings_below flip_ribbon
+hopf induce_hecke_projective induce_projectives induce_simples
+inverse_colored_perm is_anticycloribbon is_cycloribbon left_mult_T left_mult_xi
+linalg lincomb lincomb_from_json lincomb_to_json max_inversion_perm
+mr_coproduct mr_product_R mr_product_S mr_to_ncsf mr_to_sym
+multipartition_class multipartitions oracle projective_labels qmr_coproduct_F
+qmr_product_F r_to_s reptheory restrict_simple ribbon_from_character ribbons
+s_to_r schur_in_h shifted_shuffle simple_character simple_labels
+sorting_covers sym_to_qmr verify_relations
+""".split()
+
+STAR = """
+import importlib, json
+namespace = {}
+exec("from cycloribbon import *", namespace)
+del namespace["__builtins__"]
+submodules = [importlib.import_module("cycloribbon." + name) for name in
+              ("hopf", "linalg", "lincomb", "oracle", "reptheory", "ribbons")]
+print(json.dumps({name: any(value is module or getattr(module, name, None)
+                            is value for module in submodules)
+                  for name, value in namespace.items()}))
+"""
+
+
+def run_fresh(script: str, *argv) -> dict:
+    """The JSON that ``script`` prints, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_star_import_binds_the_public_names():
+    # fresh, because an imported submodule such as cli is a package
+    # attribute too, and a star import without __all__ would bind it
+    bound = run_fresh(STAR)
+    assert len(STAR_NAMES) == 77
+    assert sorted(bound) == sorted(STAR_NAMES)
+    assert [name for name, same in bound.items() if not same] == []
+
+
+def test_unknown_name_raises_attribute_error():
+    # hasattr, and so the star import of a submodule name, relies on it
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cycloribbon.no_such_name
+
+
+def test_readme_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"## Library quick tour\n.*?```python\n(.*?)```",
+                     readme, re.S).group(1)
+    exec(compile(tour, "README.md (Library quick tour)", "exec"), {})
+
+
+FOOTPRINT = """
+import contextlib, io, json, sys, types
+from cycloribbon import cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+ran = {name: type(sys.modules["cycloribbon." + name]) is types.ModuleType
+       for name in ("reptheory", "oracle")}
+print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+                  **ran}))
+"""
+
+
+def footprint(*argv) -> dict:
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, whether
+    ``dataclasses`` was imported, and which lazy modules ran."""
+    return run_fresh(FOOTPRINT, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi", "--ribbon", "1,1|2,1"),
+    ("product", "--basis", "R", "--lhs", "2^1", "--rhs", "1^1"),
+    ("coproduct", "--basis", "S", "--elt", "2^1.1^2"),
+    ("induce-simples", "--lhs", "1,1|2,1", "--rhs", "2|1,2"),
+    ("enumerate", "--n", "3", "--r", "2"),
+])
+def test_ring_commands_load_neither_lazy_module(argv):
+    assert footprint(*argv) == {"code": 0, "dataclasses": False,
+                                "reptheory": False, "oracle": False}
+
+
+def test_matrix_command_loads_reptheory_only():
+    assert footprint("cartan", "--n", "2", "--r", "2") == {
+        "code": 0, "dataclasses": True, "reptheory": True, "oracle": False}
+
+
+def test_oracle_command_loads_both():
+    assert footprint("oracle", "verify", "--n", "2", "--r", "2") == {
+        "code": 0, "dataclasses": True, "reptheory": True, "oracle": True}
+
+
+def test_literal_error_loads_neither():
+    assert footprint("phi", "--ribbon", "2,x|1,1") == {
+        "code": 1, "dataclasses": False, "reptheory": False, "oracle": False}
+
+
+TRACER = """
+import importlib.util, json, sys
+import cycloribbon.cli
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+caches = spans.package_caches()
+spans.Tracer().install()
+print(json.dumps(sorted(caches)))
+"""
+
+
+def test_tracer_installs_after_lazy_cli_import():
+    """A traced CLI process imports ``cycloribbon.cli``, which leaves the
+    lazy modules unloaded; ``package_caches`` loads them through
+    ``vars()``, so the tracer still finds every module it wraps."""
+    caches = run_fresh(TRACER, str(ROOT / "perfbench" / "spans.py"))
+    assert {"oracle._content_block", "oracle._relation_plan",
+            "oracle.enumerate_one_dim_characters",
+            "oracle.lagrange_coeffs"} <= set(caches)
