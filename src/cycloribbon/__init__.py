@@ -2,13 +2,15 @@
 0-Hecke algebras, and an explicit structure-constant oracle validating
 the combinatorial rules.
 
-``reptheory`` and ``oracle`` are lazy modules: they are in
-``sys.modules`` from the start, but each body runs on the first access
-to the module or to one of its names exported here (``linalg``, which
-only the oracle imports, loads with it).  A process that never uses
-them, such as most CLI commands, does not pay for them.  The first
-access takes no lock, so a threaded program should touch
-``cycloribbon.oracle``, which loads both, before it starts threads.
+``hopf``, ``reptheory``, ``linalg`` and ``oracle`` are lazy modules:
+they are in ``sys.modules`` and in this package from the start, but
+each body runs on the first access to the module or to one of its
+names exported here.  A process that never uses them, such as most CLI
+commands, does not pay for them.  Every submodule a lazy module imports
+is registered before any body runs, so a first use adds no name to the
+package while something (a doctest finder, say) iterates over it.  The
+first access takes no lock, so a threaded program should touch
+``cycloribbon.oracle``, which loads them all, before it starts threads.
 """
 
 from .ribbons import (
@@ -45,26 +47,13 @@ from .lincomb import (
     lincomb_from_json,
     lincomb_to_json,
 )
-from .hopf import (
-    anti_refinements,
-    cartan_map,
-    duality_pairing,
-    mr_coproduct,
-    mr_product_R,
-    mr_product_S,
-    mr_to_ncsf,
-    mr_to_sym,
-    multipartition_class,
-    qmr_coproduct_F,
-    qmr_product_F,
-    r_to_s,
-    s_to_r,
-    schur_in_h,
-    sym_to_qmr,
-)
 
 # the public names of each lazy module, read from it on first use
 _LAZY_EXPORTS = {
+    "hopf": ("anti_refinements", "cartan_map", "duality_pairing",
+             "mr_coproduct", "mr_product_R", "mr_product_S", "mr_to_ncsf",
+             "mr_to_sym", "multipartition_class", "qmr_coproduct_F",
+             "qmr_product_F", "r_to_s", "s_to_r", "schur_in_h", "sym_to_qmr"),
     "reptheory": ("Character", "cartan_matrix", "decomposition_matrix",
                   "dim_projective", "induce_hecke_projective",
                   "induce_projectives", "induce_simples", "restrict_simple",
@@ -93,6 +82,8 @@ def _lazy_module(name: str):
     return module
 
 
+hopf = _lazy_module("hopf")
+linalg = _lazy_module("linalg")
 reptheory = _lazy_module("reptheory")
 oracle = _lazy_module("oracle")
 
@@ -105,6 +96,6 @@ def __getattr__(name: str):
 
 # every public name and submodule; the star import loads them all
 __all__ = sorted({*(name for name in globals() if not name.startswith("_")),
-                  *_OWNER, "linalg"})
+                  *_OWNER})
 
 __version__ = "0.1.0"

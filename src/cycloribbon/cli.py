@@ -100,8 +100,7 @@ def cmd_induce_hecke_projective(args) -> int:
     summands = reptheory.induce_hecke_projective(shape, args.r)
     return _emit({"shape": list(shape), "r": args.r,
                   "summands": [{"label": ribbons.colored_composition_literal(cc),
-                                "parts": list(cc.parts),
-                                "colors": list(cc.colors),
+                                **lincomb.label_to_json(lincomb.MR_R, cc),
                                 "dim": dim}
                                for cc, dim in summands],
                   "total_dim": sum(d for _, d in summands)})

@@ -180,22 +180,21 @@ def simple_colored_perm(rib: ColoredRibbon) -> ColoredPermutation:
     return ColoredPermutation(max_inversion_perm(rib.shape), rib.colors)
 
 
-def _shuffle_rep(rib: ColoredRibbon, r: int, negate: bool) -> ColoredPermutation:
+def _shuffle_rep(rib: ColoredRibbon) -> ColoredPermutation:
     """Value-colored shuffle representative of a cycloribbon: the class
     representative's word with each letter carrying the color of the cell
     it occupies.  The word itself is shuffled, not its inverse: the
     resulting descent compositions then match the explicitly induced
-    modules (checked by the oracle cross-check, which also rules out
-    negating the colors)."""
+    modules (checked by the oracle cross-check)."""
     p = simple_colored_perm(rib)
-    q = inverse_colored_perm(p, r=r, negate=negate)
+    q = inverse_colored_perm(p)
     return ColoredPermutation(p.word, q.colors)
 
 
 @lru_cache(maxsize=4096)
-def _f_label_product(x: ColoredRibbon, y: ColoredRibbon, r: int, negate: bool):
-    p = _shuffle_rep(x, r, negate)
-    q = _shuffle_rep(y, r, negate)
+def _f_label_product(x: ColoredRibbon, y: ColoredRibbon):
+    p = _shuffle_rep(x)
+    q = _shuffle_rep(y)
     out = {}
     for w in shifted_shuffle(p, q):
         lab = colored_descent_composition(w)
@@ -203,24 +202,16 @@ def _f_label_product(x: ColoredRibbon, y: ColoredRibbon, r: int, negate: bool):
     return tuple(out.items())
 
 
-def qmr_product_F(a: LinComb, b: LinComb, *, negate_colors: bool = False,
-                  r: int = None) -> LinComb:
+def qmr_product_F(a: LinComb, b: LinComb) -> LinComb:
     """Product of fundamental colored quasi-symmetric functions: shifted
     shuffle of the colored class representatives, then colored descent
-    compositions.  ``negate_colors`` switches to the convention where
-    colors are inverted in the cyclic group on {1, ..., r} (``r`` defaults
-    to the largest color in sight); the plain default is the convention
-    pinned by the structure-constant oracle.  Without negation ``r`` does
-    not change the product and is left out of the cache key."""
+    compositions.  Its color convention is the one the structure-constant
+    oracle pins (acceptance criterion 11)."""
     _expect(a, QMR_F), _expect(b, QMR_F)
     terms = []
     for x, ca in a.terms.items():
         for y, cb in b.terms.items():
-            span = None
-            if negate_colors:
-                span = r if r is not None else max(
-                    max(x.colors, default=1), max(y.colors, default=1))
-            for lab, mult in _f_label_product(x, y, span, negate_colors):
+            for lab, mult in _f_label_product(x, y):
                 terms.append((lab, ca * cb * mult))
     return LinComb(QMR_F, terms)
 

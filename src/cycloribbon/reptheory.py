@@ -89,12 +89,12 @@ def projective_labels(n: int, r: int) -> list:
 
 
 def induce_simples(a: ColoredRibbon, b: ColoredRibbon, *,
-                   negate_colors: bool = False, r: int = None) -> Counter:
+                   r: int = None) -> Counter:
     """Composition factors of the induction product of two simples, as a
     multiset of cycloribbons of total size; there are binomial(m+n, m)
-    of them counted with multiplicity."""
-    prod = qmr_product_F(LinComb.single(QMR_F, a), LinComb.single(QMR_F, b),
-                         negate_colors=negate_colors, r=r)
+    of them counted with multiplicity.  The product does not depend on
+    the number of colors, so ``r`` is accepted and ignored."""
+    prod = qmr_product_F(LinComb.single(QMR_F, a), LinComb.single(QMR_F, b))
     return Counter(dict(prod.terms))
 
 

@@ -420,18 +420,11 @@ def max_inversion_perm(parts: Composition) -> tuple:
     return tuple(out)
 
 
-def negate_color(c: int, r: int) -> int:
-    """Inverse of a color in the cyclic group on {1, ..., r}."""
-    return 1 if c == 1 else r + 2 - c
-
-
-def inverse_colored_perm(p: ColoredPermutation, r: Optional[int] = None,
-                         negate: bool = False) -> ColoredPermutation:
+def inverse_colored_perm(p: ColoredPermutation) -> ColoredPermutation:
     """Invert a position-colored permutation.
 
     The word becomes its inverse and the returned colors are indexed by
-    *value*: entry ``j`` is the color the value ``j`` carried in ``p``
-    (optionally negated in the cyclic color group, which needs ``r``).
+    *value*: entry ``j`` is the color the value ``j`` carried in ``p``.
     This is the form :func:`shifted_shuffle` consumes.
 
     >>> inverse_colored_perm(ColoredPermutation((2, 1), (2, 1)))
@@ -439,10 +432,6 @@ def inverse_colored_perm(p: ColoredPermutation, r: Optional[int] = None,
     """
     inv = inverse_perm(p.word)
     vals = tuple(p.colors[inv[j] - 1] for j in range(len(inv)))
-    if negate:
-        if r is None:
-            raise ValueError("color negation needs the number of colors r")
-        vals = tuple(negate_color(c, r) for c in vals)
     return ColoredPermutation(inv, vals)
 
 

@@ -11,6 +11,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 
+from cycloribbon import oracle
 from cycloribbon.hopf import (
     colored_partitions,
     duality_pairing,
@@ -61,6 +62,7 @@ from cycloribbon.ribbons import (
     flip_ribbon,
     multipartitions,
 )
+from test_oracle import negated_convention
 
 
 @contextmanager
@@ -178,14 +180,15 @@ def test_criterion_10_character_census():
                               for rib in enumerate_cycloribbons(n, r)}
 
 
-def test_criterion_11_oracle_arbitration():
+def test_criterion_11_oracle_arbitration(monkeypatch):
     with criterion(11, "explicit induction matches the combinatorial product"):
         report = cross_check_induction(2, 4)
         assert report["pass"] and report["cases"] == 136
         report = cross_check_induction(3, 3)
         assert report["pass"] and report["cases"] == 81
         # the arbitration genuinely discriminates: the negated convention fails
-        assert not cross_check_induction(3, 2, negate_colors=True)["pass"]
+        monkeypatch.setattr(oracle, "induce_simples", negated_convention(3))
+        assert not cross_check_induction(3, 2)["pass"]
 
 
 def _random_colored_comp(rng, n, r):

@@ -1,7 +1,7 @@
 """The package entry point: the star import, the README tour, and which
-modules each CLI command loads.  ``reptheory`` and ``oracle`` are lazy
-modules, so a command must pay only for the modules it runs; the
-footprints are read in fresh interpreters."""
+modules each CLI command loads.  ``hopf``, ``reptheory``, ``linalg`` and
+``oracle`` are lazy modules, so a command must pay only for the modules
+it runs; the footprints are read in fresh interpreters."""
 
 import json
 import os
@@ -88,7 +88,7 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
 ran = {name: type(sys.modules["cycloribbon." + name]) is types.ModuleType
-       for name in ("reptheory", "oracle")}
+       for name in ("hopf", "reptheory", "oracle")}
 print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
                   **ran}))
 """
@@ -100,6 +100,11 @@ def footprint(*argv) -> dict:
     return run_fresh(FOOTPRINT, *argv)
 
 
+# the ring commands that multiply or comultiply; phi and enumerate need
+# only ribbons and lincomb
+RUNS_HOPF = {"product", "coproduct", "induce-simples"}
+
+
 @pytest.mark.parametrize("argv", [
     ("phi", "--ribbon", "1,1|2,1"),
     ("product", "--basis", "R", "--lhs", "2^1", "--rhs", "1^1"),
@@ -108,23 +113,46 @@ def footprint(*argv) -> dict:
     ("enumerate", "--n", "3", "--r", "2"),
 ])
 def test_ring_commands_load_neither_lazy_module(argv):
+    # neither reptheory nor oracle; hopf only where the command runs it
     assert footprint(*argv) == {"code": 0, "dataclasses": False,
+                                "hopf": argv[0] in RUNS_HOPF,
                                 "reptheory": False, "oracle": False}
 
 
 def test_matrix_command_loads_reptheory_only():
     assert footprint("cartan", "--n", "2", "--r", "2") == {
-        "code": 0, "dataclasses": True, "reptheory": True, "oracle": False}
+        "code": 0, "dataclasses": True, "hopf": True, "reptheory": True,
+        "oracle": False}
 
 
 def test_oracle_command_loads_both():
     assert footprint("oracle", "verify", "--n", "2", "--r", "2") == {
-        "code": 0, "dataclasses": True, "reptheory": True, "oracle": True}
+        "code": 0, "dataclasses": True, "hopf": True, "reptheory": True,
+        "oracle": True}
 
 
 def test_literal_error_loads_neither():
     assert footprint("phi", "--ribbon", "2,x|1,1") == {
-        "code": 1, "dataclasses": False, "reptheory": False, "oracle": False}
+        "code": 1, "dataclasses": False, "hopf": False, "reptheory": False,
+        "oracle": False}
+
+
+DOCTESTS = """
+import doctest, json
+import cycloribbon
+finder = doctest.DocTestFinder()
+names = [test.name for test in finder.find(cycloribbon)]
+for name in ("hopf", "linalg", "lincomb", "oracle", "reptheory", "ribbons"):
+    names += [test.name for test in finder.find(getattr(cycloribbon, name))]
+print(json.dumps(names))
+"""
+
+
+def test_doctest_finder_walks_the_fresh_package():
+    """The finder reads every value of the package, which runs the lazy
+    modules; running one must add no name to the package mid-walk."""
+    names = run_fresh(DOCTESTS)
+    assert "cycloribbon.ribbons.inverse_colored_perm" in names
 
 
 TRACER = """

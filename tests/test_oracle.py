@@ -993,9 +993,24 @@ def test_cross_check_small():
     assert report["pass"] and report["cases"] == 28
 
 
-def test_cross_check_negation_fails_with_three_colors():
-    report = cross_check_induction(3, 2, negate_colors=True)
-    assert not report["pass"]
+def negated_convention(r):
+    """``induce_simples`` under the convention that inverts the colors in
+    the cyclic group on {1, ..., r} (c -> 1 if c = 1, else r + 2 - c):
+    the plain product of the color-negated labels."""
+    def negate(rib):
+        return ribbons.ColoredRibbon(rib.shape, tuple(
+            1 if c == 1 else r + 2 - c for c in rib.colors))
+
+    def induce(a, b):
+        return reptheory.induce_simples(negate(a), negate(b))
+    return induce
+
+
+def test_cross_check_negation_fails_with_three_colors(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "induce_simples", negated_convention(3))
+        report = cross_check_induction(3, 2)
+        assert not report["pass"]
     report = cross_check_induction(3, 2)
     assert report["pass"]
 

@@ -466,15 +466,6 @@ def test_inverse_colored_perm_examples():
         == ColoredPermutation((1, 2, 3), (2, 2, 2))
 
 
-def test_inverse_colored_perm_negation():
-    out = inverse_colored_perm(ColoredPermutation((1, 2), (2, 3)), r=3,
-                               negate=True)
-    assert out.colors == (3, 2)
-    unchanged = inverse_colored_perm(ColoredPermutation((1,), (1,)), r=3,
-                                     negate=True)
-    assert unchanged.colors == (1,)
-
-
 def test_shifted_shuffle_pinned():
     lhs = ColoredPermutation((2, 1), (1, 2))   # value-colored
     rhs = ColoredPermutation((1, 2), (1, 2))
