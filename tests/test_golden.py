@@ -69,6 +69,7 @@ CASES = README_EXAMPLES + [
     ["product", "--basis", "F", "--lhs", "1,1|2,1", "--rhs", "2|1,2"],
     ["product", "--basis", "S", "--lhs", "2^1.1^2", "--rhs", "1^1"],
     ["oracle", "verify", "--n", "0", "--r", "2"],
+    ["product", "--basis", "F", "--lhs", "1,2|2,1,3", "--rhs", "2|1,3"],
 ]
 
 
