@@ -28,7 +28,6 @@ from .ribbons import (
     enumerate_cycloribbons,
     fillings_below,
     flip_ribbon,
-    inverse_colored_perm,
     is_anticycloribbon,
     is_cycloribbon,
     max_inversion_perm,

@@ -50,7 +50,6 @@ from .ribbons import (
     composition_from_descents,
     descent_set,
     flip_ribbon,
-    inverse_colored_perm,
     max_inversion_perm,
     partitions,
     shifted_shuffle,
@@ -175,31 +174,19 @@ def mr_coproduct(a: LinComb) -> TensorComb:
 # QMR product and coproduct
 
 def simple_colored_perm(rib: ColoredRibbon) -> ColoredPermutation:
-    """Position-colored permutation attached to a cycloribbon: the longest
-    permutation of the shape's descent class, colored by the cell colors."""
+    """Shuffle representative of a cycloribbon: the longest permutation of
+    the shape's descent class, each letter colored by the cell it sits
+    in.  The word itself is shuffled, not its inverse: the resulting
+    descent compositions then match the explicitly induced modules
+    (checked by the oracle cross-check)."""
     return ColoredPermutation(max_inversion_perm(rib.shape), rib.colors)
-
-
-def _shuffle_rep(rib: ColoredRibbon) -> ColoredPermutation:
-    """Value-colored shuffle representative of a cycloribbon: the class
-    representative's word with each letter carrying the color of the cell
-    it occupies.  The word itself is shuffled, not its inverse: the
-    resulting descent compositions then match the explicitly induced
-    modules (checked by the oracle cross-check)."""
-    p = simple_colored_perm(rib)
-    q = inverse_colored_perm(p)
-    return ColoredPermutation(p.word, q.colors)
 
 
 @lru_cache(maxsize=4096)
 def _f_label_product(x: ColoredRibbon, y: ColoredRibbon):
-    p = _shuffle_rep(x)
-    q = _shuffle_rep(y)
-    out = {}
-    for w in shifted_shuffle(p, q):
-        lab = colored_descent_composition(w)
-        out[lab] = out.get(lab, 0) + 1
-    return tuple(out.items())
+    shuffles = shifted_shuffle(simple_colored_perm(x), simple_colored_perm(y))
+    return tuple(accumulate({}, ((colored_descent_composition(w), 1)
+                                 for w in shuffles)).items())
 
 
 def qmr_product_F(a: LinComb, b: LinComb) -> LinComb:

@@ -21,10 +21,9 @@ colors and every later cell either repeats the previous color (two
 possible steps) or changes it (the step direction is then forced).
 The involution :func:`flip_ribbon` exchanges the two families.
 
-Colored permutations (a permutation word plus one color per position)
-drive the induction-product pipeline: see
-:func:`inverse_colored_perm`, :func:`shifted_shuffle` and
-:func:`colored_descent_composition`.
+Colored permutations (a permutation word and, per position, the color
+of the letter there) drive the induction product: see
+:func:`shifted_shuffle` and :func:`colored_descent_composition`.
 
 All values are immutable and all functions are pure, so everything here
 is safe to use concurrently.
@@ -64,12 +63,7 @@ class ColoredComposition(NamedTuple):
 
 
 class ColoredPermutation(NamedTuple):
-    """A permutation word of 1..n with one color per position.
-
-    Some operations (see :func:`inverse_colored_perm`) return the colors
-    indexed by *value* instead; the docstrings say which convention a
-    function expects or produces.
-    """
+    """A permutation word of 1..n and, per position, its letter's color."""
 
     word: tuple
     colors: ColorWord
@@ -129,12 +123,7 @@ def compositions(n: int) -> Iterator[Composition]:
     """All 2**(n-1) compositions of n, by increasing descent bitmask."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
-    if n == 0:
-        yield ()
-        return
-    for mask in range(1 << (n - 1)):
-        yield composition_from_descents(
-            n, [i + 1 for i in range(n - 1) if mask >> i & 1])
+    return coarsenings((1,) * n)
 
 
 def coarsenings(parts: Composition) -> Iterator[Composition]:
@@ -195,14 +184,20 @@ def _violations(shape: Composition, colors: ColorWord,
                 else colors[i - 1] < colors[i])]
 
 
+def _is_monotone(rib: ColoredRibbon, row_weakly_increasing: bool) -> bool:
+    """Shared body of the predicates; a malformed shape is neither."""
+    return (min(rib.shape, default=1) >= 1 and sum(rib.shape) == rib.size
+            and not _violations(rib.shape, rib.colors, row_weakly_increasing))
+
+
 def is_cycloribbon(rib: ColoredRibbon) -> bool:
     """Colors weakly increase across row steps, weakly decrease down columns."""
-    return not _violations(rib.shape, rib.colors, True)
+    return _is_monotone(rib, True)
 
 
 def is_anticycloribbon(rib: ColoredRibbon) -> bool:
     """Colors weakly decrease across row steps, weakly increase down columns."""
-    return not _violations(rib.shape, rib.colors, False)
+    return _is_monotone(rib, False)
 
 
 def _enumerate_fillings(n, r, shape, row_weakly_increasing):
@@ -420,51 +415,38 @@ def max_inversion_perm(parts: Composition) -> tuple:
     return tuple(out)
 
 
-def inverse_colored_perm(p: ColoredPermutation) -> ColoredPermutation:
-    """Invert a position-colored permutation.
-
-    The word becomes its inverse and the returned colors are indexed by
-    *value*: entry ``j`` is the color the value ``j`` carried in ``p``.
-    This is the form :func:`shifted_shuffle` consumes.
-
-    >>> inverse_colored_perm(ColoredPermutation((2, 1), (2, 1)))
-    ColoredPermutation(word=(2, 1), colors=(1, 2))
-    """
-    inv = inverse_perm(p.word)
-    vals = tuple(p.colors[inv[j] - 1] for j in range(len(inv)))
-    return ColoredPermutation(inv, vals)
-
-
 def shifted_shuffle(a: ColoredPermutation, b: ColoredPermutation) -> list:
-    """Shifted shuffle of two value-colored permutations.
+    """Shifted shuffle of two colored permutations.
 
-    The letters of ``b`` are shifted up by ``len(a)`` and keep their
-    colors; the result lists all interleavings that preserve both letter
-    orders, as position-colored permutations (each position shows the
-    color of the letter sitting there).
+    The letters of ``b`` are shifted up by ``len(a)``; the result lists
+    all interleavings of the (letter, color) pairs of ``a`` and of the
+    shifted ``b`` that keep both orders, so every letter keeps its color.
 
-    >>> len(shifted_shuffle(ColoredPermutation((2, 1), (1, 2)),
-    ...                     ColoredPermutation((1, 2), (1, 2))))
-    6
+    >>> for w in shifted_shuffle(ColoredPermutation((2, 1), (1, 2)),
+    ...                          ColoredPermutation((1,), (1,))):
+    ...     print(w.word, w.colors)
+    (2, 1, 3) (1, 2, 1)
+    (2, 3, 1) (1, 1, 2)
+    (3, 2, 1) (1, 1, 2)
     """
-    m, n = len(a.word), len(b.word)
-    letter_color = dict(enumerate(a.colors, start=1))
-    letter_color.update((v + m, c) for v, c in enumerate(b.colors, start=1))
-    shifted_b = [v + m for v in b.word]
+    a_word, a_colors = a
+    m, n = len(a_word), len(b.word)
+    b_word, b_colors = tuple(v + m for v in b.word), b.colors
     out = []
     for slots in itertools.combinations(range(m + n), m):
-        word = [0] * (m + n)
         slot_set = set(slots)
+        word, colors = [], []
         ai = bi = 0
         for pos in range(m + n):
             if pos in slot_set:
-                word[pos] = a.word[ai]
+                word.append(a_word[ai])
+                colors.append(a_colors[ai])
                 ai += 1
             else:
-                word[pos] = shifted_b[bi]
+                word.append(b_word[bi])
+                colors.append(b_colors[bi])
                 bi += 1
-        out.append(ColoredPermutation(
-            tuple(word), tuple(letter_color[v] for v in word)))
+        out.append(ColoredPermutation(tuple(word), tuple(colors)))
     return out
 
 
@@ -530,6 +512,8 @@ def multipartitions(n: int, r: int) -> list:
 
     if r < 1:
         raise ValueError(f"need r >= 1, got r = {r}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     return sorted(split(n, r), key=multipartition_sort_key)
 
 

@@ -1,6 +1,7 @@
 """Products, coproducts, basis changes and the morphisms between the
 graded algebras, against pinned examples and randomized identities."""
 
+import itertools
 import math
 import random
 import re
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from cycloribbon import hopf
 from cycloribbon.hopf import (
     anti_refinements,
     cartan_map,
@@ -26,6 +28,7 @@ from cycloribbon.hopf import (
     r_to_s,
     s_to_r,
     schur_in_h,
+    simple_colored_perm,
     split_ribbon,
     sym_h_product,
     sym_to_qmr,
@@ -47,9 +50,11 @@ from cycloribbon.ribbons import (
     ColoredComposition,
     ColoredRibbon,
     colored_compositions,
+    colored_descent_composition,
     enumerate_cycloribbons,
     partitions,
 )
+from test_ribbons import reference_shifted_shuffle, value_colored
 
 S = lambda parts, colors, c=1: LinComb.single(
     MR_S, ColoredComposition(parts, colors), c)
@@ -333,6 +338,36 @@ def test_product_F_commutative():
         a = F(*random_cycloribbon(rng.randint(0, 3), r))
         b = F(*random_cycloribbon(rng.randint(0, 3), r))
         assert qmr_product_F(a, b) == qmr_product_F(b, a)
+
+
+def reference_shuffle_rep(rib):
+    """Value-colored shuffle representative: the word of
+    ``simple_colored_perm(rib)`` with its colors indexed by value."""
+    return value_colored(simple_colored_perm(rib))
+
+
+def reference_f_label_product(x, y):
+    """The product of two F labels through the value-colored shuffle."""
+    out = {}
+    for w in reference_shifted_shuffle(reference_shuffle_rep(x),
+                                       reference_shuffle_rep(y)):
+        lab = colored_descent_composition(w)
+        out[lab] = out.get(lab, 0) + 1
+    return tuple(out.items())
+
+
+def test_f_label_product_matches_value_colored_reference():
+    labels = {n: enumerate_cycloribbons(n, 3) for n in range(6)}
+    pairs = 0
+    for m, n in itertools.product(range(6), repeat=2):
+        if m + n > 5:
+            continue
+        for x in labels[m]:
+            for y in labels[n]:
+                assert hopf._f_label_product.__wrapped__(x, y) == \
+                    reference_f_label_product(x, y)
+                pairs += 1
+    assert pairs == 4_864
 
 
 def test_product_F_associative_random():

@@ -63,6 +63,8 @@ def test_simple_character_examples():
 def test_simple_character_rejects_noncycloribbon():
     with pytest.raises(ValueError):
         simple_character(RIB((2,), (2, 1)))
+    with pytest.raises(ValueError):
+        simple_character(RIB((1,), (1, 2)))
 
 
 def test_character_bijection():

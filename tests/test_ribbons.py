@@ -30,7 +30,6 @@ from cycloribbon.ribbons import (
     enumerate_cycloribbons,
     fillings_below,
     flip_ribbon,
-    inverse_colored_perm,
     inverse_perm,
     inversions,
     is_anticycloribbon,
@@ -133,6 +132,17 @@ def test_enumeration_against_predicate_filter():
     anti = enumerate_anticycloribbons(n, r)
     assert set(anti) == {rib for rib in all_colored_ribbons(n, r)
                          if is_anticycloribbon(rib)}
+
+
+@pytest.mark.parametrize("predicate", [is_cycloribbon, is_anticycloribbon])
+@pytest.mark.parametrize("rib", [
+    ColoredRibbon((3,), (1,)),
+    ColoredRibbon((0, 1), (1,)),
+    ColoredRibbon((2, -1), (1,)),
+    ColoredRibbon((1,), (1, 2))],
+    ids=["too_long", "zero_part", "negative_part", "too_short"])
+def test_predicates_reject_malformed_shapes(predicate, rib):
+    assert not predicate(rib)
 
 
 def test_empty_ribbon():
@@ -240,8 +250,10 @@ def test_colored_compositions_match_reference():
 @pytest.mark.parametrize("call, n", [
     (lambda: enumerate_cycloribbons(-1, 2), -1),
     (lambda: cartan_matrix(-1, 2), -1),
-    (lambda: colored_compositions(-2, 2), -2)],
-    ids=["enumerate_cycloribbons", "cartan_matrix", "colored_compositions"])
+    (lambda: colored_compositions(-2, 2), -2),
+    (lambda: multipartitions(-1, 2), -1)],
+    ids=["enumerate_cycloribbons", "cartan_matrix", "colored_compositions",
+         "multipartitions"])
 def test_negative_size_names_n(call, n):
     with pytest.raises(ValueError, match=f"n = {n}$"):
         call()
@@ -457,17 +469,79 @@ def test_colored_descent_composition_always_cycloribbon():
         assert out.colors == colors
 
 
-def test_inverse_colored_perm_examples():
-    assert inverse_colored_perm(ColoredPermutation((2, 1), (2, 1))) \
+# ---------------------------------------------------------------------------
+# the value-colored shuffle, kept as a reference: colors indexed by value,
+# and a shuffle that looks each letter's color up by its value
+
+def reference_inverse_colored_perm(p):
+    """Invert a position-colored permutation; entry ``j`` of the returned
+    colors is the color the value ``j`` carried in ``p``."""
+    inv = inverse_perm(p.word)
+    return ColoredPermutation(inv, tuple(p.colors[i - 1] for i in inv))
+
+
+def value_colored(p):
+    """The word of ``p`` with its colors indexed by value."""
+    return ColoredPermutation(p.word, reference_inverse_colored_perm(p).colors)
+
+
+def reference_shifted_shuffle(a, b):
+    """Shifted shuffle of two value-colored permutations, returned
+    position-colored."""
+    m, n = len(a.word), len(b.word)
+    letter_color = dict(enumerate(a.colors, start=1))
+    letter_color.update((v + m, c) for v, c in enumerate(b.colors, start=1))
+    shifted_b = [v + m for v in b.word]
+    out = []
+    for slots in itertools.combinations(range(m + n), m):
+        word, ai, bi = [], 0, 0
+        for pos in range(m + n):
+            if pos in slots:
+                word.append(a.word[ai])
+                ai += 1
+            else:
+                word.append(shifted_b[bi])
+                bi += 1
+        out.append(ColoredPermutation(
+            tuple(word), tuple(letter_color[v] for v in word)))
+    return out
+
+
+def colored_permutations(n, r):
+    return [ColoredPermutation(word, colors)
+            for word in itertools.permutations(range(1, n + 1))
+            for colors in itertools.product(range(1, r + 1), repeat=n)]
+
+
+def test_reference_inverse_colored_perm_examples():
+    assert reference_inverse_colored_perm(ColoredPermutation((2, 1), (2, 1))) \
         == ColoredPermutation((2, 1), (1, 2))
-    assert inverse_colored_perm(ColoredPermutation((1, 2), (1, 2))) \
+    assert reference_inverse_colored_perm(ColoredPermutation((1, 2), (1, 2))) \
         == ColoredPermutation((1, 2), (1, 2))
-    assert inverse_colored_perm(ColoredPermutation((1, 2, 3), (2, 2, 2))) \
+    assert reference_inverse_colored_perm(
+        ColoredPermutation((1, 2, 3), (2, 2, 2))) \
         == ColoredPermutation((1, 2, 3), (2, 2, 2))
+    assert reference_inverse_colored_perm(
+        ColoredPermutation((3, 1, 2), (2, 1, 3))) \
+        == ColoredPermutation((2, 3, 1), (1, 3, 2))
+
+
+def test_shifted_shuffle_matches_value_colored_reference():
+    perms = {n: colored_permutations(n, 3) for n in range(4)}
+    pairs = 0
+    for m, n in itertools.product(range(4), repeat=2):
+        if m + n > 4:
+            continue
+        for a in perms[m]:
+            for b in perms[n]:
+                assert shifted_shuffle(a, b) == reference_shifted_shuffle(
+                    value_colored(a), value_colored(b))
+                pairs += 1
+    assert pairs == 1_780
 
 
 def test_shifted_shuffle_pinned():
-    lhs = ColoredPermutation((2, 1), (1, 2))   # value-colored
+    lhs = ColoredPermutation((2, 1), (2, 1))
     rhs = ColoredPermutation((1, 2), (1, 2))
     words = shifted_shuffle(lhs, rhs)
     assert sorted(w.word for w in words) == sorted([
