@@ -35,10 +35,12 @@ Induced modules are built as quotients of the left regular
 representation by the left ideal generated by ``g - chi(g)`` over the
 generators ``g`` of the inducing subalgebra.  For a parabolic character
 the color constraints are applied first: they cut the regular
-representation down to the right ideal generated by the single basis
-element ``B[a, id]`` (``a`` the concatenated color word), inside which
-the Hecke constraints are a small closure/quotient computation, acting
-by the tables of the block, cached per parameter set and color content.
+representation down to the left ideal of the single basis element
+``B[a, id]`` (``a`` the concatenated color word).  The Hecke constraints
+generate a left ideal ``H`` inside it, and the module is the closure of
+``B[a, id]`` modulo ``H``: every image is reduced modulo the echelon rows
+of ``H``.  Both closures act by the tables of the color-content block,
+cached per parameter set and color content.
 
 Composition factors are read off from traces, with no quotient module:
 on the weight space of a color word ``c`` the colors fix ``t_i`` except
@@ -449,30 +451,26 @@ def _closure(ops, seeds) -> SparseEchelon:
     return ech
 
 
-def _quotient_tables(ops, ambient: SparseEchelon, sub_rows) -> tuple:
-    """Sparse columns of the generator maps ``ops`` on (span of ambient) /
-    (span of sub_rows), in the coordinates given by the ambient echelon
-    rows that are not pivots of the sub-row coordinates."""
-    sub = SparseEchelon()
-    for row in sub_rows:
-        sub.insert(ambient.coordinates(row))
-    free = sorted(set(range(len(ambient))) - set(sub.pivot_of))
-    index_of = {f: k for k, f in enumerate(free)}
-
-    def column(op, f):
-        rep = reduce_mod_rref(sub, ambient.coordinates(op(ambient.rows[f])))
-        return tuple((index_of[c], val) for c, val in rep.items())
-
-    return tuple(tuple(column(op, f) for f in free) for op in ops)
+def _quotient_module(ops, ideal: SparseEchelon, seeds) -> ExplicitModule:
+    """The module spanned by the seeds modulo the span of ``ideal``, which
+    every op (a map of dict vectors) must keep: the closure of the seeds
+    under the ops, every vector reduced modulo ``ideal``, with the
+    columns of the ops over its echelon rows."""
+    reduced = [lambda v, op=op: reduce_mod_rref(ideal, op(v)) for op in ops]
+    span = _closure(reduced, [reduce_mod_rref(ideal, s) for s in seeds])
+    return ExplicitModule(tuple(
+        tuple(tuple(span.coordinates(op(row)).items()) for row in span.rows)
+        for op in reduced))
 
 
 def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
     """Module induced from one one-dimensional character per tensor factor
     of a parabolic subalgebra (factor sizes must sum to ``params.n``).
 
-    The color constraints identify the quotient with the right ideal of
-    ``B[a, id]``; the remaining Hecke constraints are quotiented out
-    there.  The result is checked against the defining relations and the
+    The color constraints identify the quotient with the left ideal of
+    ``B[a, id]``; it is built as the closure of ``B[a, id]`` modulo the
+    left ideal of the remaining Hecke constraints.  The result is checked
+    against the rank of that left ideal, the defining relations and the
     multinomial dimension count.
     """
     sizes = [len(ch.xi_colors) for ch in chars]
@@ -485,17 +483,16 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
     keys, tables = _cached_block(params, tuple(sorted(a)))
     ops = [partial(_act, table) for table in tables]
     cyclic = keys.index((a, tuple(range(1, params.n + 1))))
-    block = _closure(ops, [{cyclic: 1}])
-    if len(block) != math.factorial(params.n):
-        raise OracleError(
-            f"right color block has rank {len(block)}, "
-            f"expected {math.factorial(params.n)}")
-
     seeds = [accumulate(dict(tables[i][cyclic]), ((cyclic, -t),))
              for i, t in enumerate(t_of) if t is not None]
     hecke_ideal = _closure(ops, seeds)
+    module = _quotient_module(ops, hecke_ideal, [{cyclic: 1}])
+    rank = len(hecke_ideal) + module.dim
+    if rank != math.factorial(params.n):
+        raise OracleError(
+            f"left ideal of B[a, id] has rank {rank}, "
+            f"expected {math.factorial(params.n)}")
 
-    module = ExplicitModule(_quotient_tables(ops, block, hecke_ideal.rows))
     expected = math.factorial(params.n) // math.prod(map(math.factorial, sizes))
     if module.dim != expected:
         raise OracleError(

@@ -185,8 +185,10 @@ def _violations(shape: Composition, colors: ColorWord,
 
 
 def _is_monotone(rib: ColoredRibbon, row_weakly_increasing: bool) -> bool:
-    """Shared body of the predicates; a malformed shape is neither."""
+    """Shared body of the predicates; a malformed shape, or a color below
+    1, is neither."""
     return (min(rib.shape, default=1) >= 1 and sum(rib.shape) == rib.size
+            and min(rib.colors, default=1) >= 1
             and not _violations(rib.shape, rib.colors, row_weakly_increasing))
 
 
@@ -383,21 +385,6 @@ def inverse_perm(word: Sequence[int]) -> tuple:
     for i, v in enumerate(word):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def inversions(word: Sequence[int]) -> int:
-    return sum(1 for i, j in itertools.combinations(range(len(word)), 2)
-               if word[i] > word[j])
-
-
-def descent_composition(word: Sequence[int]) -> Composition:
-    """Composition recording the descents of a permutation word.
-
-    >>> descent_composition((2, 3, 1))
-    (2, 1)
-    """
-    ds = {i for i in range(1, len(word)) if word[i - 1] > word[i]}
-    return composition_from_descents(len(word), ds)
 
 
 def max_inversion_perm(parts: Composition) -> tuple:

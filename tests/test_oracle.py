@@ -2,6 +2,7 @@
 cross-checks they provide for the combinatorial layer."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -173,33 +174,39 @@ def reference_generator_ops(params):
             + [on_dicts("left_mult_xi", j) for j in range(1, params.n + 1)])
 
 
-def reference_quotient_tables(ops, ambient, sub_rows):
-    """Reference for ``oracle._quotient_tables``: the quotient through a
-    dense Fraction row echelon form of the sub-row coordinates, as dense
-    matrices, then their columns."""
-    dim = len(ambient)
+def reference_quotient_module(ops, ideal, seeds):
+    """Reference for ``oracle._quotient_module``: normal forms modulo a
+    dense Fraction row echelon form of the ideal rows, their closure, then
+    the columns of the ops as dense coordinates over the closure's rows,
+    read off one dense row echelon form of those rows beside every image."""
+    keys, queue = set(), [k for v in (*seeds, *ideal.rows) for k in v]
+    while queue:       # every key the ops reach from the seeds and the ideal
+        key = queue.pop()
+        if key not in keys:
+            keys.add(key)
+            queue.extend(k for op in ops for k in op({key: 1}))
+    keys = sorted(keys)
+    ideal_rref, pivots = reference_rref(
+        [[row.get(k, 0) for k in keys] for row in ideal.rows])
 
-    def coordinates(vec):
-        coords = ambient.coordinates(vec)
-        return [coords.get(k, 0) for k in range(dim)]
+    def normal_form(v):
+        dense_v = reference_reduce_mod_rref(ideal_rref, pivots,
+                                            [v.get(k, 0) for k in keys])
+        return accumulate({}, zip(keys, dense_v))
 
-    coords = [coordinates(row) for row in sub_rows]
-    sub_rref, pivots = reference_rref(coords) if coords else ([], [])
-    free = [c for c in range(dim) if c not in pivots]
-    index_of = {f: k for k, f in enumerate(free)}
-
-    def action(op):
-        mat = [[0] * len(free) for _ in range(len(free))]
-        for col, f in enumerate(free):
-            rep = reference_reduce_mod_rref(sub_rref, pivots,
-                                            coordinates(op(ambient.rows[f])))
-            for c, val in enumerate(rep):
-                if val:
-                    mat[index_of[c]][col] = (val.numerator if val.denominator == 1
-                                             else val)
-        return mat
-
-    return tuple(columns(action(op)) for op in ops)
+    reduced = [lambda v, op=op: normal_form(op(v)) for op in ops]
+    span = oracle._closure(reduced, [normal_form(s) for s in seeds])
+    dim = len(span)
+    columns_in = span.rows + [op(row) for op in reduced for row in span.rows]
+    system, sys_pivots = reference_rref(
+        [[v.get(k, 0) for v in columns_in] for k in keys])
+    # the rows are independent and every image lies in their span
+    assert sys_pivots == list(range(dim))
+    images = [tuple((i, x.numerator if x.denominator == 1 else x)
+                    for i, row in enumerate(system) if (x := row[col]))
+              for col in range(dim, len(columns_in))]
+    return ExplicitModule(tuple(tuple(images[g * dim:(g + 1) * dim])
+                                for g in range(len(ops))))
 
 
 def induced_module_from_seeds(params, seeds, expected_dim=None):
@@ -208,10 +215,8 @@ def induced_module_from_seeds(params, seeds, expected_dim=None):
     in size, used to cross-validate the staged constructions."""
     ops = reference_generator_ops(params)
     ideal = oracle._closure(ops, [s.terms for s in seeds])
-    ambient = SparseEchelon()
-    for key in basis_keys(params):
-        ambient.insert({key: 1})
-    module = ExplicitModule(oracle._quotient_tables(ops, ambient, ideal.rows))
+    module = oracle._quotient_module(ops, ideal,
+                                     [{key: 1} for key in basis_keys(params)])
     if expected_dim is not None and module.dim != expected_dim:
         raise OracleError(
             f"induced module has dimension {module.dim}, expected {expected_dim}")
@@ -219,20 +224,19 @@ def induced_module_from_seeds(params, seeds, expected_dim=None):
 
 
 def reference_induced_module(params, chars):
-    """Reference for :func:`build_induced_module`: the same staged
-    quotient on the ``(color word, permutation)`` keys, acting through
-    :func:`reference_generator_ops`."""
+    """Reference for :func:`build_induced_module`: the same closure modulo
+    the Hecke ideal on the ``(color word, permutation)`` keys, acting
+    through :func:`reference_generator_ops`."""
     a = tuple(c for ch in chars for c in ch.xi_colors)
     cyclic = AlgebraElement.basis(a, range(1, params.n + 1))
     ops = reference_generator_ops(params)
-    block = oracle._closure(ops, [cyclic.terms])
     seeds, offset = [], 0
     for ch in chars:
         for local, t in enumerate(ch.t_values, start=1):
             seeds.append(left_mult_T(params, offset + local, cyclic) - t * cyclic)
         offset += len(ch.xi_colors)
     hecke_ideal = oracle._closure(ops, [s.terms for s in seeds])
-    return ExplicitModule(oracle._quotient_tables(ops, block, hecke_ideal.rows))
+    return oracle._quotient_module(ops, hecke_ideal, [cyclic.terms])
 
 
 def peel_composition_factors(params, module):
@@ -831,7 +835,7 @@ def test_induced_modules_equal_dense_reference(monkeypatch, r, max_grade):
     for p, chars in criterion_11_characters(r, max_grade):
         got = build_induced_module(p, chars)
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_quotient_tables", reference_quotient_tables)
+            patch.setattr(oracle, "_quotient_module", reference_quotient_module)
             expected = build_induced_module(p, chars)
         assert exact_entries(got) == exact_entries(expected)
 
@@ -841,6 +845,65 @@ def test_induced_modules_equal_reference_ops_build(r, max_grade):
     for p, chars in criterion_11_characters(r, max_grade):
         assert exact_entries(build_induced_module(p, chars)) == \
             exact_entries(reference_induced_module(p, chars))
+
+
+def test_induced_module_is_two_closures_of_n_factorial_rows(monkeypatch):
+    # the Hecke ideal H and the closure of B[a, id] modulo H: |H| + dim
+    # = n! accepted rows in all, and no closure of the whole left ideal
+    closure, insert, build = oracle._closure, SparseEchelon.insert, build_induced_module
+    counts, per_module = Counter(), []
+
+    def counted_closure(ops, seeds):
+        counts["closures"] += 1
+        return closure(ops, seeds)
+
+    def counted_insert(self, vec):
+        idx = insert(self, vec)
+        counts["accepted"] += idx is not None
+        return idx
+
+    def counted_build(params, chars):
+        counts.clear()
+        module = build(params, chars)
+        per_module.append((params.n, counts["closures"], counts["accepted"]))
+        return module
+    monkeypatch.setattr(oracle, "_closure", counted_closure)
+    monkeypatch.setattr(SparseEchelon, "insert", counted_insert)
+    monkeypatch.setattr(oracle, "build_induced_module", counted_build)
+    assert cross_check_induction(2, 4)["pass"]
+    assert len(per_module) == 136
+    assert all(closures == 2 and accepted == math.factorial(n)
+               for n, closures, accepted in per_module)
+    assert sum(accepted for *_, accepted in per_module) == 2744
+
+
+def test_induced_module_of_too_small_rank_is_rejected(monkeypatch, fresh_blocks):
+    # T_i acting by 0 leaves B[a, id] alone in its left ideal
+    monkeypatch.setattr(oracle, "_T_rule", lambda params, i, key: [])
+    with pytest.raises(OracleError,
+                       match=r"^left ideal of B\[a, id\] has rank 1, expected 2$"):
+        build_induced_module(AlgebraParams(2, 1),
+                             [Character((1,), ()), Character((1,), ())])
+
+
+def test_induced_module_of_wrong_dimension_is_rejected():
+    # t = 5 is no value of T_1, and the ideal of T_1 - 5 is everything
+    with pytest.raises(OracleError,
+                       match="^induced module has dimension 0, expected 1$"):
+        build_induced_module(AlgebraParams(2, 1), [Character((1, 1), (5,))])
+
+
+def test_induced_module_violating_the_relations_is_rejected(monkeypatch, fresh_blocks):
+    # 2 T_i spans what T_i spans, but breaks T_i^2 = -T_i
+    good = oracle._T_rule
+
+    def doubled(params, i, key):
+        return [(image, 2 * coeff) for image, coeff in good(params, i, key)]
+    monkeypatch.setattr(oracle, "_T_rule", doubled)
+    with pytest.raises(OracleError,
+                       match="^induced module violates the defining relations$"):
+        build_induced_module(AlgebraParams(2, 2),
+                             [Character((1,), ()), Character((2,), ())])
 
 
 def test_inducing_a_character_from_the_whole_algebra():

@@ -65,6 +65,10 @@ def test_simple_character_rejects_noncycloribbon():
         simple_character(RIB((2,), (2, 1)))
     with pytest.raises(ValueError):
         simple_character(RIB((1,), (1, 2)))
+    with pytest.raises(ValueError):
+        simple_character(RIB((2,), (-1, 3)))
+    with pytest.raises(ValueError):
+        simple_character(RIB((1,), (0,)))
 
 
 def test_character_bijection():

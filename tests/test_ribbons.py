@@ -24,14 +24,12 @@ from cycloribbon.ribbons import (
     composition_from_descents,
     compositions,
     descent_class_size,
-    descent_composition,
     descent_set,
     enumerate_anticycloribbons,
     enumerate_cycloribbons,
     fillings_below,
     flip_ribbon,
     inverse_perm,
-    inversions,
     is_anticycloribbon,
     is_cycloribbon,
     max_inversion_perm,
@@ -139,8 +137,11 @@ def test_enumeration_against_predicate_filter():
     ColoredRibbon((3,), (1,)),
     ColoredRibbon((0, 1), (1,)),
     ColoredRibbon((2, -1), (1,)),
-    ColoredRibbon((1,), (1, 2))],
-    ids=["too_long", "zero_part", "negative_part", "too_short"])
+    ColoredRibbon((1,), (1, 2)),
+    ColoredRibbon((2,), (-1, 3)),
+    ColoredRibbon((1,), (0,))],
+    ids=["too_long", "zero_part", "negative_part", "too_short",
+         "negative_color", "zero_color"])
 def test_predicates_reject_malformed_shapes(predicate, rib):
     assert not predicate(rib)
 
@@ -404,6 +405,21 @@ def test_sorting_order_is_acyclic():
 
 # ---------------------------------------------------------------------------
 # permutations
+
+def inversions(word):
+    return sum(1 for i, j in itertools.combinations(range(len(word)), 2)
+               if word[i] > word[j])
+
+
+def descent_composition(word):
+    """Composition recording the descents of a permutation word."""
+    ds = {i for i in range(1, len(word)) if word[i - 1] > word[i]}
+    return composition_from_descents(len(word), ds)
+
+
+def test_descent_composition_example():
+    assert descent_composition((2, 3, 1)) == (2, 1)
+
 
 def brute_max_inversion(parts):
     n = sum(parts)
