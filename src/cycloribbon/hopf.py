@@ -27,7 +27,7 @@ integers, and rationals only appear transiently in Schur expansions.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .lincomb import (
     LinComb,
@@ -74,65 +74,68 @@ def anti_refinements(cc: ColoredComposition) -> list:
 
 
 # ---------------------------------------------------------------------------
+# every operation below is a rule on basis labels, extended (bi)linearly
+
+def _linear(rule, a, source, target):
+    """Linear extension of ``rule``, which sends one label of basis
+    ``source`` to ``(label, coeff)`` terms of basis ``target``; a pair of
+    bases as target gives a tensor."""
+    _expect(a, source)
+    cls = TensorComb if isinstance(target, tuple) else LinComb
+    return cls(target, [(lab, c * m) for key, c in a.terms.items()
+                        for lab, m in rule(key)])
+
+
+def _bilinear(rule, a, b, basis):
+    """Bilinear extension of ``rule``, which sends a pair of labels of
+    ``basis`` to ``(label, coeff)`` terms of the same basis."""
+    _expect(a, basis), _expect(b, basis)
+    return LinComb(basis, [(lab, ca * cb * m)
+                           for x, ca in a.terms.items()
+                           for y, cb in b.terms.items()
+                           for lab, m in rule(x, y)])
+
+
+# ---------------------------------------------------------------------------
 # MR products and basis changes
 
 def mr_product_S(a: LinComb, b: LinComb) -> LinComb:
     """Free product: concatenation of colored compositions."""
-    _expect(a, MR_S), _expect(b, MR_S)
-    return LinComb(MR_S, [(ColoredComposition(x.parts + y.parts,
-                                              x.colors + y.colors), ca * cb)
-                          for x, ca in a.terms.items()
-                          for y, cb in b.terms.items()])
+    return _bilinear(lambda x, y: ((ColoredComposition(
+        x.parts + y.parts, x.colors + y.colors), 1),), a, b, MR_S)
 
 
 def _ribbon_glue(x: ColoredComposition, y: ColoredComposition):
-    concat = ColoredComposition(x.parts + y.parts, x.colors + y.colors)
+    concat = ColoredComposition(x.parts + y.parts, x.colors + y.colors), 1
     if x.parts and y.parts and x.colors[-1] == y.colors[0]:
-        glued = ColoredComposition(
+        return concat, (ColoredComposition(
             x.parts[:-1] + (x.parts[-1] + y.parts[0],) + y.parts[1:],
-            x.colors + y.colors[1:])
-        return concat, glued
+            x.colors + y.colors[1:]), 1)
     return (concat,)
 
 
 def mr_product_R(a: LinComb, b: LinComb) -> LinComb:
     """Colored ribbon product: concatenate, plus the glued term when the
     boundary colors agree."""
-    _expect(a, MR_R), _expect(b, MR_R)
-    terms = []
-    for x, ca in a.terms.items():
-        for y, cb in b.terms.items():
-            for lab in _ribbon_glue(x, y):
-                terms.append((lab, ca * cb))
-    return LinComb(MR_R, terms)
+    return _bilinear(_ribbon_glue, a, b, MR_R)
 
 
 def ncsf_product_R(a: LinComb, b: LinComb) -> LinComb:
     """Ordinary ribbon product (the one-color instance of the rule above)."""
-    _expect(a, NCSF_R), _expect(b, NCSF_R)
-    terms = []
-    for x, ca in a.terms.items():
-        for y, cb in b.terms.items():
-            terms.append((x + y, ca * cb))
-            if x and y:
-                terms.append((x[:-1] + (x[-1] + y[0],) + y[1:], ca * cb))
-    return LinComb(NCSF_R, terms)
+    return _bilinear(lambda x, y: [(x + y, 1)] + (
+        [(x[:-1] + (x[-1] + y[0],) + y[1:], 1)] if x and y else []), a, b, NCSF_R)
 
 
 def s_to_r(a: LinComb) -> LinComb:
     """Expand complete labels as sums of ribbons over anti-refinements."""
-    _expect(a, MR_S)
-    return LinComb(MR_R, [(fine, c)
-                          for lab, c in a.terms.items()
-                          for fine in anti_refinements(lab)])
+    return _linear(lambda lab: [(fine, 1) for fine in anti_refinements(lab)],
+                   a, MR_S, MR_R)
 
 
 def r_to_s(a: LinComb) -> LinComb:
     """Inverse change of basis, by inclusion-exclusion over the same order."""
-    _expect(a, MR_R)
-    return LinComb(MR_S, [(fine, c * (-1) ** (len(lab.parts) - len(fine.parts)))
-                          for lab, c in a.terms.items()
-                          for fine in anti_refinements(lab)])
+    return _linear(lambda lab: [(fine, (-1) ** (len(lab.parts) - len(fine.parts)))
+                                for fine in anti_refinements(lab)], a, MR_R, MR_S)
 
 
 def _nonzero_parts(parts, colors) -> ColoredComposition:
@@ -159,15 +162,14 @@ def mr_coproduct(a: LinComb) -> TensorComb:
     1 2^1 ()
     """
     if a.basis == MR_R:
-        return TensorComb((MR_R, MR_R), (
-            (pair, c) for (l, m), c in mr_coproduct(r_to_s(a)).terms.items()
-            for pair in itertools.product(anti_refinements(l), anti_refinements(m))))
-    _expect(a, MR_S)
-    return TensorComb((MR_S, MR_S), (
+        return _linear(lambda sides: [
+            (pair, 1) for pair in itertools.product(*map(anti_refinements, sides))],
+            mr_coproduct(r_to_s(a)), (MR_S, MR_S), (MR_R, MR_R))
+    return _linear(lambda lab: [
         ((_nonzero_parts(cuts, lab.colors),
-          _nonzero_parts([p - i for p, i in zip(lab.parts, cuts)], lab.colors)), c)
-        for lab, c in a.terms.items()
-        for cuts in itertools.product(*(range(p + 1) for p in lab.parts))))
+          _nonzero_parts([p - i for p, i in zip(lab.parts, cuts)], lab.colors)), 1)
+        for cuts in itertools.product(*(range(p + 1) for p in lab.parts))],
+        a, MR_S, (MR_S, MR_S))
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +196,7 @@ def qmr_product_F(a: LinComb, b: LinComb) -> LinComb:
     shuffle of the colored class representatives, then colored descent
     compositions.  Its color convention is the one the structure-constant
     oracle pins (acceptance criterion 11)."""
-    _expect(a, QMR_F), _expect(b, QMR_F)
-    terms = []
-    for x, ca in a.terms.items():
-        for y, cb in b.terms.items():
-            for lab, mult in _f_label_product(x, y):
-                terms.append((lab, ca * cb * mult))
-    return LinComb(QMR_F, terms)
+    return _bilinear(_f_label_product, a, b, QMR_F)
 
 
 def split_ribbon(rib: ColoredRibbon, k: int):
@@ -219,12 +215,9 @@ def split_ribbon(rib: ColoredRibbon, k: int):
 
 def qmr_coproduct_F(a: LinComb) -> TensorComb:
     """Deconcatenation coproduct on fundamental labels."""
-    _expect(a, QMR_F)
-    terms = []
-    for lab, c in a.terms.items():
-        for k in range(len(lab.colors) + 1):
-            terms.append((split_ribbon(lab, k), c))
-    return TensorComb((QMR_F, QMR_F), terms)
+    return _linear(lambda lab: [(split_ribbon(lab, k), 1)
+                                for k in range(len(lab.colors) + 1)],
+                   a, QMR_F, (QMR_F, QMR_F))
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +259,11 @@ def mr_to_ncsf(a: LinComb) -> LinComb:
     into its maximal one-color runs whose ordinary ribbons are multiplied
     out."""
     if a.basis == MR_S:
-        return LinComb(NCSF_R, [(coarse, c)
-                                for lab, c in a.terms.items()
-                                for coarse in coarsenings(lab.parts)])
-    _expect(a, MR_R)
-    out = {}
-    for lab, c in a.terms.items():
-        acc = LinComb.single(NCSF_R, ())
-        for _, subparts in color_runs(lab):
-            acc = ncsf_product_R(acc, LinComb.single(NCSF_R, subparts))
-        accumulate(out, acc.terms.items(), c)
-    return LinComb(NCSF_R, out)
+        return _linear(lambda lab: [(coarse, 1) for coarse in coarsenings(lab.parts)],
+                       a, MR_S, NCSF_R)
+    return _linear(lambda lab: reduce(ncsf_product_R, (
+        LinComb.single(NCSF_R, subparts) for _, subparts in color_runs(lab)),
+        LinComb.single(NCSF_R, ())).terms.items(), a, MR_R, NCSF_R)
 
 
 def h_monomial(pairs) -> tuple:
@@ -290,9 +277,8 @@ def mr_to_sym(a: LinComb) -> LinComb:
     goes to the degree-j complete function of the i-th variable set."""
     if a.basis == MR_R:
         return mr_to_sym(r_to_s(a))
-    _expect(a, MR_S)
-    return LinComb(SYM_H, [(h_monomial(zip(lab.colors, lab.parts)), c)
-                           for lab, c in a.terms.items()])
+    return _linear(lambda lab: ((h_monomial(zip(lab.colors, lab.parts)), 1),),
+                   a, MR_S, SYM_H)
 
 
 def sym_to_qmr(a: LinComb) -> LinComb:
@@ -300,15 +286,10 @@ def sym_to_qmr(a: LinComb) -> LinComb:
     the one-row constant-color fundamental function and the factors are
     multiplied out in QMR.  Monomial labels are already canonically
     sorted, and the QMR product is commutative, so this is well defined."""
-    _expect(a, SYM_H)
-    out = {}
-    for mono, c in a.terms.items():
-        acc = LinComb.single(QMR_F, QMR_UNIT)
-        for color, degree in mono:
-            acc = qmr_product_F(acc, LinComb.single(
-                QMR_F, ColoredRibbon((degree,), (color,) * degree)))
-        accumulate(out, acc.terms.items(), c)
-    return LinComb(QMR_F, out)
+    return _linear(lambda mono: reduce(qmr_product_F, (
+        LinComb.single(QMR_F, ColoredRibbon((degree,), (color,) * degree))
+        for color, degree in mono), LinComb.single(QMR_F, QMR_UNIT)).terms.items(),
+        a, SYM_H, QMR_F)
 
 
 def cartan_map(a: LinComb) -> LinComb:
@@ -320,10 +301,7 @@ def cartan_map(a: LinComb) -> LinComb:
 # Schur functions via Jacobi-Trudi
 
 def sym_h_product(a: LinComb, b: LinComb) -> LinComb:
-    _expect(a, SYM_H), _expect(b, SYM_H)
-    return LinComb(SYM_H, [(h_monomial(x + y), ca * cb)
-                           for x, ca in a.terms.items()
-                           for y, cb in b.terms.items()])
+    return _bilinear(lambda x, y: ((h_monomial(x + y), 1),), a, b, SYM_H)
 
 
 def schur_in_h(partition: tuple, color: int = 1) -> LinComb:
@@ -360,10 +338,9 @@ def _schur_terms(partition: tuple, color: int) -> tuple:
 def multipartition_class(mp) -> LinComb:
     """Product of Schur functions, component i in the i-th variable set,
     expanded in complete-function monomials."""
-    out = LinComb.single(SYM_H, ())
-    for color, comp in enumerate(mp, start=1):
-        out = sym_h_product(out, schur_in_h(tuple(comp), color))
-    return out
+    return reduce(sym_h_product, (schur_in_h(tuple(comp), color)
+                                  for color, comp in enumerate(mp, start=1)),
+                  LinComb.single(SYM_H, ()))
 
 
 def colored_partitions(n: int, r: int) -> list:

@@ -650,17 +650,17 @@ def check_submodule_order(params: AlgebraParams, shape) -> dict:
             "pass": True, "counterexample": None}
 
 
-def _character_kernel(params, module, char) -> list:
-    """Basis of the common kernel of ``g - chi(g)`` over the generators
-    ``g``: the echelon rows with no ``(0, g, row)`` key, after each basis
-    vector ``k`` is keyed ``(1, k)`` beside its image under every map."""
-    values = char.t_values + tuple(params.u[c - 1] for c in char.xi_colors)
+def _character_kernel(t_tables, basis, t_values) -> list:
+    """Basis of the common kernel of the ``T_i - t_i`` on the span of
+    ``basis``, one weight space, on which every xi acts by its value: the
+    echelon rows with no ``(0, i, row)`` key, after each basis vector
+    ``k`` is keyed ``(1, k)`` beside its image under every ``T_i``."""
     ech = SparseEchelon()
-    for k in range(module.dim):
+    for k in basis:
         column = {(1, k): 1}
-        for g, (table, value) in enumerate(zip(module.tables, values)):
-            accumulate(column, (((0, g, row), x) for row, x in table[k]))
-            accumulate(column, (((0, g, k), -value),))
+        for i, (table, value) in enumerate(zip(t_tables, t_values)):
+            accumulate(column, (((0, i, row), x) for row, x in table[k]))
+            accumulate(column, (((0, i, k), -value),))
         ech.insert(column)
     return [{key[1]: x for key, x in row.items()}
             for row, pivot in zip(ech.rows, ech.pivot_of) if pivot[0] == 1]
@@ -672,9 +672,11 @@ def check_socle(params: AlgebraParams, shape) -> dict:
     module = build_shape_module(params, shape)
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
 
+    weights = _weight_spaces(params, module)
     socle = SparseEchelon()
     for char in enumerate_one_dim_characters(params):
-        for vec in _character_kernel(params, module, char):
+        for vec in _character_kernel(module.tables[:params.n - 1],
+                                     weights.get(char.xi_colors, ()), char.t_values):
             socle.insert(vec)
     # reduced echelon rows, so the socle is spanned by unit vectors
     # exactly when every row is one

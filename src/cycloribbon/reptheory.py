@@ -20,6 +20,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 from .hopf import (
@@ -179,11 +180,9 @@ def _by_color(runs, r: int) -> tuple:
 def _ribbons_in_h(runs) -> LinComb:
     """One-color complete expansion of the product of the ordinary ribbon
     Schur functions of ``runs``."""
-    out = LinComb.single(SYM_H, ())
-    for run in runs:
-        out = sym_h_product(out, mr_to_sym(LinComb.single(
-            MR_R, ColoredComposition(run, (1,) * len(run)))))
-    return out
+    return reduce(sym_h_product, (mr_to_sym(LinComb.single(
+        MR_R, ColoredComposition(run, (1,) * len(run)))) for run in runs),
+        LinComb.single(SYM_H, ()))
 
 
 def _matrix_by_colors(rows, row_key, row_factor, n: int, r: int) -> LabeledMatrix:
@@ -204,9 +203,8 @@ def _matrix_by_colors(rows, row_key, row_factor, n: int, r: int) -> LabeledMatri
         members.setdefault(key, []).append(j)
     glued = {}     # size -> [(run multiset Y, ribbon expansion of B(Y))]
     for y in {y for key in members for y in key}:
-        b = LinComb.single(NCSF_R, ())
-        for run in y:
-            b = ncsf_product_R(b, LinComb.single(NCSF_R, run))
+        b = reduce(ncsf_product_R, (LinComb.single(NCSF_R, run) for run in y),
+                   LinComb.single(NCSF_R, ()))
         glued.setdefault(sum(map(sum, y)), []).append((y, b.terms))
     pairings = {}  # one-color monomial h_mu -> {Y: <h_mu, B(Y)>}
     factors = {}   # row key X_c -> {Y: <A(X_c), B(Y)>}

@@ -459,6 +459,35 @@ def test_tensor_pairing_checks_bases():
         tensor_pairing(r_side, r_side)
 
 
+# one sum in each basis, and each ring operation with the bases it
+# accepts and its number of arguments
+IN_BASIS = {MR_S: S((1,), (1,)), MR_R: R((1,), (1,)), QMR_F: F((1,), (1,)),
+            SYM_H: LinComb.single(SYM_H, ((1, 1),)),
+            NCSF_R: LinComb.single(NCSF_R, (1,))}
+RING_OPERATIONS = [
+    (mr_product_S, (MR_S,), 2), (mr_product_R, (MR_R,), 2),
+    (ncsf_product_R, (NCSF_R,), 2), (qmr_product_F, (QMR_F,), 2),
+    (sym_h_product, (SYM_H,), 2), (s_to_r, (MR_S,), 1), (r_to_s, (MR_R,), 1),
+    (mr_coproduct, (MR_S, MR_R), 1), (qmr_coproduct_F, (QMR_F,), 1),
+    (mr_to_ncsf, (MR_S, MR_R), 1), (mr_to_sym, (MR_S, MR_R), 1),
+    (sym_to_qmr, (SYM_H,), 1), (cartan_map, (MR_S, MR_R), 1)]
+
+
+@pytest.mark.parametrize("op, accepted, arity", RING_OPERATIONS,
+                         ids=[op.__name__ for op, _, _ in RING_OPERATIONS])
+def test_ring_operations_reject_other_bases(op, accepted, arity):
+    good = IN_BASIS[accepted[0]]
+    op(*[good] * arity)
+    for basis, wrong in IN_BASIS.items():
+        if basis in accepted:
+            continue
+        for k in range(arity):
+            args = [good] * arity
+            args[k] = wrong
+            with pytest.raises(ValueError, match="expected basis"):
+                op(*args)
+
+
 def test_duality_product_vs_coproduct():
     for _ in range(80):
         r = rng.randint(1, 3)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycloribbon.lincomb import (
     BASES,
@@ -24,6 +25,7 @@ from cycloribbon.lincomb import (
     tensorcomb_to_json,
 )
 from cycloribbon.ribbons import ColoredComposition, ColoredRibbon
+from test_ribbons import PROPERTY, random_colored_compositions, random_ribbons
 
 CC1 = ColoredComposition((2, 1), (1, 2))
 CC2 = ColoredComposition((3,), (1,))
@@ -90,6 +92,28 @@ LABELS = {MR_S: CC1, MR_R: CC2, QMR_F: RIB, SYM_H: ((1, 2), (2, 1)),
 def test_json_roundtrip_every_basis(basis):
     x = LinComb(basis, [(LABELS[basis], Fraction(-3, 4))])
     assert lincomb_from_json(json.loads(json.dumps(lincomb_to_json(x)))) == x
+
+
+RANDOM_LABELS = {
+    MR_S: random_colored_compositions(),
+    MR_R: random_colored_compositions(),
+    QMR_F: random_ribbons(),
+    SYM_H: st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                    max_size=4).map(lambda pairs: tuple(sorted(pairs))),
+    NCSF_R: st.lists(st.integers(1, 6), max_size=5).map(tuple),
+}
+
+
+@pytest.mark.parametrize("basis", BASES)
+@PROPERTY
+@given(data=st.data())
+def test_json_roundtrip_random_sums(basis, data):
+    x = LinComb(basis, data.draw(st.lists(st.tuples(
+        RANDOM_LABELS[basis], st.fractions(-20, 20, max_denominator=12)), max_size=6)))
+    blob = json.dumps(lincomb_to_json(x))
+    back = lincomb_from_json(json.loads(blob))
+    assert back == x
+    assert json.dumps(lincomb_to_json(back)) == blob
 
 
 def test_removed_schur_tag_is_unknown():

@@ -215,8 +215,8 @@ def induced_module_from_seeds(params, seeds, expected_dim=None):
     in size, used to cross-validate the staged constructions."""
     ops = reference_generator_ops(params)
     ideal = oracle._closure(ops, [s.terms for s in seeds])
-    module = oracle._quotient_module(ops, ideal,
-                                     [{key: 1} for key in basis_keys(params)])
+    module = reference_quotient_module(ops, ideal,
+                                       [{key: 1} for key in basis_keys(params)])
     if expected_dim is not None and module.dim != expected_dim:
         raise OracleError(
             f"induced module has dimension {module.dim}, expected {expected_dim}")
@@ -236,7 +236,7 @@ def reference_induced_module(params, chars):
             seeds.append(left_mult_T(params, offset + local, cyclic) - t * cyclic)
         offset += len(ch.xi_colors)
     hecke_ideal = oracle._closure(ops, [s.terms for s in seeds])
-    return oracle._quotient_module(ops, hecke_ideal, [cyclic.terms])
+    return reference_quotient_module(ops, hecke_ideal, [cyclic.terms])
 
 
 def peel_composition_factors(params, module):

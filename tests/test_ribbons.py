@@ -74,6 +74,15 @@ def random_colored_compositions(draw, max_n=7, max_r=4):
     return ColoredComposition(parts, tuple(colors))
 
 
+@st.composite
+def random_ribbons(draw, max_n=10, max_r=12):
+    """Any colored ribbon: a shape and one color per cell, with no step
+    rule."""
+    colors = draw(st.lists(st.integers(1, max_r), max_size=max_n))
+    ds = draw(st.sets(st.integers(1, len(colors) - 1))) if len(colors) > 1 else set()
+    return ColoredRibbon(composition_from_descents(len(colors), ds), tuple(colors))
+
+
 def all_colored_ribbons(n, r):
     for shape in compositions(n):
         for colors in itertools.product(range(1, r + 1), repeat=n):
@@ -613,6 +622,13 @@ def test_literals_roundtrip():
     assert cc == ColoredComposition((2, 1, 2, 1, 3), (1, 2, 2, 1, 1))
     assert parse_colored_composition(colored_composition_literal(cc)) == cc
     assert parse_composition("2,1") == (2, 1)
+
+
+@PROPERTY
+@given(random_ribbons(), random_colored_compositions(max_n=12, max_r=12))
+def test_literals_roundtrip_random_labels(rib, cc):
+    assert parse_ribbon(ribbon_literal(rib)) == rib
+    assert parse_colored_composition(colored_composition_literal(cc)) == cc
 
 
 def test_empty_ribbon_literal():
