@@ -76,11 +76,12 @@ def anti_refinements(cc: ColoredComposition) -> list:
 # ---------------------------------------------------------------------------
 # every operation below is a rule on basis labels, extended (bi)linearly
 
-def _linear(rule, a, source, target):
+def _linear(rule, a, source, target, or_basis=None):
     """Linear extension of ``rule``, which sends one label of basis
     ``source`` to ``(label, coeff)`` terms of basis ``target``; a pair of
-    bases as target gives a tensor."""
-    _expect(a, source)
+    bases as target gives a tensor.  ``or_basis`` is a second basis the
+    caller handles before, named in the error for any other basis."""
+    _expect(a, source, or_basis)
     cls = TensorComb if isinstance(target, tuple) else LinComb
     return cls(target, [(lab, c * m) for key, c in a.terms.items()
                         for lab, m in rule(key)])
@@ -169,7 +170,7 @@ def mr_coproduct(a: LinComb) -> TensorComb:
         ((_nonzero_parts(cuts, lab.colors),
           _nonzero_parts([p - i for p, i in zip(lab.parts, cuts)], lab.colors)), 1)
         for cuts in itertools.product(*(range(p + 1) for p in lab.parts))],
-        a, MR_S, (MR_S, MR_S))
+        a, MR_S, (MR_S, MR_S), MR_R)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +259,12 @@ def mr_to_ncsf(a: LinComb) -> LinComb:
     function (sum of ribbons over coarsenings); a colored ribbon splits
     into its maximal one-color runs whose ordinary ribbons are multiplied
     out."""
-    if a.basis == MR_S:
-        return _linear(lambda lab: [(coarse, 1) for coarse in coarsenings(lab.parts)],
-                       a, MR_S, NCSF_R)
-    return _linear(lambda lab: reduce(ncsf_product_R, (
-        LinComb.single(NCSF_R, subparts) for _, subparts in color_runs(lab)),
-        LinComb.single(NCSF_R, ())).terms.items(), a, MR_R, NCSF_R)
+    if a.basis == MR_R:
+        return _linear(lambda lab: reduce(ncsf_product_R, (
+            LinComb.single(NCSF_R, subparts) for _, subparts in color_runs(lab)),
+            LinComb.single(NCSF_R, ())).terms.items(), a, MR_R, NCSF_R)
+    return _linear(lambda lab: [(coarse, 1) for coarse in coarsenings(lab.parts)],
+                   a, MR_S, NCSF_R, MR_R)
 
 
 def h_monomial(pairs) -> tuple:
@@ -278,7 +279,7 @@ def mr_to_sym(a: LinComb) -> LinComb:
     if a.basis == MR_R:
         return mr_to_sym(r_to_s(a))
     return _linear(lambda lab: ((h_monomial(zip(lab.colors, lab.parts)), 1),),
-                   a, MR_S, SYM_H)
+                   a, MR_S, SYM_H, MR_R)
 
 
 def sym_to_qmr(a: LinComb) -> LinComb:
@@ -359,6 +360,7 @@ def colored_partitions(n: int, r: int) -> list:
     return sorted(set(out), key=lambda m: (sum(d for _, d in m), m))
 
 
-def _expect(a, basis) -> None:
+def _expect(a, basis, or_basis=None) -> None:
     if a.tag != basis:
-        raise ValueError(f"expected basis {basis}, got {a.tag}")
+        accepted = basis if or_basis is None else f"{basis} or {or_basis}"
+        raise ValueError(f"expected basis {accepted}, got {a.tag}")

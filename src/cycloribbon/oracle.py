@@ -29,7 +29,8 @@ on such tables, or on the columns of a module.  The relation suite is
 compiled once per parameter set into polynomials with integer
 coefficients in words of generators; the evaluator applies each
 distinct word once to the identity operator, stored as a single dict
-keyed by ``column * dim + row``, and sums each relation's terms.
+keyed by ``column * dim + row``, and a word that only one term uses is
+added by that step straight into its relation's residual.
 
 Induced modules are built as quotients of the left regular
 representation by the left ideal generated by ``g - chi(g)`` over the
@@ -67,7 +68,6 @@ from .ribbons import (
     descent_set,
     enumerate_cycloribbons,
     fillings_below,
-    inverse_perm,
     is_cycloribbon,
 )
 
@@ -123,8 +123,7 @@ def _T_rule(params: AlgebraParams, i: int, key) -> list:
     c, w = key
     cs = c[:i - 1] + (c[i], c[i - 1]) + c[i + 1:]
     # commuting T_i through L_c leaves L_{c.s_i} T_i ...
-    winv = inverse_perm(w)
-    if winv[i - 1] < winv[i]:          # length goes up
+    if w.index(i) < w.index(i + 1):    # length goes up
         terms = [((cs, _swap_values(w, i)), 1)]
     else:                              # T_i^2 = -T_i
         terms = [((cs, w), -1)]
@@ -250,13 +249,27 @@ def _relation_suite(params: AlgebraParams, T, XI, add, sub, scale):
     return checks
 
 
-def _act(table, v: dict) -> dict:
-    """Apply the generator whose sparse columns are ``table`` to ``v``, an
-    operator stored as one dict keyed by ``column * dim + row`` (a plain
-    vector is the operator of column 0)."""
-    dim = len(table)
-    return accumulate({}, ((key - row + k, c * a) for key, c in v.items()
-                           for row in (key % dim,) for k, a in table[row]))
+def _act(table, v: dict, out=None, scale=1) -> dict:
+    """``out += scale * G v`` for the generator ``G`` whose sparse columns
+    are ``table``, and ``v`` an operator stored as one dict keyed by
+    ``column * dim + row`` (a plain vector is the operator of column 0);
+    returns ``out``, a new dict if none is given.  As in
+    :func:`~cycloribbon.lincomb.accumulate`, zeros are dropped and an
+    integral Fraction is stored as an int."""
+    dim, out = len(table), {} if out is None else out
+    get = out.get
+    for key, c in v.items():
+        row = key % dim
+        base, c = key - row, scale * c
+        for k, a in table[row]:
+            k += base
+            x = get(k, 0) + c * a
+            if x:
+                out[k] = (x.numerator if type(x) is Fraction
+                          and x.denominator == 1 else x)
+            elif k in out:
+                del out[k]
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -311,11 +324,13 @@ def _table_residuals(params, tables) -> list:
     suite order, on a representation whose generators ``T_1..T_{n-1},
     xi_1..xi_n`` act by the given tables of sparse columns.  Each word of
     the compiled plan is applied once to the identity operator, by one
-    ``_act`` on its suffix, and dropped after its last use; a residual is
-    the sum of its terms' operators.  It is keyed by ``column * dim +
-    row``, is a nonzero integer multiple of the relation's own residual,
-    and is empty (test ``not``; key 0 is falsy) exactly when the relation
-    holds."""
+    ``_act`` on its suffix.  A word that only its own step uses (built and
+    dropped there) goes by that ``_act`` straight into the residual, times
+    the step's coefficient; the other words are kept in ``ops`` until
+    their last use, and added to the residuals that have them as a term.
+    A residual is keyed by ``column * dim + row``, is a nonzero integer
+    multiple of the relation's own residual, and is empty (test ``not``;
+    key 0 is falsy) exactly when the relation holds."""
     dim = len(tables[-1])
     ops = {(): {k * dim + k: 1 for k in range(dim)}}
     plan = _relation_plan(params)
@@ -323,11 +338,16 @@ def _table_residuals(params, tables) -> list:
     for pos, name, instance, steps in plan:
         residual = {}
         for word, coeff, build, drop in steps:
-            for w in build:
+            # a word is built after its suffixes, so it is last in build
+            single = word in drop and build[-1:] == (word,)
+            for w in build[:-1] if single else build:
                 ops[w] = _act(tables[w[0]], ops[w[1:]])
-            accumulate(residual, ops[word].items(), coeff)
+            if single:
+                _act(tables[word[0]], ops[word[1:]], residual, coeff)
+            else:
+                accumulate(residual, ops[word].items(), coeff)
             for w in drop:
-                del ops[w]
+                ops.pop(w, None)
         # an emptied dict keeps its size, so keep a fresh one instead
         out[pos] = name, instance, residual or {}
     return out
@@ -586,7 +606,7 @@ def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counte
 
             def pi(op):
                 for table in word:
-                    op = accumulate(_act(table, op), op.items())
+                    op = _act(table, op, dict(op))
                 return op
             # all of W_c at once, as an operator keyed by column * dim + row
             image = pi({b * dim + b: 1 for b in basis})

@@ -380,13 +380,6 @@ def fillings_below(shape: Composition, colors: ColorWord) -> set:
 # ---------------------------------------------------------------------------
 # permutations
 
-def inverse_perm(word: Sequence[int]) -> tuple:
-    inv = [0] * len(word)
-    for i, v in enumerate(word):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def max_inversion_perm(parts: Composition) -> tuple:
     """The permutation with the most inversions among those whose descent
     composition is ``parts``: each block takes the largest values still

@@ -476,15 +476,17 @@ RING_OPERATIONS = [
 @pytest.mark.parametrize("op, accepted, arity", RING_OPERATIONS,
                          ids=[op.__name__ for op, _, _ in RING_OPERATIONS])
 def test_ring_operations_reject_other_bases(op, accepted, arity):
+    """The error names every basis the operation accepts."""
     good = IN_BASIS[accepted[0]]
     op(*[good] * arity)
     for basis, wrong in IN_BASIS.items():
         if basis in accepted:
             continue
+        message = f"expected basis {' or '.join(accepted)}, got {basis}"
         for k in range(arity):
             args = [good] * arity
             args[k] = wrong
-            with pytest.raises(ValueError, match="expected basis"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 op(*args)
 
 

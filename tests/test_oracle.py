@@ -636,12 +636,127 @@ def test_module_relations_apply_each_word_once(monkeypatch, n, r, expected):
     calls = []
     act = oracle._act
 
-    def counted(table, v):
+    def counted(table, v, out=None, scale=1):
         calls.append(table)
-        return act(table, v)
+        return act(table, v, out, scale)
     monkeypatch.setattr(oracle, "_act", counted)
     assert module_relations_ok(p, mod)
     assert len(calls) == len(suffixes) == expected
+
+
+def reference_act(table, v):
+    """Reference for :func:`oracle._act` without ``out``: every entry of
+    ``G v`` sent through :func:`accumulate` into a new dict."""
+    dim = len(table)
+    return accumulate({}, ((key - row + k, c * a) for key, c in v.items()
+                           for row in (key % dim,) for k, a in table[row]))
+
+
+def random_entry(local):
+    """An int, a Fraction (integral or not) or an explicit zero."""
+    return local.choice([0, local.randint(-3, 3),
+                         Fraction(local.randint(-6, 6), local.randint(1, 3))])
+
+
+def stored_exactly(op):
+    """Entries with their types: equal values of different types differ."""
+    return sorted((key, type(x), x) for key, x in op.items())
+
+
+def test_act_equals_reference_kernel():
+    local = random.Random(23)
+    for _ in range(300):
+        dim, width = local.randint(1, 5), local.randint(1, 3)
+        # a row may repeat within a column, so that terms cancel
+        table = tuple(tuple((local.randrange(dim), random_entry(local))
+                            for _ in range(local.randint(0, 4)))
+                      for _ in range(dim))
+        v = accumulate({}, ((local.randrange(dim * width), random_entry(local))
+                            for _ in range(local.randint(0, 6))))
+        want = reference_act(table, v)
+        assert stored_exactly(oracle._act(table, v)) == stored_exactly(want)
+        scale = local.choice([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)])
+        outs = [accumulate({}, ((local.randrange(dim * width), random_entry(local))
+                                for _ in range(local.randint(0, 6)))),
+                # cancels G v in full, or all but one entry of it
+                accumulate({}, want.items(), -scale),
+                accumulate({}, list(want.items())[1:], -scale)]
+        for out in outs:
+            expected = accumulate(dict(out), want.items(), scale)
+            got = oracle._act(table, v, out, scale)
+            assert got is out
+            assert stored_exactly(got) == stored_exactly(expected)
+        assert not outs[1]
+        for op in (want, *outs):
+            assert all(x and not (type(x) is Fraction and x.denominator == 1)
+                       for x in op.values())
+
+
+def test_act_keeps_zero_entries_and_cancellations_out():
+    table = (((0, 0), (1, 2), (1, -2)), ((0, Fraction(1, 2)),))
+    v = {0: 1, 1: 2, 3: Fraction(2, 3)}
+    got = oracle._act(table, v, {0: -1, 2: Fraction(-1, 3)}, 1)
+    assert got == {} and stored_exactly(oracle._act(table, v)) == \
+        [(0, int, 1), (2, Fraction, Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("n, r, built", [(3, 2, 13), (4, 3, 27)])
+def test_relation_check_materializes_only_shared_words(monkeypatch, n, r, built):
+    """A word that only its own step uses is added into the residual by
+    ``_act`` and never kept as an operator of its own."""
+    p = AlgebraParams(n, r)
+    mod = build_shape_module(p, (n,))
+    steps = [step for *_, steps in oracle._relation_plan(p) for step in steps]
+    single = sum(word in build and word in drop for word, _, build, drop in steps)
+    suffixes = {word[k:] for word, *_ in steps for k in range(len(word))}
+    new = []
+    act = oracle._act
+
+    def counted(table, v, *out_scale):
+        result = act(table, v, *out_scale)
+        if not out_scale:
+            new.append(result)
+        return result
+    monkeypatch.setattr(oracle, "_act", counted)
+    assert module_relations_ok(p, mod)
+    assert len(new) == built == len(suffixes) - single
+
+
+def reference_table_residuals(params, tables):
+    """Reference for :func:`oracle._table_residuals`: every word of the
+    plan applied to the identity operator by :func:`reference_act`, and
+    each residual one sum over its terms' operators."""
+    dim = len(tables[-1])
+    ops = {(): {k * dim + k: 1 for k in range(dim)}}
+    out = [None] * len(oracle._relation_plan(params))
+    for pos, name, instance, steps in oracle._relation_plan(params):
+        residual = {}
+        for word, coeff, _, _ in steps:
+            for k in range(len(word) - 1, -1, -1):
+                if word[k:] not in ops:
+                    ops[word[k:]] = reference_act(tables[word[k]], ops[word[k + 1:]])
+            accumulate(residual, ops[word].items(), coeff)
+        out[pos] = name, instance, residual
+    return out
+
+
+@pytest.mark.parametrize("n, r, u", [
+    (3, 2, (Fraction(-5, 6), 0)), (3, 3, (Fraction(-1, 2), 3, 0)), (4, 2, ())])
+def test_table_residuals_equal_reference_sums(n, r, u):
+    # T_1 doubled plus 1/7, so that most residuals are nonzero, some
+    # with Fraction entries
+    p = AlgebraParams(n, r, u)
+    for shape in compositions(n):
+        tables = build_shape_module(p, shape).tables
+        broken = (tuple(accumulate({k: Fraction(1, 7)}, col, 2).items()
+                        for k, col in enumerate(tables[0])),) + tables[1:]
+        for t in (tables, broken):
+            got, want = ([(name, instance, stored_exactly(res))
+                          for name, instance, res in residuals(p, t)]
+                         for residuals in (oracle._table_residuals,
+                                           reference_table_residuals))
+            assert got == want
+        assert any(res for *_, res in got)
 
 
 def test_relation_caches_are_bounded():
@@ -741,9 +856,9 @@ def test_module_relations_act_on_whole_operators(monkeypatch):
     calls = []
     act = oracle._act
 
-    def counted(table, v):
+    def counted(table, v, out=None, scale=1):
         calls.append(table)
-        return act(table, v)
+        return act(table, v, out, scale)
 
     monkeypatch.setattr(oracle, "_act", counted)
     counts = []

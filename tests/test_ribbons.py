@@ -29,7 +29,6 @@ from cycloribbon.ribbons import (
     enumerate_cycloribbons,
     fillings_below,
     flip_ribbon,
-    inverse_perm,
     is_anticycloribbon,
     is_cycloribbon,
     max_inversion_perm,
@@ -418,6 +417,13 @@ def test_sorting_order_is_acyclic():
 def inversions(word):
     return sum(1 for i, j in itertools.combinations(range(len(word)), 2)
                if word[i] > word[j])
+
+
+def inverse_perm(word):
+    inv = [0] * len(word)
+    for i, v in enumerate(word):
+        inv[v - 1] = i + 1
+    return tuple(inv)
 
 
 def descent_composition(word):
