@@ -51,7 +51,6 @@ from .ribbons import (
     descent_set,
     flip_ribbon,
     max_inversion_perm,
-    partitions,
     shifted_shuffle,
 )
 
@@ -243,14 +242,6 @@ def duality_pairing(a: LinComb, f: LinComb):
     return total
 
 
-def tensor_pairing(ta: TensorComb, tf: TensorComb):
-    """Factorwise extension of :func:`duality_pairing` to tensors."""
-    _expect(ta, (MR_R, MR_R)), _expect(tf, (QMR_F, QMR_F))
-    partner = projective_simple_quotient
-    return sum(c * tf.terms.get((partner(a1), partner(a2)), 0)
-               for (a1, a2), c in ta.terms.items())
-
-
 # ---------------------------------------------------------------------------
 # the morphisms: color erasure, commutative image, embedding, Cartan map
 
@@ -342,22 +333,6 @@ def multipartition_class(mp) -> LinComb:
     return reduce(sym_h_product, (schur_in_h(tuple(comp), color)
                                   for color, comp in enumerate(mp, start=1)),
                   LinComb.single(SYM_H, ()))
-
-
-def colored_partitions(n: int, r: int) -> list:
-    """All degree-n monomial labels in the complete functions of r sets."""
-    out = []
-    for lam in partitions(n):
-        groups = [(val, sum(1 for _ in grp))
-                  for val, grp in itertools.groupby(lam)]
-        for assignment in itertools.product(
-                *[itertools.combinations_with_replacement(range(1, r + 1), k)
-                  for _, k in groups]):
-            pairs = []
-            for (val, _), colors in zip(groups, assignment):
-                pairs.extend((c, val) for c in colors)
-            out.append(h_monomial(pairs))
-    return sorted(set(out), key=lambda m: (sum(d for _, d in m), m))
 
 
 def _expect(a, basis, or_basis=None) -> None:

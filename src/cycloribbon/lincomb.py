@@ -173,26 +173,6 @@ class TensorComb(FormalSum):
         return f"TensorComb({self.tag}, {bits or 0})"
 
 
-def tensor_of(a: LinComb, b: LinComb) -> TensorComb:
-    return TensorComb((a.basis, b.basis),
-                      [((la, lb), ca * cb)
-                       for la, ca in a.terms.items()
-                       for lb, cb in b.terms.items()])
-
-
-def tensor_multiply(t1: TensorComb, t2: TensorComb, mul) -> TensorComb:
-    """Componentwise product of tensors, multiplying each side with ``mul``
-    (a function of two single-label LinCombs)."""
-    b1, b2 = t1.bases
-    out = {}
-    for (l1, m1), c1 in t1.terms.items():
-        for (l2, m2), c2 in t2.terms.items():
-            left = mul(LinComb.single(b1, l1), LinComb.single(b1, l2))
-            right = mul(LinComb.single(b2, m1), LinComb.single(b2, m2))
-            accumulate(out, tensor_of(left, right).terms.items(), c1 * c2)
-    return TensorComb._wrap(t1.bases, out)
-
-
 # ---------------------------------------------------------------------------
 # JSON codecs
 
@@ -251,11 +231,3 @@ def tensorcomb_to_json(tc: TensorComb) -> dict:
                        "right": label_to_json(b2, m)}
                       for (l, m), c in tc.sorted_terms()]}
 
-
-def tensorcomb_from_json(obj: dict) -> TensorComb:
-    b1, b2 = obj["bases"]
-    return TensorComb((b1, b2),
-                      [((label_from_json(b1, t["left"]),
-                         label_from_json(b2, t["right"])),
-                        coeff_from_str(t["coeff"]))
-                       for t in obj["terms"]])

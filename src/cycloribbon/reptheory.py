@@ -74,11 +74,15 @@ def simple_character(rib: ColoredRibbon) -> Character:
 
 
 def ribbon_from_character(char: Character) -> ColoredRibbon:
-    """Inverse of :func:`simple_character`."""
+    """Inverse of :func:`simple_character`; a character of no simple
+    raises ``ValueError``."""
     n = len(char.xi_colors)
     ds = {i for i, t in enumerate(char.t_values, start=1) if t == -1}
-    return flip_ribbon(ColoredRibbon(composition_from_descents(n, ds),
-                                     char.xi_colors))
+    rib = flip_ribbon(ColoredRibbon(composition_from_descents(n, ds),
+                                    char.xi_colors))
+    if not is_cycloribbon(rib) or simple_character(rib) != char:
+        raise ValueError(f"{char} is the character of no simple")
+    return rib
 
 
 def simple_labels(n: int, r: int) -> list:

@@ -97,6 +97,8 @@ def composition_from_descents(n: int, descents) -> Composition:
     >>> composition_from_descents(4, {1, 2})
     (1, 1, 2)
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     ds = sorted(descents)
     for d in ds:
         if not 1 <= d <= n - 1:
@@ -150,6 +152,8 @@ def partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple]:
     >>> list(partitions(3))
     [(3,), (2, 1), (1, 1, 1)]
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     if n == 0:
         yield ()
         return

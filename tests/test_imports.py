@@ -3,6 +3,7 @@ modules each CLI command loads.  ``hopf``, ``reptheory``, ``linalg`` and
 ``oracle`` are lazy modules, so a command must pay only for the modules
 it runs; the footprints are read in fresh interpreters."""
 
+import ast
 import json
 import os
 import re
@@ -175,3 +176,61 @@ def test_tracer_installs_after_lazy_cli_import():
     assert {"oracle._content_block", "oracle._relation_plan",
             "oracle.enumerate_one_dim_characters",
             "oracle.lagrange_coeffs"} <= set(caches)
+
+
+# Top-level functions and classes of src that nothing but the tests uses,
+# kept on purpose: name -> reason.  Empty: every such helper lives in the
+# tests.
+TEST_ONLY_IN_SRC = {}
+
+PERFBENCH_NAME = re.compile(
+    r"\b(cli|hopf|linalg|lincomb|oracle|reptheory|ribbons)\.([A-Za-z_]\w*)")
+
+
+def referenced_names(node) -> set:
+    """Every identifier that ``node`` reads: names, attributes, and string
+    constants that are identifiers (``getattr`` tables such as
+    ``cli.MATRICES``)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def unreached_definitions() -> list:
+    """``module.name`` of each top-level function or class in src that no
+    root reaches by name: the public names, ``cli.main``, the names
+    ``perfbench/`` reads and every module-level statement.  A reached
+    definition reaches every name its body references."""
+    definitions, reached = {}, {*cycloribbon.__all__, "main"}
+    for path in sorted((SRC / "cycloribbon").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(stmt.name, []).append(
+                    (path.stem, stmt))
+            else:
+                reached |= referenced_names(stmt)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reached |= {name for _, name in
+                    PERFBENCH_NAME.findall(path.read_text())}
+    todo = list(reached)
+    while todo:
+        for _, stmt in definitions.get(todo.pop(), ()):
+            new = referenced_names(stmt) - reached
+            reached |= new
+            todo += new
+    return sorted(f"{module}.{name}" for name, defs in definitions.items()
+                  if name not in reached and not name.startswith("__")
+                  for module, _ in defs)
+
+
+def test_src_holds_only_reached_definitions():
+    """A helper only the tests call belongs in the tests."""
+    assert [name for name in unreached_definitions()
+            if name not in TEST_ONLY_IN_SRC] == []

@@ -20,8 +20,6 @@ from cycloribbon.lincomb import (
     label_to_json,
     lincomb_from_json,
     lincomb_to_json,
-    tensor_of,
-    tensorcomb_from_json,
     tensorcomb_to_json,
 )
 from cycloribbon.ribbons import ColoredComposition, ColoredRibbon
@@ -132,11 +130,12 @@ def test_json_shape():
                               "label": {"parts": [2, 1], "colors": [1, 2]}}]}
 
 
-def test_tensor_roundtrip():
-    tc = tensor_of(LinComb.single(MR_S, CC1, 2), LinComb.single(MR_S, CC2, 3))
-    assert tc.terms == {(CC1, CC2): 6}
-    blob = json.dumps(tensorcomb_to_json(tc))
-    assert tensorcomb_from_json(json.loads(blob)) == tc
+def test_tensor_json_shape():
+    obj = tensorcomb_to_json(TensorComb((MR_S, QMR_F), [((CC1, RIB), 6)]))
+    assert obj == {"bases": ["MR-S", "QMR-F"],
+                   "terms": [{"coeff": "6",
+                              "left": {"parts": [2, 1], "colors": [1, 2]},
+                              "right": {"shape": [1, 1], "colors": [2, 1]}}]}
 
 
 def test_tensor_arithmetic():

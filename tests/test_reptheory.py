@@ -1,5 +1,6 @@
 """Module labels, dimensions, induction, and the two matrices."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -9,7 +10,6 @@ from hypothesis import given
 from cycloribbon import hopf, reptheory
 from cycloribbon.hopf import (
     cartan_map,
-    colored_partitions,
     h_monomial,
     multipartition_class,
     mr_to_ncsf,
@@ -47,6 +47,7 @@ from cycloribbon.ribbons import (
     partitions,
     ribbon_literal,
 )
+from test_hopf import colored_partitions
 from test_ribbons import PROPERTY, random_colored_compositions, random_cycloribbons
 
 CC = ColoredComposition
@@ -79,6 +80,26 @@ def test_character_bijection():
             assert len(chars) == len(labels) == r * (r + 1) ** (n - 1)
             for rib in labels:
                 assert ribbon_from_character(simple_character(rib)) == rib
+
+
+def test_ribbon_from_character_accepts_exactly_the_simples():
+    # e.g. ((2, 1), (-1,)) and ((1, 2), (0,)) flip to no cycloribbon
+    for n in range(4):
+        for r in (1, 2, 3):
+            simple = {simple_character(rib) for rib in simple_labels(n, r)}
+            for xi in itertools.product(range(1, r + 1), repeat=n):
+                for t in itertools.product((0, -1), repeat=max(n - 1, 0)):
+                    char = Character(xi, t)
+                    if char in simple:
+                        assert simple_character(
+                            ribbon_from_character(char)) == char
+                    else:
+                        with pytest.raises(ValueError,
+                                           match="character of no simple"):
+                            ribbon_from_character(char)
+    # a T value with no T generator
+    with pytest.raises(ValueError, match="character of no simple"):
+        ribbon_from_character(Character((1,), (0,)))
 
 
 def test_induce_simples_pinned():

@@ -36,6 +36,7 @@ from cycloribbon.ribbons import (
     parse_colored_composition,
     parse_composition,
     parse_ribbon,
+    partitions,
     ribbon_literal,
     ribbon_sort_key,
     shifted_shuffle,
@@ -260,9 +261,11 @@ def test_colored_compositions_match_reference():
     (lambda: enumerate_cycloribbons(-1, 2), -1),
     (lambda: cartan_matrix(-1, 2), -1),
     (lambda: colored_compositions(-2, 2), -2),
-    (lambda: multipartitions(-1, 2), -1)],
+    (lambda: multipartitions(-1, 2), -1),
+    (lambda: composition_from_descents(-1, set()), -1),
+    (lambda: list(partitions(-1)), -1)],
     ids=["enumerate_cycloribbons", "cartan_matrix", "colored_compositions",
-         "multipartitions"])
+         "multipartitions", "composition_from_descents", "partitions"])
 def test_negative_size_names_n(call, n):
     with pytest.raises(ValueError, match=f"n = {n}$"):
         call()
