@@ -6,9 +6,11 @@
   ribbon basis ``R`` is defined by letting ``S`` be the sum of ``R`` over
   all anti-refinements, and multiplies by the concatenate-or-glue rule.
 * ``QMR``: the colored quasi-symmetric functions spanned by the
-  fundamental basis ``F`` indexed by cycloribbons.  The product shuffles
-  colored class representatives and takes colored descent compositions;
-  the coproduct deconcatenates the cells.
+  fundamental basis ``F`` indexed by cycloribbons.  The product
+  interleaves the cells of the two labels and reads the descents of each
+  interleaving off one table of steps (the colored descent compositions
+  of the shifted shuffle of the class representatives); the coproduct
+  deconcatenates the cells.
 * ``Sym^(r)``: commutative polynomials in complete homogeneous functions
   of r independent variable sets.
 * ``NCSF``: ordinary noncommutative symmetric functions in the ribbon
@@ -41,17 +43,14 @@ from .lincomb import (
 )
 from .ribbons import (
     ColoredComposition,
-    ColoredPermutation,
     ColoredRibbon,
     coarsenings,
     colored_comp_to_anticycloribbon,
     color_runs,
-    colored_descent_composition,
     composition_from_descents,
     descent_set,
     flip_ribbon,
     max_inversion_perm,
-    shifted_shuffle,
 )
 
 QMR_UNIT = ColoredRibbon((), ())
@@ -162,9 +161,7 @@ def mr_coproduct(a: LinComb) -> TensorComb:
     1 2^1 ()
     """
     if a.basis == MR_R:
-        return _linear(lambda sides: [
-            (pair, 1) for pair in itertools.product(*map(anti_refinements, sides))],
-            mr_coproduct(r_to_s(a)), (MR_S, MR_S), (MR_R, MR_R))
+        return _linear(_r_label_coproduct, a, MR_R, (MR_R, MR_R))
     return _linear(lambda lab: [
         ((_nonzero_parts(cuts, lab.colors),
           _nonzero_parts([p - i for p, i in zip(lab.parts, cuts)], lab.colors)), 1)
@@ -172,30 +169,66 @@ def mr_coproduct(a: LinComb) -> TensorComb:
         a, MR_S, (MR_S, MR_S), MR_R)
 
 
+@lru_cache(maxsize=4096)
+def _r_label_coproduct(lab: ColoredComposition) -> tuple:
+    """Terms of the coproduct of one ribbon label: its signed
+    anti-refinements, their cut vectors summed in the complete basis, and
+    each side expanded back over its anti-refinements."""
+    return tuple(_linear(lambda sides: [
+        (pair, 1) for pair in itertools.product(*map(anti_refinements, sides))],
+        mr_coproduct(r_to_s(LinComb(MR_R, [(lab, 1)]))), (MR_S, MR_S),
+        (MR_R, MR_R)).terms.items())
+
+
 # ---------------------------------------------------------------------------
 # QMR product and coproduct
 
-def simple_colored_perm(rib: ColoredRibbon) -> ColoredPermutation:
-    """Shuffle representative of a cycloribbon: the longest permutation of
-    the shape's descent class, each letter colored by the cell it sits
-    in.  The word itself is shuffled, not its inverse: the resulting
-    descent compositions then match the explicitly induced modules
-    (checked by the oracle cross-check)."""
-    return ColoredPermutation(max_inversion_perm(rib.shape), rib.colors)
-
-
 @lru_cache(maxsize=4096)
-def _f_label_product(x: ColoredRibbon, y: ColoredRibbon):
-    shuffles = shifted_shuffle(simple_colored_perm(x), simple_colored_perm(y))
-    return tuple(accumulate({}, ((colored_descent_composition(w), 1)
-                                 for w in shuffles)).items())
+def _f_label_product(x: ColoredRibbon, y: ColoredRibbon) -> tuple:
+    m, size = len(x.colors), len(x.colors) + len(y.colors)
+    if not size:
+        return ((QMR_UNIT, 1),)
+    colors = x.colors + y.colors
+    keys = list(zip(colors, max_inversion_perm(x.shape)
+                    + tuple(v + m for v in max_inversion_perm(y.shape))))
+    # descent[i][j]: cell j right after cell i is a descent
+    descent = [[a > b for b in keys] for a in keys]
+    out, tail = {}, list(range(m, size))
+    for slots in itertools.combinations(range(size), m):
+        cells = tail[:]
+        for k, slot in enumerate(slots):
+            cells.insert(slot, k)
+        parts, run, row = [], 1, descent[cells[0]]
+        for cell in cells[1:]:
+            if row[cell]:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+            row = descent[cell]
+        parts.append(run)
+        rib = tuple.__new__(ColoredRibbon, (tuple(parts),
+                                            tuple(map(colors.__getitem__, cells))))
+        out[rib] = out.get(rib, 0) + 1
+    return tuple(out.items())
 
 
 def qmr_product_F(a: LinComb, b: LinComb) -> LinComb:
-    """Product of fundamental colored quasi-symmetric functions: shifted
-    shuffle of the colored class representatives, then colored descent
-    compositions.  Its color convention is the one the structure-constant
-    oracle pins (acceptance criterion 11)."""
+    """Product of fundamental colored quasi-symmetric functions: the
+    colored descent compositions of the shifted shuffle of the colored
+    class representatives.  Its color convention is the one the
+    structure-constant oracle pins (acceptance criterion 11).
+
+    No shuffled word is built.  The representative of a label is the
+    longest word of its shape's descent class, each letter colored by its
+    cell, and the right factor's letters are shifted above the left's.
+    So every cell has a key (color, letter), and in an interleaving of
+    the cells, cell j right after cell i is a descent (the color drops,
+    or it repeats and the letter drops) exactly when key i > key j.  The
+    letters drop inside a label exactly at its descents, always from a
+    right cell to a left cell, and never back.  One table of these steps
+    serves every interleaving, and the interleavings are walked in the
+    shuffle's slot order, so the terms come in the shuffle's order."""
     return _bilinear(_f_label_product, a, b, QMR_F)
 
 

@@ -77,12 +77,13 @@ def ribbon_from_character(char: Character) -> ColoredRibbon:
     """Inverse of :func:`simple_character`; a character of no simple
     raises ``ValueError``."""
     n = len(char.xi_colors)
-    ds = {i for i, t in enumerate(char.t_values, start=1) if t == -1}
-    rib = flip_ribbon(ColoredRibbon(composition_from_descents(n, ds),
-                                    char.xi_colors))
-    if not is_cycloribbon(rib) or simple_character(rib) != char:
-        raise ValueError(f"{char} is the character of no simple")
-    return rib
+    if len(char.t_values) == max(n - 1, 0):
+        ds = {i for i, t in enumerate(char.t_values, start=1) if t == -1}
+        rib = flip_ribbon(ColoredRibbon(composition_from_descents(n, ds),
+                                        char.xi_colors))
+        if is_cycloribbon(rib) and simple_character(rib) == char:
+            return rib
+    raise ValueError(f"{char} is the character of no simple")
 
 
 def simple_labels(n: int, r: int) -> list:

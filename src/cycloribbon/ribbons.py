@@ -22,8 +22,11 @@ possible steps) or changes it (the step direction is then forced).
 The involution :func:`flip_ribbon` exchanges the two families.
 
 Colored permutations (a permutation word and, per position, the color
-of the letter there) drive the induction product: see
-:func:`shifted_shuffle` and :func:`colored_descent_composition`.
+of the letter there) define the induction product: the shifted shuffle
+of two class representatives (:func:`max_inversion_perm`), then the
+descent composition of each word (:func:`shifted_shuffle`,
+:func:`colored_descent_composition`).  ``hopf.qmr_product_F`` computes
+the same terms from the cells without building the shuffled words.
 
 All values are immutable and all functions are pure, so everything here
 is safe to use concurrently.

@@ -27,7 +27,6 @@ from cycloribbon.hopf import (
     r_to_s,
     s_to_r,
     schur_in_h,
-    simple_colored_perm,
     split_ribbon,
     sym_h_product,
     sym_to_qmr,
@@ -44,13 +43,21 @@ from cycloribbon.lincomb import (
 )
 from cycloribbon.ribbons import (
     ColoredComposition,
+    ColoredPermutation,
     ColoredRibbon,
     colored_compositions,
     colored_descent_composition,
+    compositions,
     enumerate_cycloribbons,
+    max_inversion_perm,
     partitions,
+    shifted_shuffle,
 )
-from test_ribbons import reference_shifted_shuffle, value_colored
+from test_ribbons import (
+    all_colored_ribbons,
+    reference_shifted_shuffle,
+    value_colored,
+)
 
 S = lambda parts, colors, c=1: LinComb.single(
     MR_S, ColoredComposition(parts, colors), c)
@@ -307,16 +314,28 @@ def test_coproduct_equals_tensor_reference():
 
 
 def test_coproduct_uses_no_tensor_arithmetic(monkeypatch):
-    import cycloribbon.hopf as hopf
-
     def forbidden(*args, **kwargs):
         raise AssertionError("tensor arithmetic on the coproduct path")
 
+    hopf._r_label_coproduct.cache_clear()
     monkeypatch.setattr(LinComb, "single", forbidden)
     monkeypatch.setattr(hopf, "mr_product_S", forbidden)
     cc = ColoredComposition((2, 1, 2), (1, 1, 2))
     for basis in (MR_S, MR_R):
         assert mr_coproduct(LinComb(basis, [(cc, 1)]))
+
+
+def test_ribbon_coproduct_cached_per_label():
+    cc = ColoredComposition((2, 1, 2), (1, 1, 2))
+    hopf._r_label_coproduct.cache_clear()
+    first = mr_coproduct(R(*cc))
+    info = hopf._r_label_coproduct.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert mr_coproduct(R(*cc)) == first
+    info = hopf._r_label_coproduct.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    other = R((1, 2), (2, 2), -3)
+    assert mr_coproduct(R(*cc) + other) == first + mr_coproduct(other)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +375,24 @@ def test_product_F_commutative():
         assert qmr_product_F(a, b) == qmr_product_F(b, a)
 
 
+def simple_colored_perm(rib):
+    """Shuffle representative of a cycloribbon: the longest permutation of
+    the shape's descent class, each letter colored by the cell it sits
+    in.  The word itself is shuffled, not its inverse: the resulting
+    descent compositions then match the explicitly induced modules
+    (checked by the oracle cross-check)."""
+    return ColoredPermutation(max_inversion_perm(rib.shape), rib.colors)
+
+
+def reference_shuffle_product(x, y):
+    """The product of two F labels as one permutation word per shuffle:
+    the shifted shuffle of the class representatives, then the colored
+    descent composition of each word."""
+    shuffles = shifted_shuffle(simple_colored_perm(x), simple_colored_perm(y))
+    return tuple(accumulate({}, ((colored_descent_composition(w), 1)
+                                 for w in shuffles)).items())
+
+
 def reference_shuffle_rep(rib):
     """Value-colored shuffle representative: the word of
     ``simple_colored_perm(rib)`` with its colors indexed by value."""
@@ -372,7 +409,7 @@ def reference_f_label_product(x, y):
     return tuple(out.items())
 
 
-def test_f_label_product_matches_value_colored_reference():
+def test_f_label_product_matches_shuffle_references():
     labels = {n: enumerate_cycloribbons(n, 3) for n in range(6)}
     pairs = 0
     for m, n in itertools.product(range(6), repeat=2):
@@ -380,10 +417,56 @@ def test_f_label_product_matches_value_colored_reference():
             continue
         for x in labels[m]:
             for y in labels[n]:
-                assert hopf._f_label_product.__wrapped__(x, y) == \
-                    reference_f_label_product(x, y)
+                got = hopf._f_label_product.__wrapped__(x, y)
+                assert got == reference_shuffle_product(x, y)
+                assert got == reference_f_label_product(x, y)
                 pairs += 1
     assert pairs == 4_864
+    unit = ColoredRibbon((), ())
+    assert hopf._f_label_product.__wrapped__(unit, unit) == ((unit, 1),)
+
+
+def test_f_label_product_matches_shuffle_on_any_filling():
+    labels = {n: list(all_colored_ribbons(n, 3)) for n in range(5)}
+    pairs = 0
+    for m, n in itertools.product(range(5), repeat=2):
+        if m + n > 4:
+            continue
+        for x in labels[m]:
+            for y in labels[n]:
+                assert hopf._f_label_product.__wrapped__(x, y) == \
+                    reference_shuffle_product(x, y)
+                pairs += 1
+    assert pairs == 2_644
+
+
+def test_f_label_product_matches_shuffle_at_size_nine():
+    seeded = random.Random(9)
+
+    def label(n):
+        shape = seeded.choice(list(compositions(n)))
+        return ColoredRibbon(shape, tuple(seeded.randint(1, 3) for _ in range(n)))
+
+    for _ in range(200):
+        m = seeded.randint(0, 9)
+        x, y = label(m), label(9 - m)
+        assert hopf._f_label_product.__wrapped__(x, y) == \
+            reference_shuffle_product(x, y)
+
+
+def test_product_builds_no_shuffled_words(monkeypatch):
+    x = ColoredRibbon((2, 2), (1, 2, 1, 3))
+    y = ColoredRibbon((1, 3, 1), (3, 1, 2, 2, 1))
+    want = reference_shuffle_product(x, y)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shuffled word on the product path")
+
+    for name in ("shifted_shuffle", "colored_descent_composition"):
+        monkeypatch.setattr(hopf, name, forbidden, raising=False)
+    hopf._f_label_product.cache_clear()
+    assert hopf._f_label_product(x, y) == want
+    assert sum(c for _, c in want) == math.comb(9, 4)
 
 
 def test_product_F_associative_random():

@@ -769,7 +769,8 @@ def test_relation_caches_are_bounded():
               and getattr(obj, "__module__", None) == module.__name__}
     assert {"oracle._relation_plan", "oracle.lagrange_coeffs",
             "oracle._content_block", "oracle.enumerate_one_dim_characters",
-            "hopf._f_label_product", "hopf._schur_terms",
+            "hopf._f_label_product", "hopf._r_label_coproduct",
+            "hopf._schur_terms",
             "ribbons.descent_class_size"} <= cached.keys()
     for name, fn in cached.items():
         assert fn.cache_info().maxsize is not None, name

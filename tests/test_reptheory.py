@@ -97,9 +97,11 @@ def test_ribbon_from_character_accepts_exactly_the_simples():
                         with pytest.raises(ValueError,
                                            match="character of no simple"):
                             ribbon_from_character(char)
-    # a T value with no T generator
-    with pytest.raises(ValueError, match="character of no simple"):
-        ribbon_from_character(Character((1,), (0,)))
+    # T values with no T generator, or more of them than generators
+    for char in (Character((1,), (0,)), Character((1,), (-1,)),
+                 Character((1, 2), (-1, -1))):
+        with pytest.raises(ValueError, match="character of no simple"):
+            ribbon_from_character(char)
 
 
 def test_induce_simples_pinned():
