@@ -3,14 +3,18 @@
 The files under ``tests/golden/`` were recorded from the CLI and must not
 change when the code behind it is restructured.  To record them again
 after an intended change of output, run ``python tests/test_golden.py``
-with ``src`` on the path, and review the diff.
+with ``src`` on the path, and review the diff.  A case may begin with
+``NAME=value`` words, which set environment variables for that case
+only, as a shell would.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -70,6 +74,8 @@ CASES = README_EXAMPLES + [
     ["product", "--basis", "S", "--lhs", "2^1.1^2", "--rhs", "1^1"],
     ["oracle", "verify", "--n", "0", "--r", "2"],
     ["product", "--basis", "F", "--lhs", "1,2|2,1,3", "--rhs", "2|1,3"],
+    # r^n n! = 3840 is over the default cap of 2000
+    ["CYCLORIBBON_MAX_DIM=3840", "oracle", "verify", "--n", "5", "--r", "2", "--u=2,-7"],
 ]
 
 
@@ -77,10 +83,20 @@ def slug(argv):
     return re.sub(r"[^A-Za-z0-9=.^-]+", "_", " ".join(argv)).strip("_")
 
 
+def split_env(argv):
+    """The leading ``NAME=value`` words of a case as a dict, and the CLI
+    arguments after them."""
+    k = next((k for k, word in enumerate(argv)
+              if not re.fullmatch(r"[A-Z_]+=.*", word)), len(argv))
+    return dict(word.split("=", 1) for word in argv[:k]), list(argv[k:])
+
+
 def run_cli(argv):
+    env, args = split_env(argv)
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(argv))
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(args)
     return code, out.getvalue().encode()
 
 
