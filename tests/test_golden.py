@@ -13,6 +13,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +23,7 @@ import pytest
 from cycloribbon import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 README_EXAMPLES = [
     ["enumerate", "--n", "3", "--r", "2", "--shape", "2,1"],
@@ -109,6 +112,30 @@ def test_cli_output_matches_golden(argv):
     code, stdout = run_cli(argv)
     assert code == load_exit_codes()[slug(argv)]
     assert stdout == (GOLDEN / f"{slug(argv)}.stdout").read_bytes()
+
+
+# golden cases whose output must not depend on the hash seed of the
+# process: the relation checks iterate over sets and dicts of tuples
+HASH_SEED_CASES = [
+    ["oracle", "verify", "--n", "3", "--r", "2", "--u", "1,3"],
+    ["oracle", "verify", "--n", "3", "--r", "2", "--u=-5/6,0"],
+    ["oracle", "verify", "--n", "4", "--r", "3"],
+    ["oracle", "verify", "--n", "4", "--r", "3", "--u=5,6,7"],
+]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+@pytest.mark.parametrize("argv", HASH_SEED_CASES, ids=slug)
+def test_oracle_verify_independent_of_hash_seed(argv, hash_seed):
+    assert argv in CASES
+    env, args = split_env(argv)
+    env = dict(os.environ, **env, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "cycloribbon.cli", *args],
+                          env=env, capture_output=True)
+    assert proc.returncode == load_exit_codes()[slug(argv)]
+    assert proc.stdout == (GOLDEN / f"{slug(argv)}.stdout").read_bytes()
 
 
 def record():

@@ -569,6 +569,164 @@ def test_broken_xi_rule_reported_as_reference(monkeypatch, fresh_blocks, n, r, u
     assert not any(check == "commute-xi-xi" for check, _ in failing)
 
 
+def content_blocks(params):
+    for content in itertools.combinations_with_replacement(
+            range(1, params.r + 1), params.n):
+        yield oracle._content_block(params, content)
+
+
+def right_action(params, j, x):
+    """``x`` times ``T_j`` on the right, through the left generator actions
+    installed on the module at call time, as :func:`multiply` does."""
+    s_j = oracle._swap_values(tuple(range(1, params.n + 1)), j)
+    t_j = AlgebraElement({(c, s_j): 1 for c in itertools.product(
+        range(1, params.r + 1), repeat=params.n)})
+    return multiply(params, x, t_j)
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 2)])
+def test_right_steps_are_right_multiplication(n, r):
+    p = AlgebraParams(n, r)
+    steps, parent = oracle._right_steps(n)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    assert parent[0] is None
+    for c in itertools.product(range(1, r + 1), repeat=n):
+        for j in range(1, n):
+            for w, (t, sign) in zip(perms, steps[j - 1]):
+                assert right_action(p, j, B(c, w)) == sign * B(c, perms[t])
+    for w, step in zip(perms[1:], parent[1:]):
+        j, q = step
+        # the first descent, and w is its parent times s_j, one longer
+        assert j == min(i for i in range(1, n) if w[i - 1] > w[i])
+        assert steps[j - 1][q] == (perms.index(w), 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_right_steps_satisfy_the_hecke_relations(n):
+    steps, _ = oracle._right_steps(n)
+
+    def rho(j, v):
+        out = {}
+        for p, a in v.items():
+            t, sign = steps[j - 1][p]
+            accumulate(out, ((t, sign * a),))
+        return out
+
+    def rhos(word, v):
+        for j in word:
+            v = rho(j, v)
+        return v
+    for p in range(math.factorial(n)):
+        v = {p: 1}
+        for j in range(1, n):
+            assert rhos([j, j], v) == accumulate({}, rho(j, v).items(), -1)
+            if j < n - 1:
+                assert rhos([j, j + 1, j], v) == rhos([j + 1, j, j + 1], v)
+            for i in range(j + 2, n):
+                assert rhos([i, j], v) == rhos([j, i], v)
+
+
+def plus_key_where(rule, g, where):
+    """A defect of a displayed rule that keeps color content: generator
+    ``g`` of the rule gets the term ``B[c, w]`` on each ``B[c, w]`` with
+    ``where(params, (c, w))``."""
+    def broken(params, i, key):
+        out = rule(params, i, key)
+        return out + [(key, 1)] if i == g and where(params, key) else out
+    return broken
+
+
+def at_identity(params, key):
+    return key[1] == tuple(range(1, params.n + 1))
+
+
+# name -> (rule, generator, where, predicate of the color contents whose
+# block fails the certificate); the first two are the defects of the
+# test_broken_*_reported_as_reference tests, which commute with the
+# right action, the others do not
+DEFECTS = {
+    "T1-plus-one": ("_T_rule", 1, lambda p, key: True, lambda content: False),
+    "xi1-on-color-2": ("_xi_rule", 1, lambda p, key: key[0][0] == 2,
+                       lambda content: False),
+    "T1-at-identity": ("_T_rule", 1, at_identity, lambda content: True),
+    "T1-at-identity-first-color-1": (
+        "_T_rule", 1, lambda p, key: at_identity(p, key) and key[0][0] == 1,
+        lambda content: 1 in content),
+    # invisible from the seed columns: the seed path would miss it
+    "xi1-at-longest": ("_xi_rule", 1,
+                       lambda p, key: key[1] == tuple(range(p.n, 0, -1)),
+                       lambda content: True),
+}
+
+
+def install_defect(monkeypatch, name):
+    rule, g, where, fails = DEFECTS[name]
+    monkeypatch.setattr(oracle, rule, plus_key_where(getattr(oracle, rule), g, where))
+    return fails
+
+
+def record_columns(monkeypatch):
+    """The ``columns`` argument of every ``_table_residuals`` call."""
+    calls = []
+    residuals = oracle._table_residuals
+
+    def recorded(params, tables, columns=None):
+        calls.append((len(tables[-1]), columns))
+        return residuals(params, tables, columns)
+    monkeypatch.setattr(oracle, "_table_residuals", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_real_rules_pass_the_certificate_and_take_the_seed_path(monkeypatch, n, r, u):
+    p = AlgebraParams(n, r, u)
+    assert all(oracle._right_equivariant(n, tables) for _, tables in content_blocks(p))
+    calls = record_columns(monkeypatch)
+    verify_relations(p)
+    assert len(calls) == math.comb(n + r - 1, n)
+    assert all(columns == range(0, dim, math.factorial(n)) for dim, columns in calls)
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("n, r, u", [
+    (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
+def test_defects_reported_as_reference(monkeypatch, fresh_blocks, n, r, u, defect):
+    """A block that fails the certificate is checked on every column, and
+    every report equals the reference, on either path."""
+    fails = install_defect(monkeypatch, defect)
+    p = AlgebraParams(n, r, u)
+    contents = list(itertools.combinations_with_replacement(range(1, r + 1), n))
+    assert [oracle._right_equivariant(n, tables) for _, tables in content_blocks(p)] \
+        == [not fails(content) for content in contents]
+    calls = record_columns(monkeypatch)
+    got = verify_relations(p)
+    assert got == reference_verify_relations(p)
+    assert not all(rep["pass"] for rep in got)
+    assert [columns is None for _, columns in calls] == list(map(fails, contents))
+
+
+@pytest.mark.parametrize("n, r, u", [
+    (3, 2, (Fraction(-5, 6), 0)), (3, 3, (Fraction(-1, 2), 3, 0)), (4, 2, ())])
+def test_seed_residuals_are_the_seed_columns_of_all_residuals(n, r, u):
+    # T_1 doubled plus 1/7 on the regular representation, and the true tables
+    p = AlgebraParams(n, r, u)
+    nf, failing = math.factorial(n), 0
+    for _, tables in content_blocks(p):
+        dim = len(tables[-1])
+        seeds = range(0, dim, nf)
+        broken = (tuple(tuple(accumulate({k: Fraction(1, 7)}, col, 2).items())
+                        for k, col in enumerate(tables[0])),) + tables[1:]
+        for t in (tables, broken):
+            got = oracle._table_residuals(p, t, seeds)
+            full = oracle._table_residuals(p, t)
+            assert [(name, instance, stored_exactly(res)) for name, instance, res in got] \
+                == [(name, instance, stored_exactly({key: x for key, x in res.items()
+                                                     if key // dim in seeds}))
+                    for name, instance, res in full]
+            failing += sum(bool(res) for *_, res in got)
+    assert failing
+
+
 def evaluate_word(params, word, x):
     """A word of the compiled relation plan applied to an element, through
     the generator actions installed on the module at call time."""
