@@ -195,6 +195,24 @@ def test_oracle_verify_respects_cap(capsys, monkeypatch):
     assert code == 1 and "exceeds the cap" in err
 
 
+def test_oracle_cross_check_cap_is_the_character_census(capsys, monkeypatch):
+    # the census of r^g 2^(g-1) candidates at the top grade g is the
+    # largest object the cross-check builds: 2^6 * 2^5 = 2048 at (6, 2)
+    def refuse(*args):
+        raise AssertionError("the cross-check ran over the cap")
+    monkeypatch.setattr(cli.oracle, "cross_check_induction", refuse)
+    assert run(capsys, "oracle", "cross-check", "--max-grade", "6", "--r", "2") == (
+        1, "", f"error: character census 2048 exceeds the cap 2000 "
+               f"(set {cli.MAX_DIM_ENV} to raise it)\n")
+    monkeypatch.setenv(cli.MAX_DIM_ENV, "511")
+    code, out, err = run(capsys, "oracle", "cross-check", "--max-grade", "5", "--r", "2")
+    assert (code, out) == (1, "") and "census 512 exceeds the cap 511" in err
+    monkeypatch.setenv(cli.MAX_DIM_ENV, "512")
+    monkeypatch.setattr(cli.oracle, "cross_check_induction",
+                        lambda r, max_grade: {"pass": True})
+    assert run(capsys, "oracle", "cross-check", "--max-grade", "5", "--r", "2")[0] == 0
+
+
 def test_negative_cap_rejected(capsys, monkeypatch):
     monkeypatch.setenv(cli.MAX_DIM_ENV, "-5")
     for argv in (("oracle", "verify", "--n", "2", "--r", "2"),
