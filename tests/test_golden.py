@@ -79,6 +79,8 @@ CASES = README_EXAMPLES + [
     ["product", "--basis", "F", "--lhs", "1,2|2,1,3", "--rhs", "2|1,3"],
     # r^n n! = 3840 is over the default cap of 2000
     ["CYCLORIBBON_MAX_DIM=3840", "oracle", "verify", "--n", "5", "--r", "2", "--u=2,-7"],
+    # the census of 2^5 * 2^4 = 512 candidate characters is under the cap
+    ["oracle", "cross-check", "--max-grade", "5", "--r", "2"],
 ]
 
 
