@@ -171,8 +171,7 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_oracle_cross_check(args) -> int:
-    # the largest object built is the census of r^g 2^(g-1) candidate
-    # characters at the top grade g; every module has at most C(g, g/2)
+    # the largest object built: the r^g 2^(g-1) candidate characters at grade g
     _check_cap(args.r ** args.max_grade * 2 ** max(args.max_grade - 1, 0),
                "character census")
     report = oracle.cross_check_induction(args.r, args.max_grade)

@@ -22,38 +22,29 @@ it an oracle for them.
 
 Both rules keep the multiset of colors, so the regular representation
 splits into color-content blocks.  Each rule is written once, for one
-basis element, and builds the tables of sparse generator columns of a
-block, and those of the shape modules, which are induced from the
-colorless Hecke subalgebra.  The relations are checked by one evaluator
-on such tables, or on the columns of a module.  The relation suite is
-compiled once per parameter set into polynomials with integer
-coefficients in words of generators; the evaluator applies each
-distinct word once to the identity operator, stored as a single dict
-keyed by ``column * dim + row``, and a word that only one term uses is
-added by that step straight into its relation's residual.  On the
+basis element, and builds the sparse generator columns of a block and
+of the induced modules.  One evaluator checks the relations on such
+columns: the suite is compiled once per parameter set into integer
+polynomials in generator words, each distinct word is applied once to
+the identity operator (one dict keyed by ``column * dim + row``), and a
+word that one term alone uses goes straight into its residual.  On the
 regular representation only the seed columns ``B[c, id]`` are needed:
 ``B[c, w]`` is ``B[c, id] T_w``, and once the tables of a block are
 checked to commute with this right action of the ``T_j`` (the 0-Hecke
 rule on the right), so does every relation, which therefore vanishes
 on the block when it vanishes on the seeds.
 
-Induced modules are built as quotients of the left regular
-representation by the left ideal generated by ``g - chi(g)`` over the
-generators ``g`` of the inducing subalgebra.  For a parabolic character
-the color constraints are applied first: they cut the regular
-representation down to the left ideal of the single basis element
-``B[a, id]`` (``a`` the concatenated color word).  The Hecke constraints
-generate a left ideal ``H`` inside it, and the module is the closure of
-``B[a, id]`` modulo ``H``: every image is reduced modulo the echelon rows
-of ``H``.  Both closures act by the tables of the color-content block,
-cached per parameter set and color content.
+An induced module needs no regular representation: it is built on its
+coset basis ``B[c(s), s] (x) 1``, the terms of each image read in it, and
+certified by universality: a module of the induced module's dimension
+that satisfies the relations and is generated by a vector carrying the
+inducing character is the induced module.
 
 Composition factors are read off from traces, with no quotient module:
 on the weight space of a color word ``c`` the colors fix ``t_i`` except
 where ``c_i = c_{i+1}``, and there Norton's 0-Hecke idempotents
-``pi_i = 1 + T_i`` commute with ``L_c`` and count the rest.  Echelon
-rows of a xi-stable span have one weight each, so the modules have
-weight bases, on which each trace is a diagonal sum.
+``pi_i = 1 + T_i`` commute with ``L_c`` and count the rest.  The modules
+are built on weight bases, on which each trace is a diagonal sum.
 """
 
 from __future__ import annotations
@@ -65,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .linalg import SparseEchelon, reduce_mod_rref
+from .linalg import SparseEchelon
 from .lincomb import FormalSum, accumulate
 from .reptheory import Character, induce_simples, simple_character
 from .ribbons import (
@@ -393,10 +384,6 @@ def _content_block(params: AlgebraParams, content: tuple) -> tuple:
                        for rule, g in _generators(params))
 
 
-# the induced modules of one cross-check share few color contents
-_cached_block = lru_cache(maxsize=64)(_content_block)
-
-
 @lru_cache(maxsize=8)
 def _right_steps(n: int) -> tuple:
     """``T_w T_j`` by the 0-Hecke rule, with ``w`` given by its position
@@ -529,7 +516,7 @@ def enumerate_one_dim_characters(params: AlgebraParams) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# induced modules by ideal-quotient linear algebra
+# induced modules on their minimal-coset weight basis
 
 def _closure(ops, seeds) -> SparseEchelon:
     """Echelon basis of the smallest span that contains the seed vectors
@@ -546,52 +533,71 @@ def _closure(ops, seeds) -> SparseEchelon:
     return ech
 
 
-def _quotient_module(ops, ideal: SparseEchelon, seeds) -> ExplicitModule:
-    """The module spanned by the seeds modulo the span of ``ideal``, which
-    every op (a map of dict vectors) must keep: the closure of the seeds
-    under the ops, every vector reduced modulo ``ideal``, with the
-    columns of the ops over its echelon rows."""
-    reduced = [lambda v, op=op: reduce_mod_rref(ideal, op(v)) for op in ops]
-    span = _closure(reduced, [reduce_mod_rref(ideal, s) for s in seeds])
-    return ExplicitModule(tuple(
-        tuple(tuple(span.coordinates(op(row)).items()) for row in span.rows)
-        for op in reduced))
+def _read_module(params, keys, reading) -> ExplicitModule:
+    """One vector per key ``(c, w)``, the rules on ``B[c, w]`` with each image
+    term ``B[k]`` read as the ``(vector, scale)`` pairs ``reading.get(k, ())``."""
+    def column(rule, g, key):
+        return tuple(accumulate({}, ((k, coeff * t) for image, coeff
+                                     in rule(params, g, key)
+                                     for k, t in reading.get(image, ()))).items())
+    return ExplicitModule(tuple(tuple(column(rule, g, key) for key in keys)
+                                for rule, g in _generators(params)))
+
+
+def _coset_words(sizes) -> list:
+    """The words increasing on each factor's positions, the longest last."""
+    words, letters = [()], range(1, sum(sizes) + 1)
+    for m in sizes:
+        words = [w + block for w in words for block in
+                 itertools.combinations([x for x in letters if x not in w], m)]
+    return words
 
 
 def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
-    """Module induced from one one-dimensional character per tensor factor
-    of a parabolic subalgebra (factor sizes must sum to ``params.n``).
+    """``A (x)_P chi`` for one one-dimensional character per tensor factor
+    of a parabolic ``P`` (sizes summing to ``params.n``, ``max(m - 1, 0)``
+    t-values for a factor of size ``m``), on ``e_s = B[c(s), s] (x) 1`` for
+    the words ``s`` increasing on every factor, ``c(s)_j = a[s^-1(j)]``
+    with ``a`` the concatenated colors.  A term ``B[c', w']`` of a rule's
+    image of ``B[c(s), s]`` reads ``e_w'`` if ``c' = c(w')``, ``t_p e_s`` if
+    ``(c', w') = (c(s), s.s_p)`` for ``p`` inside a factor, else 0.
 
-    The color constraints identify the quotient with the left ideal of
-    ``B[a, id]``; it is built as the closure of ``B[a, id]`` modulo the
-    left ideal of the remaining Hecke constraints.  The result is checked
-    against the rank of that left ideal, the defining relations and the
-    multinomial dimension count.
-    """
+    Universality certifies it.  Moving the projectors right through the
+    ``T_i`` spans ``A`` by the ``T_w L_c``, so ``A`` is free as a right
+    ``P``-module on the ``T_s`` and ``A (x)_P chi`` has the multinomial
+    dimension.  If the module has it, satisfies the relations, and ``e_id``
+    carries chi and generates it, ``1 (x) 1 -> e_id`` is an onto module map
+    of equal dimensions, an isomorphism.  A failed check is an OracleError."""
     sizes = [len(ch.xi_colors) for ch in chars]
     if sum(sizes) != params.n:
         raise ValueError(f"factor sizes {sizes} do not sum to {params.n}")
-    a = tuple(c for ch in chars for c in ch.xi_colors)
-    # the value of each T_i inside a factor, None between two factors
-    t_of = [t for ch in chars for t in (*ch.t_values, None)][:-1]
-
-    keys, tables = _cached_block(params, tuple(sorted(a)))
-    ops = [partial(_act, table) for table in tables]
-    cyclic = keys.index((a, tuple(range(1, params.n + 1))))
-    seeds = [accumulate(dict(tables[i][cyclic]), ((cyclic, -t),))
-             for i, t in enumerate(t_of) if t is not None]
-    hecke_ideal = _closure(ops, seeds)
-    module = _quotient_module(ops, hecke_ideal, [{cyclic: 1}])
-    rank = len(hecke_ideal) + module.dim
-    if rank != math.factorial(params.n):
-        raise OracleError(
-            f"left ideal of B[a, id] has rank {rank}, "
-            f"expected {math.factorial(params.n)}")
-
+    a, chi = (), {}      # chi: table index -> value on e_id
+    for k, ch in enumerate(chars):
+        if len(ch.t_values) != max(sizes[k] - 1, 0):
+            raise ValueError(f"factor {k} {ch} needs {max(sizes[k] - 1, 0)} t-values")
+        chi.update(zip(range(len(a), len(a) + sizes[k] - 1), ch.t_values))
+        a += tuple(ch.xi_colors)
+    keys = [(tuple(x for _, x in sorted(zip(s, a))), s) for s in _coset_words(sizes)]
+    reading = {}
+    for k, (c, s) in enumerate(keys):
+        reading[c, s] = ((k, 1),)
+        for g, t in chi.items():      # T_{g+1} inside a factor
+            reading[c, s[:g] + (s[g + 1], s[g]) + s[g + 2:]] = ((k, t),)
+    module = _read_module(params, keys, reading)
+    chi.update((params.n - 1 + j, params.u[c - 1]) for j, c in enumerate(a))
     expected = math.factorial(params.n) // math.prod(map(math.factorial, sizes))
     if module.dim != expected:
         raise OracleError(
             f"induced module has dimension {module.dim}, expected {expected}")
+    for g, value in chi.items():
+        if module.tables[g][0] != (((0, value),) if value else ()):
+            name = f"T_{g + 1}" if g < params.n - 1 else f"xi_{g + 2 - params.n}"
+            raise OracleError(f"{name} acts on e_id by {module.tables[g][0]}, "
+                              f"not {value}")
+    generated = len(_closure([partial(_act, t) for t in module.tables], [{0: 1}]))
+    if generated != module.dim:
+        raise OracleError(f"e_id generates a submodule of dimension {generated}, "
+                          f"not the whole module of dimension {module.dim}")
     if not module_relations_ok(params, module):
         raise OracleError("induced module violates the defining relations")
     return module
@@ -613,14 +619,8 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
     chi = {ident: 1, **{_swap_values(ident, i): -1 if i in ds else 0
                         for i in range(1, params.n)}}
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
-    index = {w: k for k, w in enumerate(words)}
-
-    def column(rule, g, c):
-        return tuple(accumulate({}, ((index[cp], a * chi[wp]) for (cp, wp), a
-                                     in rule(params, g, (c, ident)))).items())
-
-    module = ExplicitModule(tuple(tuple(column(rule, g, c) for c in words)
-                                  for rule, g in _generators(params)))
+    module = _read_module(params, [(c, ident) for c in words], {
+        (c, w): ((k, x),) for k, c in enumerate(words) for w, x in chi.items()})
     if not module_relations_ok(params, module):
         raise OracleError("shape module violates the defining relations")
     return module

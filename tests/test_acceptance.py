@@ -186,6 +186,8 @@ def test_criterion_11_oracle_arbitration(monkeypatch):
     with criterion(11, "explicit induction matches the combinatorial product"):
         report = cross_check_induction(2, 4)
         assert report["pass"] and report["cases"] == 136
+        report = cross_check_induction(2, 5)
+        assert report["pass"] and report["cases"] == 568
         report = cross_check_induction(3, 3)
         assert report["pass"] and report["cases"] == 81
         # the arbitration genuinely discriminates: the negated convention fails

@@ -173,7 +173,7 @@ def test_tracer_installs_after_lazy_cli_import():
     lazy modules unloaded; ``package_caches`` loads them through
     ``vars()``, so the tracer still finds every module it wraps."""
     caches = run_fresh(TRACER, str(ROOT / "perfbench" / "spans.py"))
-    assert {"oracle._content_block", "oracle._relation_plan",
+    assert {"oracle._relation_plan", "oracle._right_steps",
             "oracle.enumerate_one_dim_characters",
             "oracle.lagrange_coeffs"} <= set(caches)
 

@@ -6,11 +6,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from cycloribbon import hopf, oracle, reptheory, ribbons
-from cycloribbon.linalg import SparseEchelon
+from cycloribbon.linalg import SparseEchelon, reduce_mod_rref
 from cycloribbon.lincomb import accumulate
 from cycloribbon.oracle import (
     AlgebraElement,
@@ -174,8 +175,46 @@ def reference_generator_ops(params):
             + [on_dicts("left_mult_xi", j) for j in range(1, params.n + 1)])
 
 
+def quotient_module(ops, ideal: SparseEchelon, seeds) -> ExplicitModule:
+    """The module spanned by the seeds modulo the span of ``ideal``, which
+    every op (a map of dict vectors) must keep: the closure of the seeds
+    under the ops, every vector reduced modulo ``ideal``, with the
+    columns of the ops over its echelon rows."""
+    reduced = [lambda v, op=op: reduce_mod_rref(ideal, op(v)) for op in ops]
+    span = oracle._closure(reduced, [reduce_mod_rref(ideal, s) for s in seeds])
+    return ExplicitModule(tuple(
+        tuple(tuple(span.coordinates(op(row)).items()) for row in span.rows)
+        for op in reduced))
+
+
+def reference_ideal_quotient_module(params, chars, quotient=quotient_module):
+    """Reference for :func:`build_induced_module`: the quotient of the left
+    regular representation by the left ideal of ``g - chi(g)`` over the
+    generators of the parabolic.  The color constraints cut it down to
+    the left ideal of ``B[a, id]``, and the module is the closure of
+    ``B[a, id]`` modulo the left ideal ``H`` of the Hecke constraints,
+    both closed under the tables of the color-content block.  The rank
+    of the left ideal of ``B[a, id]``, ``|H| + dim``, must be ``n!``."""
+    a = tuple(c for ch in chars for c in ch.xi_colors)
+    # the value of each T_i inside a factor, None between two factors
+    t_of = [t for ch in chars if ch.xi_colors
+            for t in (*ch.t_values, None)][:-1]
+    keys, tables = oracle._content_block(params, tuple(sorted(a)))
+    ops = [partial(oracle._act, table) for table in tables]
+    cyclic = keys.index((a, tuple(range(1, params.n + 1))))
+    seeds = [accumulate(dict(tables[i][cyclic]), ((cyclic, -t),))
+             for i, t in enumerate(t_of) if t is not None]
+    hecke_ideal = oracle._closure(ops, seeds)
+    module = quotient(ops, hecke_ideal, [{cyclic: 1}])
+    rank = len(hecke_ideal) + module.dim
+    if rank != math.factorial(params.n):
+        raise OracleError(f"left ideal of B[a, id] has rank {rank}, "
+                          f"expected {math.factorial(params.n)}")
+    return module
+
+
 def reference_quotient_module(ops, ideal, seeds):
-    """Reference for ``oracle._quotient_module``: normal forms modulo a
+    """Reference for :func:`quotient_module`: normal forms modulo a
     dense Fraction row echelon form of the ideal rows, their closure, then
     the columns of the ops as dense coordinates over the closure's rows,
     read off one dense row echelon form of those rows beside every image."""
@@ -224,9 +263,9 @@ def induced_module_from_seeds(params, seeds, expected_dim=None):
 
 
 def reference_induced_module(params, chars):
-    """Reference for :func:`build_induced_module`: the same closure modulo
-    the Hecke ideal on the ``(color word, permutation)`` keys, acting
-    through :func:`reference_generator_ops`."""
+    """Reference for :func:`reference_ideal_quotient_module`: the same
+    closure modulo the Hecke ideal on the ``(color word, permutation)``
+    keys, acting through :func:`reference_generator_ops`."""
     a = tuple(c for ch in chars for c in ch.xi_colors)
     cyclic = AlgebraElement.basis(a, range(1, params.n + 1))
     ops = reference_generator_ops(params)
@@ -526,17 +565,9 @@ def test_relation_tables_agree_with_reference(n, r, u):
     assert verify_relations(p) == reference_verify_relations(p)
 
 
-@pytest.fixture
-def fresh_blocks():
-    """An empty block cache before and after a test that patches a rule."""
-    oracle._cached_block.cache_clear()
-    yield
-    oracle._cached_block.cache_clear()
-
-
 @pytest.mark.parametrize("n, r, u", [
     (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
-def test_broken_T_rule_reported_as_reference(monkeypatch, fresh_blocks, n, r, u):
+def test_broken_T_rule_reported_as_reference(monkeypatch, n, r, u):
     # T_1 + 1 in place of T_1: a linear defect that keeps color content
     good = oracle._T_rule
 
@@ -553,7 +584,7 @@ def test_broken_T_rule_reported_as_reference(monkeypatch, fresh_blocks, n, r, u)
 
 @pytest.mark.parametrize("n, r, u", [
     (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
-def test_broken_xi_rule_reported_as_reference(monkeypatch, fresh_blocks, n, r, u):
+def test_broken_xi_rule_reported_as_reference(monkeypatch, n, r, u):
     # xi_1 acts on color 2 by u_2 + 1, which is not a parameter
     good = oracle._xi_rule
 
@@ -690,7 +721,7 @@ def test_real_rules_pass_the_certificate_and_take_the_seed_path(monkeypatch, n, 
 @pytest.mark.parametrize("defect", DEFECTS)
 @pytest.mark.parametrize("n, r, u", [
     (2, 2, ()), (3, 2, (Fraction(-5, 6), 0)), (3, 3, (1, 3, 7))])
-def test_defects_reported_as_reference(monkeypatch, fresh_blocks, n, r, u, defect):
+def test_defects_reported_as_reference(monkeypatch, n, r, u, defect):
     """A block that fails the certificate is checked on every column, and
     every report equals the reference, on either path."""
     fails = install_defect(monkeypatch, defect)
@@ -925,11 +956,12 @@ def test_relation_caches_are_bounded():
               for obj in vars(module).values()
               if callable(getattr(obj, "cache_info", None))
               and getattr(obj, "__module__", None) == module.__name__}
-    assert {"oracle._relation_plan", "oracle.lagrange_coeffs",
-            "oracle._content_block", "oracle.enumerate_one_dim_characters",
-            "hopf._f_label_product", "hopf._r_label_coproduct",
-            "hopf._schur_terms",
-            "ribbons.descent_class_size"} <= cached.keys()
+    assert cached.keys() == {
+        "oracle._relation_plan", "oracle.lagrange_coeffs", "oracle._right_steps",
+        "oracle.enumerate_one_dim_characters",
+        "hopf._f_label_product", "hopf._r_label_coproduct",
+        "hopf._schur_terms",
+        "ribbons.descent_class_size"}
     for name, fn in cached.items():
         assert fn.cache_info().maxsize is not None, name
 
@@ -954,25 +986,56 @@ def test_block_columns_equal_generator_actions(n, r, u):
     assert sorted(seen) == list(basis_keys(p))
 
 
-def test_verify_relations_keeps_no_block(fresh_blocks):
+def test_verify_relations_keeps_no_block(monkeypatch):
+    # each call builds every color-content block once, and keeps none
     p = AlgebraParams(3, 2)
-    build_induced_module(p, [Character((1, 2), (-1,)), Character((2,), ())])
-    before = oracle._cached_block.cache_info()
-    assert before.currsize == 1
+    built, block = [], oracle._content_block
+
+    def counted(params, content):
+        built.append(content)
+        return block(params, content)
+    monkeypatch.setattr(oracle, "_content_block", counted)
     verify_relations(p)
-    assert oracle._cached_block.cache_info() == before
+    verify_relations(p)
+    assert built == 2 * [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
 
 
-def test_cross_check_builds_each_block_once(fresh_blocks):
-    report = cross_check_induction(2, 4)
-    contents = {content for n in range(2, 5)
-                for content in itertools.combinations_with_replacement((1, 2), n)}
-    info = oracle._cached_block.cache_info()
-    assert info.misses == len(contents) == 12
-    assert info.hits + info.misses == report["cases"] == 136
+def test_cross_check_builds_no_block(monkeypatch):
+    # no regular representation: one closure per module, of e_id alone,
+    # accepting exactly the module's dimension C(n, m) of echelon rows
+    def no_block(params, content):
+        raise AssertionError("an induced module built a color-content block")
+    monkeypatch.setattr(oracle, "_content_block", no_block)
+    closure, insert, build = oracle._closure, SparseEchelon.insert, build_induced_module
+    counts, per_module = Counter(), []
+
+    def counted_closure(ops, seeds):
+        counts["closures"] += 1
+        counts["seeds"] += len(seeds)
+        return closure(ops, seeds)
+
+    def counted_insert(self, vec):
+        idx = insert(self, vec)
+        counts["accepted"] += idx is not None
+        return idx
+
+    def counted_build(params, chars):
+        counts.clear()
+        module = build(params, chars)
+        per_module.append((math.comb(params.n, len(chars[0].xi_colors)), module.dim,
+                           counts["closures"], counts["seeds"], counts["accepted"]))
+        return module
+    monkeypatch.setattr(oracle, "_closure", counted_closure)
+    monkeypatch.setattr(SparseEchelon, "insert", counted_insert)
+    monkeypatch.setattr(oracle, "build_induced_module", counted_build)
+    assert cross_check_induction(2, 4)["pass"]
+    assert len(per_module) == 136
+    assert all(comb == dim == accepted and closures == seeds == 1
+               for comb, dim, closures, seeds, accepted in per_module)
+    assert sum(dim for _, dim, *_ in per_module) == 584
 
 
-def test_image_leaving_color_content_block_is_rejected(monkeypatch, fresh_blocks):
+def test_image_leaving_color_content_block_is_rejected(monkeypatch):
     good = oracle._T_rule
 
     def recolored(params, i, key):
@@ -1105,69 +1168,133 @@ def test_induced_module_dimensions():
 
 
 @pytest.mark.parametrize("r, max_grade", [(2, 4), (3, 3)])
-def test_induced_modules_equal_dense_reference(monkeypatch, r, max_grade):
+def test_induced_modules_equal_dense_reference(r, max_grade):
     for p, chars in criterion_11_characters(r, max_grade):
-        got = build_induced_module(p, chars)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_quotient_module", reference_quotient_module)
-            expected = build_induced_module(p, chars)
-        assert exact_entries(got) == exact_entries(expected)
+        assert exact_entries(reference_ideal_quotient_module(p, chars)) == \
+            exact_entries(reference_ideal_quotient_module(
+                p, chars, quotient=reference_quotient_module))
 
 
 @pytest.mark.parametrize("r, max_grade", [(2, 4), (3, 3)])
 def test_induced_modules_equal_reference_ops_build(r, max_grade):
     for p, chars in criterion_11_characters(r, max_grade):
-        assert exact_entries(build_induced_module(p, chars)) == \
+        assert exact_entries(reference_ideal_quotient_module(p, chars)) == \
             exact_entries(reference_induced_module(p, chars))
 
 
-def test_induced_module_is_two_closures_of_n_factorial_rows(monkeypatch):
-    # the Hecke ideal H and the closure of B[a, id] modulo H: |H| + dim
-    # = n! accepted rows in all, and no closure of the whole left ideal
-    closure, insert, build = oracle._closure, SparseEchelon.insert, build_induced_module
-    counts, per_module = Counter(), []
+def isomorphism(m1, m2):
+    """The map ``phi`` with ``phi(x e_id) = x e'_id`` for every word ``x``
+    in the generators, as ``phi(e_k)`` per basis vector ``k`` of ``m1``;
+    None unless it is well defined and invertible.  The closure of
+    ``e_id + e'_id`` in ``m1 + m2`` (keys ``(0, k)`` and ``(1, k)``) under
+    both tables at once is the graph of ``phi``: it is well defined when
+    no row of the graph is zero on ``m1``, and onto ``m1`` when the graph
+    has a row per basis vector of ``m1``."""
+    def op(t1, t2):
+        def act(v):
+            out = {}
+            for (side, k), x in v.items():
+                accumulate(out, (((side, row), x * a)
+                                 for row, a in (t1 if side == 0 else t2)[k]))
+            return out
+        return act
+    graph = oracle._closure([op(*pair) for pair in zip(m1.tables, m2.tables)],
+                            [{(0, 0): 1, (1, 0): 1}])
+    pivots = sorted(graph.pivot_of)
+    if pivots != [(0, k) for k in range(m1.dim)] or len(graph) != m2.dim:
+        return None
+    # the rows are reduced, so the row of pivot (0, k) is e_k + phi(e_k)
+    phi = {pivot[1]: {k: x for (side, k), x in row.items() if side == 1}
+           for pivot, row in zip(graph.pivot_of, graph.rows)}
+    image = SparseEchelon()
+    if any(image.insert(v) is None for v in phi.values()):
+        return None
+    return phi
 
-    def counted_closure(ops, seeds):
-        counts["closures"] += 1
-        return closure(ops, seeds)
 
-    def counted_insert(self, vec):
-        idx = insert(self, vec)
-        counts["accepted"] += idx is not None
-        return idx
-
-    def counted_build(params, chars):
-        counts.clear()
-        module = build(params, chars)
-        per_module.append((params.n, counts["closures"], counts["accepted"]))
-        return module
-    monkeypatch.setattr(oracle, "_closure", counted_closure)
-    monkeypatch.setattr(SparseEchelon, "insert", counted_insert)
-    monkeypatch.setattr(oracle, "build_induced_module", counted_build)
-    assert cross_check_induction(2, 4)["pass"]
-    assert len(per_module) == 136
-    assert all(closures == 2 and accepted == math.factorial(n)
-               for n, closures, accepted in per_module)
-    assert sum(accepted for *_, accepted in per_module) == 2744
+def assert_isomorphic(m1, m2):
+    phi = isomorphism(m1, m2)
+    assert phi is not None
+    for t1, t2 in zip(m1.tables, m2.tables):
+        for k in range(m1.dim):
+            # phi(G e_k) = G phi(e_k) for every generator G
+            assert accumulate({}, ((j, x * a) for row, x in t1[k]
+                                   for j, a in phi[row].items())) == \
+                oracle._act(t2, phi[k])
 
 
-def test_induced_module_of_too_small_rank_is_rejected(monkeypatch, fresh_blocks):
-    # T_i acting by 0 leaves B[a, id] alone in its left ideal
+def multi_factor_characters():
+    """Characters of three factors and of one, with every size at most 4
+    in all, two colors, and simple characters on each factor."""
+    simples = {m: [simple_character(rib) for rib in enumerate_cycloribbons(m, 2)]
+               for m in range(1, 5)}
+    for sizes in [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (4,), (3,), (2,), (1,)]:
+        p = AlgebraParams(sum(sizes), 2)
+        for chars in itertools.product(*(simples[m] for m in sizes)):
+            yield p, list(chars)
+
+
+def isomorphism_cases():
+    yield from criterion_11_characters(2, 4)
+    yield from criterion_11_characters(3, 3)
+    yield from criterion_11_characters(1, 5)
+    yield from multi_factor_characters()
+
+
+def test_build_is_isomorphic_to_the_ideal_quotient():
+    count = 0
+    for p, chars in isomorphism_cases():
+        assert_isomorphic(build_induced_module(p, chars),
+                          reference_ideal_quotient_module(p, chars))
+        count += 1
+    assert count == 136 + 81 + 49 + 8 + 3 * 24 + 54 + 18 + 6 + 2
+
+
+def test_isomorphism_check_rejects_other_modules():
+    # the two orders of two one-box factors: equal dimension and
+    # composition factors, but T_1 e_id is e_s - e_id in one, e_s in the other
+    p = AlgebraParams(2, 2)
+    ab = build_induced_module(p, [Character((1,), ()), Character((2,), ())])
+    ba = build_induced_module(p, [Character((2,), ()), Character((1,), ())])
+    assert composition_factors(p, ab) == composition_factors(p, ba)
+    assert isomorphism(ab, ba) is None
+    assert isomorphism(ab, ab) == {0: {0: 1}, 1: {1: 1}}
+
+
+def test_induced_module_not_generated_by_its_seed_is_rejected(monkeypatch):
+    # T_i acting by 0 leaves e_id alone in its cyclic submodule
     monkeypatch.setattr(oracle, "_T_rule", lambda params, i, key: [])
-    with pytest.raises(OracleError,
-                       match=r"^left ideal of B\[a, id\] has rank 1, expected 2$"):
+    with pytest.raises(OracleError, match=r"^e_id generates a submodule of "
+                       r"dimension 1, not the whole module of dimension 2$"):
         build_induced_module(AlgebraParams(2, 1),
                              [Character((1,), ()), Character((1,), ())])
 
 
-def test_induced_module_of_wrong_dimension_is_rejected():
-    # t = 5 is no value of T_1, and the ideal of T_1 - 5 is everything
+def test_induced_module_of_wrong_dimension_is_rejected(monkeypatch):
+    # without the longest representative the basis is one vector short
+    words = oracle._coset_words
+    monkeypatch.setattr(oracle, "_coset_words", lambda sizes: words(sizes)[:-1])
     with pytest.raises(OracleError,
-                       match="^induced module has dimension 0, expected 1$"):
-        build_induced_module(AlgebraParams(2, 1), [Character((1, 1), (5,))])
+                       match="^induced module has dimension 5, expected 6$"):
+        build_induced_module(AlgebraParams(4, 2), [Character((1, 2), (-1,)),
+                                                   Character((2, 1), (0,))])
 
 
-def test_induced_module_violating_the_relations_is_rejected(monkeypatch, fresh_blocks):
+def test_seed_off_its_character_is_rejected(monkeypatch):
+    # xi_2 acts on B[c, id] by u[c_2] + 1, so on e_id by 3, not u[a_2] = 2
+    good = oracle._xi_rule
+
+    def shifted(params, j, key):
+        out = good(params, j, key)
+        return out + [(key, 1)] if j == 2 and key[1] == (1, 2) else out
+    monkeypatch.setattr(oracle, "_xi_rule", shifted)
+    with pytest.raises(OracleError, match=r"^xi_2 acts on e_id by "
+                       r"\(\(0, 3\),\), not 2$"):
+        build_induced_module(AlgebraParams(2, 2),
+                             [Character((1,), ()), Character((2,), ())])
+
+
+def test_induced_module_violating_the_relations_is_rejected(monkeypatch):
     # 2 T_i spans what T_i spans, but breaks T_i^2 = -T_i
     good = oracle._T_rule
 
@@ -1178,6 +1305,48 @@ def test_induced_module_violating_the_relations_is_rejected(monkeypatch, fresh_b
                        match="^induced module violates the defining relations$"):
         build_induced_module(AlgebraParams(2, 2),
                              [Character((1,), ()), Character((2,), ())])
+
+
+def test_inducing_from_no_character_is_rejected():
+    # t = 5 is no value of T_1: the seed carries it, and T_1^2 = -T_1 fails
+    # (the ideal-quotient build finds the ideal of T_1 - 5 is everything)
+    p, chars = AlgebraParams(2, 1), [Character((1, 1), (5,))]
+    with pytest.raises(OracleError,
+                       match="^induced module violates the defining relations$"):
+        build_induced_module(p, chars)
+    assert reference_ideal_quotient_module(p, chars).dim == 0
+
+
+def test_induced_module_of_too_small_rank_is_rejected(monkeypatch):
+    # the rank check of the ideal-quotient reference: T_i acting by 0
+    # leaves B[a, id] alone in its left ideal
+    monkeypatch.setattr(oracle, "_T_rule", lambda params, i, key: [])
+    with pytest.raises(OracleError,
+                       match=r"^left ideal of B\[a, id\] has rank 1, expected 2$"):
+        reference_ideal_quotient_module(AlgebraParams(2, 1),
+                                        [Character((1,), ()), Character((1,), ())])
+
+
+@pytest.mark.parametrize("chars", [
+    [Character((), ()), Character((1, 2), (-1,))],
+    [Character((1, 2), (-1,)), Character((), ())],
+    [Character((1,), ()), Character((), ()), Character((2,), ())]])
+def test_empty_factor_changes_nothing(chars):
+    p = AlgebraParams(2, 2)
+    mod = build_induced_module(p, chars)
+    nonempty = [ch for ch in chars if ch.xi_colors]
+    assert exact_entries(mod) == exact_entries(build_induced_module(p, nonempty))
+    assert_isomorphic(mod, reference_ideal_quotient_module(p, chars))
+
+
+@pytest.mark.parametrize("chars, factor", [
+    ([Character((1, 2), ())], r"^factor 0 Character\(xi_colors=\(1, 2\), "
+                              r"t_values=\(\)\) needs 1 t-values$"),
+    ([Character((1,), ()), Character((2,), (0,))], r"^factor 1 .* needs 0 t-values$"),
+    ([Character((), (0,)), Character((1, 2), ())], r"^factor 0 .* needs 0 t-values$")])
+def test_t_values_of_the_wrong_length_are_rejected(chars, factor):
+    with pytest.raises(ValueError, match=factor):
+        build_induced_module(AlgebraParams(2, 2), chars)
 
 
 def test_inducing_a_character_from_the_whole_algebra():
