@@ -1182,6 +1182,34 @@ def test_induced_modules_equal_reference_ops_build(r, max_grade):
             exact_entries(reference_induced_module(p, chars))
 
 
+def test_induced_module_is_two_closures_of_n_factorial_rows(monkeypatch):
+    # the ideal-quotient reference: the Hecke ideal H and the closure of
+    # B[a, id] modulo H, |H| + dim = n! accepted rows in all, and no
+    # closure of the whole left ideal
+    closure, insert = oracle._closure, SparseEchelon.insert
+    counts, per_module = Counter(), []
+
+    def counted_closure(ops, seeds):
+        counts["closures"] += 1
+        return closure(ops, seeds)
+
+    def counted_insert(self, vec):
+        idx = insert(self, vec)
+        counts["accepted"] += idx is not None
+        return idx
+    monkeypatch.setattr(oracle, "_closure", counted_closure)
+    monkeypatch.setattr(SparseEchelon, "insert", counted_insert)
+    for p, chars in criterion_11_characters(2, 4):
+        counts.clear()
+        module = reference_ideal_quotient_module(p, chars)
+        per_module.append((p.n, module.dim, counts["closures"], counts["accepted"]))
+    assert len(per_module) == 136
+    assert all(closures == 2 and accepted == math.factorial(n)
+               for n, _, closures, accepted in per_module)
+    assert sum(accepted for *_, accepted in per_module) == 2744
+    assert sum(dim for _, dim, *_ in per_module) == 584
+
+
 def isomorphism(m1, m2):
     """The map ``phi`` with ``phi(x e_id) = x e'_id`` for every word ``x``
     in the generators, as ``phi(e_k)`` per basis vector ``k`` of ``m1``;
