@@ -159,30 +159,14 @@ def left_mult_T(params: AlgebraParams, i: int, x: AlgebraElement) -> AlgebraElem
     return _left_mult(_T_rule, params, i, x)
 
 
-@lru_cache(maxsize=64)
-def lagrange_coeffs(u: tuple, k: int) -> tuple:
-    """The interpolation polynomial taking value 1 at u_k and 0 at the
-    other parameters, as ``(numerators, denominator)``: integer
-    coefficients in ascending degree, all over one positive integer."""
-    poly, value = [1], 1
+def _lagrange_apply(u, k, xi, sub, scale, v):
+    """``l_k(xi) v`` for the projector onto the eigenvalue ``u_k``, as its defining
+    product ``prod_{l != k} (xi - u_l) / (u_k - u_l)``, divided once at the end."""
+    denom = 1
     for l, ul in enumerate(u, start=1):
-        if l == k:
-            continue
-        poly = [a - ul * b for a, b in zip([0] + poly, poly + [0])]
-        value *= u[k - 1] - ul
-    coeffs = [Fraction(a) / value for a in poly]
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * denom) for c in coeffs), denom
-
-
-def _lagrange_apply(u, k, xi, add, scale, v):
-    """``l_k(xi) v`` by Horner's rule on the integer numerators, divided
-    once by the common denominator at the end."""
-    nums, denom = lagrange_coeffs(u, k)
-    acc = scale(nums[-1], v)
-    for a in reversed(nums[:-1]):
-        acc = add(xi(acc), scale(a, v))
-    return acc if denom == 1 else scale(Fraction(1, denom), acc)
+        if l != k:
+            v, denom = sub(xi(v), scale(ul, v)), denom * (u[k - 1] - ul)
+    return scale(Fraction(1, denom), v)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +179,7 @@ def _relation_suite(params: AlgebraParams, T, XI, add, sub, scale):
     n, u = params.n, params.u
 
     def lagrange_apply(k, j, v):
-        return _lagrange_apply(u, k, lambda w: XI(j, w), add, scale, v)
+        return _lagrange_apply(u, k, partial(XI, j), sub, scale, v)
 
     checks = []
     for i in range(1, n):
@@ -386,21 +370,22 @@ def _content_block(params: AlgebraParams, content: tuple) -> tuple:
 
 @lru_cache(maxsize=8)
 def _right_steps(n: int) -> tuple:
-    """``T_w T_j`` by the 0-Hecke rule, with ``w`` given by its position
-    ``p`` in ``itertools.permutations`` order (a block's order for one
-    color word): ``steps[j - 1][p]`` is ``(position of w.s_j, 1)`` when
-    ``w(j) < w(j+1)``, else ``(p, -1)``.  ``parent[p]`` is ``(j, position
-    of w.s_j)`` for the first descent ``j`` of ``w``, None for ``id``."""
+    """The right action ``rho_j(T_w) = T_w T_j`` by the 0-Hecke rule, ``w``
+    given by its position ``p`` in ``itertools.permutations`` order (a block's
+    order for one color word): ``rho[j - 1]`` is an :func:`_act` table whose
+    column ``p`` is ``((position of w.s_j, 1),)`` when ``w(j) < w(j+1)``, else
+    ``((p, -1),)``; ``firsts[j - 1]`` pairs the position of each ``w`` whose
+    first descent is ``j`` with the position of ``w.s_j``."""
     perms = list(itertools.permutations(range(1, n + 1)))
     index = {w: p for p, w in enumerate(perms)}
-
-    def times_s(w, j):
-        return w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
-    steps = tuple(tuple((index[times_s(w, j)], 1) if w[j - 1] < w[j] else (p, -1)
-                        for p, w in enumerate(perms)) for j in range(1, n))
-    parent = tuple(next(((j, index[times_s(w, j)]) for j in range(1, n)
-                         if w[j - 1] > w[j]), None) for w in perms)
-    return steps, parent
+    first = [next((j for j in range(1, n) if w[j - 1] > w[j]), 0) for w in perms]
+    rho, firsts = [], []
+    for j in range(1, n):
+        shifted = [index[w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]] for w in perms]
+        rho.append(tuple(((q, 1),) if w[j - 1] < w[j] else ((p, -1),)
+                         for p, (w, q) in enumerate(zip(perms, shifted))))
+        firsts.append(tuple((p, q) for p, q in enumerate(shifted) if first[p] == j))
+    return tuple(rho), tuple(firsts)
 
 
 def _right_equivariant(n: int, tables) -> bool:
@@ -411,27 +396,17 @@ def _right_equivariant(n: int, tables) -> bool:
     ``B[c, w]`` is ``rho_j(B[c, w.s_j])``.  By induction on the length of
     ``w`` each column is then ``rho_w`` of the column at ``(c, id)``, and
     as the ``rho_j`` satisfy the 0-Hecke relations, ``G rho_j = rho_j G``
-    for every table ``G`` and every ``j``."""
-    steps, parent = _right_steps(n)
-    nf = len(parent)
-    for table in tables:
-        for k, col in enumerate(table):
-            p = k % nf
-            if not p:
-                continue
-            j, q = parent[p]
-            step, image = steps[j - 1], {}
-            get = image.get
-            for row, a in table[k - p + q]:
-                rp = row % nf
-                t, sign = step[rp]
-                t += row - rp
-                x = get(t, 0) + sign * a
-                if x:
-                    image[t] = x
-                else:
-                    del image[t]
-            if image != dict(col):
+    for every table ``G`` and every ``j``.  A block lists each color word's
+    ``n!`` positions in turn, so one ``_act`` of ``rho_j`` moves the rows of
+    all the parent columns of a table at once, each within its color word."""
+    rho, firsts = _right_steps(n)
+    dim = len(tables[-1])
+    for step, pairs in zip(rho, firsts):
+        at = [(base + p, base + q) for base in range(0, dim, len(step))
+              for p, q in pairs]
+        for table in tables:
+            moved = _act(step, {k * dim + row: a for k, q in at for row, a in table[q]})
+            if moved != {k * dim + row: a for k, _ in at for row, a in table[k]}:
                 return False
     return True
 
@@ -575,6 +550,8 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
     for k, ch in enumerate(chars):
         if len(ch.t_values) != max(sizes[k] - 1, 0):
             raise ValueError(f"factor {k} {ch} needs {max(sizes[k] - 1, 0)} t-values")
+        if not all(1 <= c <= params.r for c in ch.xi_colors):
+            raise ValueError(f"factor {k} {ch} has a color outside 1..{params.r}")
         chi.update(zip(range(len(a), len(a) + sizes[k] - 1), ch.t_values))
         a += tuple(ch.xi_colors)
     keys = [(tuple(x for _, x in sorted(zip(s, a))), s) for s in _coset_words(sizes)]
@@ -612,7 +589,7 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
     of the image of ``B[c, id]`` has ``w'`` the identity or ``s_i``, and
     ``B[c', w'] (x) 1 = L_{c'} (x) T_{w'} 1 = chi(T_{w'}) e_{c'}``, where
     ``chi(T_i)`` is -1 on the descents of the shape and 0 elsewhere."""
-    if sum(shape) != params.n:
+    if sum(shape) != params.n or any(p < 1 for p in shape):
         raise ValueError(f"{shape} is not a composition of {params.n}")
     ds = descent_set(shape)
     ident = tuple(range(1, params.n + 1))

@@ -123,6 +123,8 @@ HASH_SEED_CASES = [
     ["oracle", "verify", "--n", "3", "--r", "2", "--u=-5/6,0"],
     ["oracle", "verify", "--n", "4", "--r", "3"],
     ["oracle", "verify", "--n", "4", "--r", "3", "--u=5,6,7"],
+    ["oracle", "verify", "--n", "3", "--r", "3", "--u=1/2,-3,0"],
+    ["oracle", "verify", "--n", "2", "--r", "4", "--u=1/2,-3,0,7"],
 ]
 
 

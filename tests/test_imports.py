@@ -174,8 +174,7 @@ def test_tracer_installs_after_lazy_cli_import():
     ``vars()``, so the tracer still finds every module it wraps."""
     caches = run_fresh(TRACER, str(ROOT / "perfbench" / "spans.py"))
     assert {"oracle._relation_plan", "oracle._right_steps",
-            "oracle.enumerate_one_dim_characters",
-            "oracle.lagrange_coeffs"} <= set(caches)
+            "oracle.enumerate_one_dim_characters"} <= set(caches)
 
 
 # Top-level functions and classes of src that nothing but the tests uses,

@@ -26,7 +26,6 @@ from cycloribbon.oracle import (
     composition_factors,
     cross_check_induction,
     enumerate_one_dim_characters,
-    lagrange_coeffs,
     left_mult_T,
     left_mult_xi,
     module_relations_ok,
@@ -317,17 +316,38 @@ def peel_composition_factors(params, module):
     return factors
 
 
+def reference_lagrange_coeffs(u, k) -> tuple:
+    """The interpolation polynomial taking value 1 at u_k and 0 at the
+    other parameters, as ``(numerators, denominator)``: integer
+    coefficients in ascending degree, all over one positive integer."""
+    poly, value = [1], 1
+    for l, ul in enumerate(u, start=1):
+        if l == k:
+            continue
+        poly = [a - ul * b for a, b in zip([0] + poly, poly + [0])]
+        value *= u[k - 1] - ul
+    coeffs = [Fraction(a) / value for a in poly]
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * denom) for c in coeffs), denom
+
+
 def reference_weight_projectors(params, mats):
     """``{c: L_c}`` over the color words c whose dense projector
     ``L_c = prod_j l_{c_j}(xi_j)`` is nonzero on the module acting by the
-    dense matrices ``mats``.  Words are grown one position at a time and
-    dropped as soon as their partial product vanishes."""
+    dense matrices ``mats``, each ``l_k(xi)`` by Horner's rule on the
+    integer numerators of :func:`reference_lagrange_coeffs`.  Words are
+    grown one position at a time and dropped as soon as their partial
+    product vanishes."""
     ident = mat_identity(len(mats[0]))
     weights = {(): ident}
     for xi in mats[params.n - 1:]:
-        projectors = [oracle._lagrange_apply(params.u, k, lambda m: mat_mul(xi, m),
-                                             mat_add, mat_scale, ident)
-                      for k in range(1, params.r + 1)]
+        projectors = []
+        for k in range(1, params.r + 1):
+            nums, denom = reference_lagrange_coeffs(params.u, k)
+            acc = mat_scale(nums[-1], ident)
+            for a in reversed(nums[:-1]):
+                acc = mat_add(mat_mul(xi, acc), mat_scale(a, ident))
+            projectors.append(mat_scale(Fraction(1, denom), acc))
         weights = {c + (k,): prod
                    for c, acc in weights.items()
                    for k, proj in enumerate(projectors, start=1)
@@ -618,30 +638,35 @@ def right_action(params, j, x):
 @pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 2)])
 def test_right_steps_are_right_multiplication(n, r):
     p = AlgebraParams(n, r)
-    steps, parent = oracle._right_steps(n)
+    rho, firsts = oracle._right_steps(n)
     perms = list(itertools.permutations(range(1, n + 1)))
-    assert parent[0] is None
+    assert len(rho) == len(firsts) == n - 1
+    assert all(len(table) == len(perms) for table in rho)
     for c in itertools.product(range(1, r + 1), repeat=n):
         for j in range(1, n):
-            for w, (t, sign) in zip(perms, steps[j - 1]):
-                assert right_action(p, j, B(c, w)) == sign * B(c, perms[t])
-    for w, step in zip(perms[1:], parent[1:]):
-        j, q = step
-        # the first descent, and w is its parent times s_j, one longer
-        assert j == min(i for i in range(1, n) if w[i - 1] > w[i])
-        assert steps[j - 1][q] == (perms.index(w), 1)
+            for w, col in zip(perms, rho[j - 1]):
+                assert len(col) == 1
+                assert right_action(p, j, B(c, w)) == \
+                    AlgebraElement({(c, perms[t]): a for t, a in col})
+    # each permutation but the identity once, under its first descent j,
+    # with its parent w.s_j, one shorter, which rho_j sends to w
+    assert sorted(q for pairs in firsts for q, _ in pairs) == list(range(1, len(perms)))
+    for j, pairs in enumerate(firsts, start=1):
+        for q, t in pairs:
+            w = perms[q]
+            assert j == min(i for i in range(1, n) if w[i - 1] > w[i])
+            assert perms[t] == w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
+            assert rho[j - 1][t] == ((q, 1),)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_right_steps_satisfy_the_hecke_relations(n):
-    steps, _ = oracle._right_steps(n)
+    tables, _ = oracle._right_steps(n)
 
     def rho(j, v):
-        out = {}
-        for p, a in v.items():
-            t, sign = steps[j - 1][p]
-            accumulate(out, ((t, sign * a),))
-        return out
+        # by accumulate, not by the kernel under test
+        return accumulate({}, ((t, s * a) for p, a in v.items()
+                               for t, s in tables[j - 1][p]))
 
     def rhos(word, v):
         for j in word:
@@ -708,6 +733,60 @@ def record_columns(monkeypatch):
     return calls
 
 
+def reference_right_steps(n):
+    """``T_w T_j`` by the 0-Hecke rule, with ``w`` given by its position
+    ``p`` in ``itertools.permutations`` order: ``steps[j - 1][p]`` is
+    ``(position of w.s_j, 1)`` when ``w(j) < w(j+1)``, else ``(p, -1)``.
+    ``parent[p]`` is ``(j, position of w.s_j)`` for the first descent
+    ``j`` of ``w``, None for ``id``."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    index = {w: p for p, w in enumerate(perms)}
+
+    def times_s(w, j):
+        return w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
+    steps = tuple(tuple((index[times_s(w, j)], 1) if w[j - 1] < w[j] else (p, -1)
+                        for p, w in enumerate(perms)) for j in range(1, n))
+    parent = tuple(next(((j, index[times_s(w, j)]) for j in range(1, n)
+                         if w[j - 1] > w[j]), None) for w in perms)
+    return steps, parent
+
+
+def reference_right_equivariant(n, tables):
+    """Reference for :func:`oracle._right_equivariant`: one column at a
+    time, the column at ``(c, w)`` against ``rho_j`` of the column at
+    ``(c, w.s_j)`` for the first descent ``j`` of ``w``, each image
+    accumulated entry by entry."""
+    steps, parent = reference_right_steps(n)
+    nf = len(parent)
+    for table in tables:
+        for k, col in enumerate(table):
+            p = k % nf
+            if not p:
+                continue
+            j, q = parent[p]
+            step, image = steps[j - 1], {}
+            get = image.get
+            for row, a in table[k - p + q]:
+                rp = row % nf
+                t, sign = step[rp]
+                t += row - rp
+                x = get(t, 0) + sign * a
+                if x:
+                    image[t] = x
+                else:
+                    del image[t]
+            if image != dict(col):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_right_equivariant_equals_reference(n, r, u):
+    blocks = list(content_blocks(AlgebraParams(n, r, u)))
+    assert [oracle._right_equivariant(n, tables) for _, tables in blocks] \
+        == [reference_right_equivariant(n, tables) for _, tables in blocks]
+
+
 @pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
 def test_real_rules_pass_the_certificate_and_take_the_seed_path(monkeypatch, n, r, u):
     p = AlgebraParams(n, r, u)
@@ -727,7 +806,9 @@ def test_defects_reported_as_reference(monkeypatch, n, r, u, defect):
     fails = install_defect(monkeypatch, defect)
     p = AlgebraParams(n, r, u)
     contents = list(itertools.combinations_with_replacement(range(1, r + 1), n))
-    assert [oracle._right_equivariant(n, tables) for _, tables in content_blocks(p)] \
+    blocks = list(content_blocks(p))
+    assert [oracle._right_equivariant(n, tables) for _, tables in blocks] \
+        == [reference_right_equivariant(n, tables) for _, tables in blocks] \
         == [not fails(content) for content in contents]
     calls = record_columns(monkeypatch)
     got = verify_relations(p)
@@ -814,6 +895,33 @@ def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u)
             multiple = Fraction(got.terms.get(key, 0)) / want.terms[key]
             assert multiple and multiple.denominator == 1, (name, instance)
             assert got == multiple * want, (name, instance)
+
+
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_cross_commutation_plan_equals_reference_lagrange_coeffs(n, r, u):
+    """Each compiled cross-commutation polynomial, read back from its steps,
+    is ``T_i xi_i - xi_{i+1} T_i - sum_{c1 < c2} (u_c2 - u_c1) l_c1(xi_i)
+    l_c2(xi_{i+1})`` with the projectors from their integer coefficients,
+    times the lcm of its denominators."""
+    p = AlgebraParams(n, r, u)
+    coeffs = [None] + [reference_lagrange_coeffs(p.u, k) for k in range(1, r + 1)]
+    got = {instance: steps for _, name, instance, steps in oracle._relation_plan(p)
+           if name == "cross-commutation"}
+    assert list(got) == [f"i={i}" for i in range(1, n)]
+    for i in range(1, n):
+        t, x, y = i - 1, n + i - 2, n + i - 1       # T_i, xi_i, xi_{i+1}
+        want = {(t, x): 1, (y, t): -1}
+        for c1, c2 in itertools.combinations(range(1, r + 1), 2):
+            (nums1, d1), (nums2, d2) = coeffs[c1], coeffs[c2]
+            accumulate(want, (((x,) * a + (y,) * b,
+                               -(p.u[c2 - 1] - p.u[c1 - 1]) * Fraction(a1 * a2, d1 * d2))
+                              for a, a1 in enumerate(nums1)
+                              for b, a2 in enumerate(nums2)))
+        lcm = math.lcm(*(Fraction(c).denominator for c in want.values()))
+        steps = got[f"i={i}"]
+        assert len({word for word, *_ in steps}) == len(steps)
+        assert {word: coeff for word, coeff, _, _ in steps} == \
+            {word: c * lcm for word, c in want.items()}
 
 
 @pytest.mark.parametrize("n, r, expected", [(3, 2, 32), (4, 3, 73)])
@@ -957,7 +1065,7 @@ def test_relation_caches_are_bounded():
               if callable(getattr(obj, "cache_info", None))
               and getattr(obj, "__module__", None) == module.__name__}
     assert cached.keys() == {
-        "oracle._relation_plan", "oracle.lagrange_coeffs", "oracle._right_steps",
+        "oracle._relation_plan", "oracle._right_steps",
         "oracle.enumerate_one_dim_characters",
         "hopf._f_label_product", "hopf._r_label_coproduct",
         "hopf._schur_terms",
@@ -1092,10 +1200,21 @@ def test_module_relations_act_on_whole_operators(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("u", [(1, 2, 3), (Fraction(-1, 2), 3, 0), (2, -7),
+                               (Fraction(1, 3), -1, 1, 0, Fraction(-7, 2))])
+def test_lagrange_projectors_interpolate(u):
+    # the product form evaluated at each parameter, on scalars
+    for k in range(1, len(u) + 1):
+        for l, ul in enumerate(u, start=1):
+            value = oracle._lagrange_apply(u, k, lambda v: ul * v,
+                                           lambda a, b: a - b, lambda s, v: s * v, 1)
+            assert value == (1 if l == k else 0)
+
+
 @pytest.mark.parametrize("u", [(1, 2, 3), (Fraction(-1, 2), 3, 0), (2, -7)])
 def test_lagrange_coeffs_interpolate(u):
     for k in range(1, len(u) + 1):
-        nums, denom = lagrange_coeffs(u, k)
+        nums, denom = reference_lagrange_coeffs(u, k)
         assert all(type(a) is int for a in nums) and type(denom) is int
         for l, ul in enumerate(u, start=1):
             value = Fraction(sum(a * ul ** d for d, a in enumerate(nums)), denom)
@@ -1375,6 +1494,24 @@ def test_empty_factor_changes_nothing(chars):
 def test_t_values_of_the_wrong_length_are_rejected(chars, factor):
     with pytest.raises(ValueError, match=factor):
         build_induced_module(AlgebraParams(2, 2), chars)
+
+
+@pytest.mark.parametrize("chars, factor", [
+    # a color 0 would be read as u_0 = u[-1] = u_2
+    ([Character((0, 2), (-1,))], r"^factor 0 Character\(xi_colors=\(0, 2\), "
+                                 r"t_values=\(-1,\)\) has a color outside 1\.\.2$"),
+    ([Character((3, 1), (0,))], r"^factor 0 .* has a color outside 1\.\.2$"),
+    ([Character((1,), ()), Character((3,), ())], r"^factor 1 .* outside 1\.\.2$")])
+def test_colors_outside_the_parameters_are_rejected(chars, factor):
+    with pytest.raises(ValueError, match=factor):
+        build_induced_module(AlgebraParams(2, 2), chars)
+
+
+@pytest.mark.parametrize("check", [build_shape_module, check_socle, check_submodule_order])
+@pytest.mark.parametrize("shape", [(3, -1), (2, 0), (0, 2)])
+def test_shapes_that_are_not_compositions_are_rejected(check, shape):
+    with pytest.raises(ValueError, match=r"is not a composition of 2$"):
+        check(AlgebraParams(2, 2), shape)
 
 
 def test_inducing_a_character_from_the_whole_algebra():
