@@ -254,84 +254,64 @@ def _act(table, v: dict, out=None, scale=1) -> dict:
 
 @lru_cache(maxsize=32)
 def _relation_plan(params: AlgebraParams) -> tuple:
-    """The relation suite compiled into polynomials in generator words,
-    with their schedule: one ``(position in the suite, check, instance,
-    steps)`` per relation.  A word is the tuple of table indices of its
-    generators (``T_1..T_{n-1}``, then ``xi_1..xi_n``), the leftmost
-    applied last.  A step ``(word, coeff, build, drop)`` builds the listed
-    words, each on its suffix, adds ``coeff`` times the word, then drops
-    the words that no later step uses or extends.  Each polynomial is
-    multiplied by the lcm of its denominators, so the coefficients are
-    ints; a nonzero multiple of a residual has the same nonzero entries.
-    Relations run in order of the least and greatest index of their
-    generators (``T_i`` and ``xi_i`` count as ``i``), so that few words
-    are kept from one to the next."""
-    n = params.n
+    """The relation suite compiled into polynomials in generator words: one
+    ``(check, instance, terms)`` per relation, in suite order, each term
+    ``(word, coeff, single)``.  A word is the tuple of table indices of its
+    generators (``T_1..T_{n-1}``, then ``xi_1..xi_n``), the leftmost applied
+    last; it is ``single`` when no other term needs its operator: a term
+    once in the plan and a proper suffix of no term word.  Each polynomial
+    is multiplied by the lcm of its denominators, so the coefficients are
+    ints; a nonzero multiple of a residual has the same nonzero entries."""
     checks = _relation_suite(
         params,
         T=lambda i, v: {(i - 1,) + w: c for w, c in v.items()},
-        XI=lambda j, v: {(n + j - 2,) + w: c for w, c in v.items()},
+        XI=lambda j, v: {(params.n + j - 2,) + w: c for w, c in v.items()},
         add=lambda a, b: accumulate(dict(a), b.items()),
         sub=lambda a, b: accumulate(dict(a), b.items(), -1),
         scale=lambda s, a: accumulate({}, a.items(), s))
     polys = []
-    for pos, (name, instance, residual) in enumerate(checks):
+    for name, instance, residual in checks:
         poly = residual({(): 1})
         lcm = math.lcm(*(c.denominator for c in poly.values()))
-        span = sorted({g - (n - 1) if g >= n - 1 else g for w in poly for g in w})
-        polys.append((span[:1] + span[-1:], pos, name, instance,
-                      [(w, int(c * lcm)) for w, c in poly.items()]))
-    plan, built, last_use = [], {()}, {}
-    for _, pos, name, instance, terms in sorted(polys):
-        steps = []
-        for w, c in terms:
-            suffixes = [w[k:] for k in range(len(w) - 1, -1, -1)]
-            drop = []
-            steps.append((w, c, [s for s in suffixes if s not in built], drop))
-            built.update(suffixes)
-            last_use.update(dict.fromkeys(suffixes, drop))
-        plan.append((pos, name, instance, steps))
-    for w, drop in last_use.items():
-        drop.append(w)
+        polys.append((name, instance, [(w, int(c * lcm)) for w, c in poly.items()]))
+    uses = Counter(w for *_, terms in polys for w, _ in terms)
+    # k = len(w) makes the empty word a proper suffix, so it is never single
+    inner = {w[k:] for w in uses for k in range(1, len(w) + 1)}
     # the cache hands the plan to every caller, so it is made immutable
-    return tuple((pos, name, instance, tuple((w, c, tuple(b), tuple(d))
-                                             for w, c, b, d in steps))
-                 for pos, name, instance, steps in plan)
+    return tuple((name, instance, tuple((w, c, uses[w] == 1 and w not in inner)
+                                        for w, c in terms))
+                 for name, instance, terms in polys)
 
 
 def _table_residuals(params, tables, columns=None) -> list:
     """``(check, instance, residual)`` for every defining relation, in
     suite order, on a representation whose generators ``T_1..T_{n-1},
     xi_1..xi_n`` act by the given tables of sparse columns.  Each word of
-    the compiled plan is applied once to the identity operator, or to its
-    given ``columns`` only, by one ``_act`` on its suffix.  A word that
-    only its own step uses (built and dropped there) goes by that ``_act``
-    straight into the residual, times the step's coefficient; the other
-    words are kept in ``ops`` until their last use, and added to the
-    residuals that have them as a term.
+    the plan is applied once to the identity operator, or to its given
+    ``columns`` only, by one ``_act`` on its suffix, kept in a memo for the
+    call; a ``single`` word goes by that ``_act`` straight into its
+    residual, times its coefficient, and is never kept.
     A residual is keyed by ``column * dim + row``, is a nonzero integer
     multiple of the relation's own residual, and is empty (test ``not``;
     key 0 is falsy) exactly when the relation holds."""
     dim = len(tables[-1])
     ops = {(): {k * dim + k: 1
                 for k in (range(dim) if columns is None else columns)}}
-    plan = _relation_plan(params)
-    out = [None] * len(plan)
-    for pos, name, instance, steps in plan:
+
+    def op(w):
+        if w not in ops:
+            ops[w] = _act(tables[w[0]], op(w[1:]))
+        return ops[w]
+    out = []
+    for name, instance, terms in _relation_plan(params):
         residual = {}
-        for word, coeff, build, drop in steps:
-            # a word is built after its suffixes, so it is last in build
-            single = word in drop and build[-1:] == (word,)
-            for w in build[:-1] if single else build:
-                ops[w] = _act(tables[w[0]], ops[w[1:]])
+        for word, coeff, single in terms:
             if single:
-                _act(tables[word[0]], ops[word[1:]], residual, coeff)
+                _act(tables[word[0]], op(word[1:]), residual, coeff)
             else:
-                accumulate(residual, ops[word].items(), coeff)
-            for w in drop:
-                ops.pop(w, None)
+                accumulate(residual, op(word).items(), coeff)
         # an emptied dict keeps its size, so keep a fresh one instead
-        out[pos] = name, instance, residual or {}
+        out.append((name, instance, residual or {}))
     return out
 
 
@@ -363,7 +343,6 @@ def _content_block(params: AlgebraParams, content: tuple) -> tuple:
                 f"B{key} is mapped outside its color-content block") from None
         return share.setdefault(col, col)
 
-    # immutable, since the cache hands the same block to every caller
     return keys, tuple(tuple(column(rule, g, key) for key in keys)
                        for rule, g in _generators(params))
 
@@ -776,6 +755,9 @@ def cross_check_induction(r: int, max_grade: int) -> dict:
         return sorted((list(ch.xi_colors), list(ch.t_values), mult)
                       for ch, mult in counts.items())
 
+    for name, value, least in (("r", r, 1), ("max_grade", max_grade, 0)):
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {name} = {value}")
     cases, failures = 0, []
     for total in range(2, max_grade + 1):
         params = AlgebraParams(total, r)

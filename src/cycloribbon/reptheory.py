@@ -107,6 +107,8 @@ def induce_simples(a: ColoredRibbon, b: ColoredRibbon, *,
 def restrict_simple(rib: ColoredRibbon, m: int) -> list:
     """Restriction of a simple to the parabolic with first block of size
     ``m``: the single split of the cycloribbon at that cell."""
+    if not is_cycloribbon(rib):
+        raise ValueError(f"{rib} is not a cycloribbon")
     return [split_ribbon(rib, m)]
 
 

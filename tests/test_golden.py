@@ -117,7 +117,8 @@ def test_cli_output_matches_golden(argv):
 
 
 # golden cases whose output must not depend on the hash seed of the
-# process: the relation checks iterate over sets and dicts of tuples
+# process: the relation checks, on the regular representation and on the
+# induced modules of the cross-check, iterate over sets and dicts of tuples
 HASH_SEED_CASES = [
     ["oracle", "verify", "--n", "3", "--r", "2", "--u", "1,3"],
     ["oracle", "verify", "--n", "3", "--r", "2", "--u=-5/6,0"],
@@ -125,6 +126,7 @@ HASH_SEED_CASES = [
     ["oracle", "verify", "--n", "4", "--r", "3", "--u=5,6,7"],
     ["oracle", "verify", "--n", "3", "--r", "3", "--u=1/2,-3,0"],
     ["oracle", "verify", "--n", "2", "--r", "4", "--u=1/2,-3,0,7"],
+    ["oracle", "cross-check", "--max-grade", "3", "--r", "3"],
 ]
 
 

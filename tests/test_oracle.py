@@ -851,7 +851,7 @@ def evaluate_word(params, word, x):
 @pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
 def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u):
     p = AlgebraParams(n, r, u)
-    plan = sorted(oracle._relation_plan(p))
+    plan = oracle._relation_plan(p)
     checks = _relation_suite(
         p,
         T=lambda i, v: oracle.left_mult_T(p, i, v),
@@ -859,9 +859,9 @@ def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u)
         add=lambda a, b: a + b,
         sub=lambda a, b: a - b,
         scale=lambda s, v: s * v)
-    assert [(pos, name, instance) for pos, name, instance, _ in plan] == \
-        [(pos, name, instance) for pos, (name, instance, _) in enumerate(checks)]
-    assert all(type(coeff) is int for *_, steps in plan for _, coeff, _, _ in steps)
+    assert [(name, instance) for name, instance, _ in plan] == \
+        [(name, instance) for name, instance, _ in checks]
+    assert all(type(coeff) is int for *_, terms in plan for _, coeff, _ in terms)
 
     # shift every generator by 1/7 (no parameter here has a denominator
     # divisible by 7) and a random monomial map, so that no relation holds
@@ -885,10 +885,10 @@ def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u)
     for _ in range(2):
         x = AlgebraElement({key: local.randint(1, 3)
                             for key in local.sample(keys, min(3, len(keys)))})
-        for (_, name, instance, steps), (_, _, residual) in zip(plan, checks):
+        for (name, instance, terms), (_, _, residual) in zip(plan, checks):
             want = residual(x)
             got = AlgebraElement()
-            for word, coeff, _, _ in steps:
+            for word, coeff, _ in terms:
                 got = got + coeff * evaluate_word(p, word, x)
             assert want, (name, instance)
             key = min(want.terms)
@@ -899,13 +899,13 @@ def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u)
 
 @pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
 def test_cross_commutation_plan_equals_reference_lagrange_coeffs(n, r, u):
-    """Each compiled cross-commutation polynomial, read back from its steps,
+    """Each compiled cross-commutation polynomial, read back from its terms,
     is ``T_i xi_i - xi_{i+1} T_i - sum_{c1 < c2} (u_c2 - u_c1) l_c1(xi_i)
     l_c2(xi_{i+1})`` with the projectors from their integer coefficients,
     times the lcm of its denominators."""
     p = AlgebraParams(n, r, u)
     coeffs = [None] + [reference_lagrange_coeffs(p.u, k) for k in range(1, r + 1)]
-    got = {instance: steps for _, name, instance, steps in oracle._relation_plan(p)
+    got = {instance: terms for name, instance, terms in oracle._relation_plan(p)
            if name == "cross-commutation"}
     assert list(got) == [f"i={i}" for i in range(1, n)]
     for i in range(1, n):
@@ -918,9 +918,9 @@ def test_cross_commutation_plan_equals_reference_lagrange_coeffs(n, r, u):
                               for a, a1 in enumerate(nums1)
                               for b, a2 in enumerate(nums2)))
         lcm = math.lcm(*(Fraction(c).denominator for c in want.values()))
-        steps = got[f"i={i}"]
-        assert len({word for word, *_ in steps}) == len(steps)
-        assert {word: coeff for word, coeff, _, _ in steps} == \
+        terms = got[f"i={i}"]
+        assert len({word for word, *_ in terms}) == len(terms)
+        assert {word: coeff for word, coeff, _ in terms} == \
             {word: c * lcm for word, c in want.items()}
 
 
@@ -999,13 +999,23 @@ def test_act_keeps_zero_entries_and_cancellations_out():
 
 @pytest.mark.parametrize("n, r, built", [(3, 2, 13), (4, 3, 27)])
 def test_relation_check_materializes_only_shared_words(monkeypatch, n, r, built):
-    """A word that only its own step uses is added into the residual by
-    ``_act`` and never kept as an operator of its own."""
+    """A word that is a term once in the plan and a proper suffix of no
+    term word is flagged ``single``, added into its residual by ``_act``
+    and never kept as an operator of its own.  The empty word, the
+    identity operator, is never single, also where a relation has it as
+    a term (the constant term of the color polynomial at n = 1)."""
+    for q in (AlgebraParams(1, 1), AlgebraParams(1, 3)):
+        assert [single for *_, terms in oracle._relation_plan(q)
+                for word, _, single in terms if word == ()] == [False]
     p = AlgebraParams(n, r)
     mod = build_shape_module(p, (n,))
-    steps = [step for *_, steps in oracle._relation_plan(p) for step in steps]
-    single = sum(word in build and word in drop for word, _, build, drop in steps)
-    suffixes = {word[k:] for word, *_ in steps for k in range(len(word))}
+    terms = [term for *_, terms in oracle._relation_plan(p) for term in terms]
+    uses = Counter(word for word, _, _ in terms)
+    proper = {word[k:] for word in uses for k in range(1, len(word) + 1)}
+    assert [single for *_, single in terms] == \
+        [uses[word] == 1 and word not in proper for word, *_ in terms]
+    singles = sum(single for *_, single in terms)
+    suffixes = {word[k:] for word in uses for k in range(len(word))}
     new = []
     act = oracle._act
 
@@ -1016,7 +1026,7 @@ def test_relation_check_materializes_only_shared_words(monkeypatch, n, r, built)
         return result
     monkeypatch.setattr(oracle, "_act", counted)
     assert module_relations_ok(p, mod)
-    assert len(new) == built == len(suffixes) - single
+    assert len(new) == built == len(suffixes) - singles
 
 
 def reference_table_residuals(params, tables):
@@ -1025,15 +1035,15 @@ def reference_table_residuals(params, tables):
     each residual one sum over its terms' operators."""
     dim = len(tables[-1])
     ops = {(): {k * dim + k: 1 for k in range(dim)}}
-    out = [None] * len(oracle._relation_plan(params))
-    for pos, name, instance, steps in oracle._relation_plan(params):
+    out = []
+    for name, instance, terms in oracle._relation_plan(params):
         residual = {}
-        for word, coeff, _, _ in steps:
+        for word, coeff, _ in terms:
             for k in range(len(word) - 1, -1, -1):
                 if word[k:] not in ops:
                     ops[word[k:]] = reference_act(tables[word[k]], ops[word[k + 1:]])
             accumulate(residual, ops[word].items(), coeff)
-        out[pos] = name, instance, residual
+        out.append((name, instance, residual))
     return out
 
 
@@ -1662,6 +1672,16 @@ def test_order_and_socle_checks():
 def test_cross_check_small():
     report = cross_check_induction(2, 3)
     assert report["pass"] and report["cases"] == 28
+
+
+@pytest.mark.parametrize("r, max_grade, bad", [
+    (0, 1, "r = 0"), (0, 0, "r = 0"), (-3, 1, "r = -3"), (0, 2, "r = 0"),
+    (2, -1, "max_grade = -1")])
+def test_cross_check_rejects_invalid_arguments(r, max_grade, bad):
+    """No vacuous pass with 0 cases: an r below 1 or a negative grade is an
+    error that names the value, also where the loop would run no case."""
+    with pytest.raises(ValueError, match=bad):
+        cross_check_induction(r, max_grade)
 
 
 def negated_convention(r):

@@ -131,6 +131,14 @@ def test_restrict_simple():
     assert restrict_simple(rib, 4) == [(rib, RIB((), ()))]
 
 
+def test_restrict_simple_rejects_labels_that_are_not_cycloribbons():
+    # the colors fall along the row, so no simple has this label
+    rib = RIB((2,), (2, 1))
+    for call in (simple_character, lambda x: restrict_simple(x, 1)):
+        with pytest.raises(ValueError, match="is not a cycloribbon"):
+            call(rib)
+
+
 def test_restrict_then_induce_bookkeeping():
     # every split of each factor of the pinned induction re-induces to the
     # right number of factors, and the original label reappears
