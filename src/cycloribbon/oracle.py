@@ -22,9 +22,10 @@ it an oracle for them.
 
 Both rules keep the multiset of colors, so the regular representation
 splits into color-content blocks.  Each rule is written once, for one
-basis element, and builds the sparse generator columns of a block and
-of the induced modules.  One evaluator checks the relations on such
-columns: the suite is compiled once per parameter set into integer
+basis element, and one reader turns both into the sparse generator
+columns of every module: of a block, each key its own vector, and of
+the induced and shape modules.  One evaluator checks the relations on
+such columns: the suite is compiled once per parameter set into integer
 polynomials in generator words, each distinct word is applied once to
 the identity operator (one dict keyed by ``column * dim + row``), and a
 word that one term alone uses goes straight into its residual.  On the
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -315,39 +316,40 @@ def _table_residuals(params, tables, columns=None) -> list:
     return out
 
 
-def _generators(params: AlgebraParams) -> list:
-    """``(rule, index)`` for ``T_1..T_{n-1}``, then ``xi_1..xi_n``: the
-    order of the generator tables everywhere in this module."""
-    return ([(_T_rule, i) for i in range(1, params.n)]
-            + [(_xi_rule, j) for j in range(1, params.n + 1)])
-
-
-def _content_block(params: AlgebraParams, content: tuple) -> tuple:
-    """The basis keys ``(c, w)`` with ``c`` a rearrangement of the sorted
-    ``content``, in basis order, and the sparse columns of ``T_1..T_{n-1},
-    xi_1..xi_n`` on them, indexed by position in the keys.  An image
-    leaving the block raises :class:`OracleError`.  Equal entries and
-    columns are stored once: the tables dominate the relation check's memory."""
-    keys = tuple((c, w) for c in sorted(set(itertools.permutations(content)))
-                 for w in itertools.permutations(range(1, params.n + 1)))
-    index = {key: k for k, key in enumerate(keys)}
+def _read_module(params, keys, reading) -> ExplicitModule:
+    """The tables of ``T_1..T_{n-1}``, then ``xi_1..xi_n``, on one vector per key:
+    column ``k`` is the rule on ``B[keys[k]]``, each image term ``B[k']`` read as
+    the ``(vector, scale)`` pairs ``reading[k']``, an OracleError if the reading
+    lacks it.  Equal entries and columns are stored once: the tables dominate memory."""
     share = {}
 
     def column(rule, g, key):
-        image = accumulate({}, rule(params, g, key))
+        image, terms = {}, rule(params, g, key)
         try:
-            col = tuple(share.setdefault(e, e) for e in
-                        ((index[k], c) for k, c in image.items()))
+            for term, coeff in terms:
+                accumulate(image, reading[term], coeff)
         except KeyError:
             raise OracleError(
                 f"B{key} is mapped outside its color-content block") from None
+        col = tuple(share.setdefault(e, e) for e in image.items())
         return share.setdefault(col, col)
 
-    return keys, tuple(tuple(column(rule, g, key) for key in keys)
-                       for rule, g in _generators(params))
+    return ExplicitModule(tuple(tuple(column(rule, g, key) for key in keys)
+                                for rule, last in ((_T_rule, params.n - 1),
+                                                   (_xi_rule, params.n))
+                                for g in range(1, last + 1)))
 
 
-@lru_cache(maxsize=8)
+def _content_block(params: AlgebraParams, content: tuple) -> tuple:
+    """The keys ``(c, w)`` with ``c`` a rearrangement of the sorted ``content``, in
+    basis order, and their tables, each key read as its own vector: an image
+    leaving the block raises :class:`OracleError`."""
+    keys = tuple((c, w) for c in sorted(set(itertools.permutations(content)))
+                 for w in itertools.permutations(range(1, params.n + 1)))
+    return keys, _read_module(
+        params, keys, {key: ((k, 1),) for k, key in enumerate(keys)}).tables
+
+
 def _right_steps(n: int) -> tuple:
     """The right action ``rho_j(T_w) = T_w T_j`` by the 0-Hecke rule, ``w``
     given by its position ``p`` in ``itertools.permutations`` order (a block's
@@ -367,7 +369,7 @@ def _right_steps(n: int) -> tuple:
     return tuple(rho), tuple(firsts)
 
 
-def _right_equivariant(n: int, tables) -> bool:
+def _right_equivariant(steps, tables) -> bool:
     """Whether the tables of a color-content block commute with the right
     action ``rho_j(B[c, w]) = B[c, w] T_j`` of every ``T_j``: for each
     ``w`` other than ``id`` and its first descent ``j``, the column at
@@ -377,10 +379,10 @@ def _right_equivariant(n: int, tables) -> bool:
     as the ``rho_j`` satisfy the 0-Hecke relations, ``G rho_j = rho_j G``
     for every table ``G`` and every ``j``.  A block lists each color word's
     ``n!`` positions in turn, so one ``_act`` of ``rho_j`` moves the rows of
-    all the parent columns of a table at once, each within its color word."""
-    rho, firsts = _right_steps(n)
+    all the parent columns of a table at once, each within its color word;
+    ``steps`` is :func:`_right_steps` of the block's ``n``."""
     dim = len(tables[-1])
-    for step, pairs in zip(rho, firsts):
+    for step, pairs in zip(*steps):
         at = [(base + p, base + q) for base in range(0, dim, len(step))
               for p, q in pairs]
         for table in tables:
@@ -396,9 +398,8 @@ def verify_relations(params: AlgebraParams) -> list:
     instance, with a counterexample on failure: the least basis element
     with a nonzero residual, and its number of terms.
 
-    The generator columns are built once per color-content block, and not
-    cached (each block is used once); an image leaving its block raises
-    :class:`OracleError`.
+    Each color-content block is read once per call and not kept; an image
+    leaving its block raises :class:`OracleError`.
 
     Every basis element is a seed ``B[c, id]`` moved by the right action:
     ``B[c, w] = rho_w(B[c, id])``, the algebra being free as a right
@@ -412,12 +413,12 @@ def verify_relations(params: AlgebraParams) -> list:
     the same residual column, so the report is the one of all columns.  A
     block that fails the certificate is checked on every column."""
     found = {}   # (check, instance) -> least failing (key, residual terms)
-    nf = math.factorial(params.n)
+    nf, steps = math.factorial(params.n), _right_steps(params.n)
     for content in itertools.combinations_with_replacement(
             range(1, params.r + 1), params.n):
         keys, tables = _content_block(params, content)
         dim = len(keys)
-        seeds = range(0, dim, nf) if _right_equivariant(params.n, tables) else None
+        seeds = range(0, dim, nf) if _right_equivariant(steps, tables) else None
         for name, instance, residual in _table_residuals(params, tables, seeds):
             bad = None
             if residual:
@@ -445,9 +446,17 @@ class ExplicitModule:
         return len(self.tables[-1])
 
 
+def _check_size(params: AlgebraParams, module: ExplicitModule):
+    """Raise ValueError unless the module has ``2n - 1`` tables of one length."""
+    shape = len(module.tables), sorted({len(table) for table in module.tables})
+    if shape[0] != 2 * params.n - 1 or len(shape[1]) != 1:
+        raise ValueError(f"need {2 * params.n - 1} tables of one length for n = "
+                         f"{params.n}, got {shape[0]} tables of lengths {shape[1]}")
+
+
 def module_relations_ok(params: AlgebraParams, module: ExplicitModule) -> bool:
-    return all(not residual
-               for _, _, residual in _table_residuals(params, module.tables))
+    _check_size(params, module)
+    return all(not residual for *_, residual in _table_residuals(params, module.tables))
 
 
 @lru_cache(maxsize=32)
@@ -487,17 +496,6 @@ def _closure(ops, seeds) -> SparseEchelon:
     return ech
 
 
-def _read_module(params, keys, reading) -> ExplicitModule:
-    """One vector per key ``(c, w)``, the rules on ``B[c, w]`` with each image
-    term ``B[k]`` read as the ``(vector, scale)`` pairs ``reading.get(k, ())``."""
-    def column(rule, g, key):
-        return tuple(accumulate({}, ((k, coeff * t) for image, coeff
-                                     in rule(params, g, key)
-                                     for k, t in reading.get(image, ()))).items())
-    return ExplicitModule(tuple(tuple(column(rule, g, key) for key in keys)
-                                for rule, g in _generators(params)))
-
-
 def _coset_words(sizes) -> list:
     """The words increasing on each factor's positions, the longest last."""
     words, letters = [()], range(1, sum(sizes) + 1)
@@ -534,7 +532,7 @@ def build_induced_module(params: AlgebraParams, chars) -> ExplicitModule:
         chi.update(zip(range(len(a), len(a) + sizes[k] - 1), ch.t_values))
         a += tuple(ch.xi_colors)
     keys = [(tuple(x for _, x in sorted(zip(s, a))), s) for s in _coset_words(sizes)]
-    reading = {}
+    reading = defaultdict(tuple)
     for k, (c, s) in enumerate(keys):
         reading[c, s] = ((k, 1),)
         for g, t in chi.items():      # T_{g+1} inside a factor
@@ -575,8 +573,8 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
     chi = {ident: 1, **{_swap_values(ident, i): -1 if i in ds else 0
                         for i in range(1, params.n)}}
     words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
-    module = _read_module(params, [(c, ident) for c in words], {
-        (c, w): ((k, x),) for k, c in enumerate(words) for w, x in chi.items()})
+    module = _read_module(params, [(c, ident) for c in words], defaultdict(tuple, {
+        (c, w): ((k, x),) for k, c in enumerate(words) for w, x in chi.items()}))
     if not module_relations_ok(params, module):
         raise OracleError("shape module violates the defining relations")
     return module
@@ -619,8 +617,9 @@ def composition_factors(params: AlgebraParams, module: ExplicitModule) -> Counte
     weight basis, ``pi_{w0(K)}`` keeps ``W_c`` and is idempotent there,
     each trace is an integer, every multiplicity is nonnegative, every
     factor is in :func:`enumerate_one_dim_characters`, and the
-    multiplicities add up to the dimension.
+    multiplicities add up to the dimension (ValueError: see :func:`_check_size`).
     """
+    _check_size(params, module)
     census = set(enumerate_one_dim_characters(params))
     dim = module.dim
     factors = Counter()

@@ -127,6 +127,7 @@ HASH_SEED_CASES = [
     ["oracle", "verify", "--n", "3", "--r", "3", "--u=1/2,-3,0"],
     ["oracle", "verify", "--n", "2", "--r", "4", "--u=1/2,-3,0,7"],
     ["oracle", "cross-check", "--max-grade", "3", "--r", "3"],
+    ["CYCLORIBBON_MAX_DIM=3840", "oracle", "verify", "--n", "5", "--r", "2", "--u=2,-7"],
 ]
 
 

@@ -173,7 +173,7 @@ def test_tracer_installs_after_lazy_cli_import():
     lazy modules unloaded; ``package_caches`` loads them through
     ``vars()``, so the tracer still finds every module it wraps."""
     caches = run_fresh(TRACER, str(ROOT / "perfbench" / "spans.py"))
-    assert {"oracle._relation_plan", "oracle._right_steps",
+    assert {"oracle._relation_plan",
             "oracle.enumerate_one_dim_characters"} <= set(caches)
 
 
@@ -233,3 +233,20 @@ def test_src_holds_only_reached_definitions():
     """A helper only the tests call belongs in the tests."""
     assert [name for name in unreached_definitions()
             if name not in TEST_ONLY_IN_SRC] == []
+
+
+# The src functions that may name a displayed rule: the one reader, and
+# the element-level products, kept because ``perfbench/spans.py`` wraps them.
+RULE_CALLERS = {"_read_module", "_left_mult", "left_mult_T", "left_mult_xi"}
+
+
+def test_one_reader_builds_the_generator_tables():
+    """Only ``oracle._read_module`` turns ``_T_rule`` and ``_xi_rule``
+    into generator columns: no other src function or statement names them."""
+    naming = []
+    for path in sorted((SRC / "cycloribbon").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if getattr(stmt, "name", None) not in RULE_CALLERS and \
+                    referenced_names(stmt) & {"_T_rule", "_xi_rule"}:
+                naming.append(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
+    assert naming == []

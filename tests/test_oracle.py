@@ -4,7 +4,7 @@ cross-checks they provide for the combinatorial layer."""
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import partial
 
@@ -782,15 +782,16 @@ def reference_right_equivariant(n, tables):
 
 @pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
 def test_right_equivariant_equals_reference(n, r, u):
-    blocks = list(content_blocks(AlgebraParams(n, r, u)))
-    assert [oracle._right_equivariant(n, tables) for _, tables in blocks] \
+    blocks, steps = list(content_blocks(AlgebraParams(n, r, u))), oracle._right_steps(n)
+    assert [oracle._right_equivariant(steps, tables) for _, tables in blocks] \
         == [reference_right_equivariant(n, tables) for _, tables in blocks]
 
 
 @pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
 def test_real_rules_pass_the_certificate_and_take_the_seed_path(monkeypatch, n, r, u):
     p = AlgebraParams(n, r, u)
-    assert all(oracle._right_equivariant(n, tables) for _, tables in content_blocks(p))
+    steps = oracle._right_steps(n)
+    assert all(oracle._right_equivariant(steps, tables) for _, tables in content_blocks(p))
     calls = record_columns(monkeypatch)
     verify_relations(p)
     assert len(calls) == math.comb(n + r - 1, n)
@@ -807,7 +808,8 @@ def test_defects_reported_as_reference(monkeypatch, n, r, u, defect):
     p = AlgebraParams(n, r, u)
     contents = list(itertools.combinations_with_replacement(range(1, r + 1), n))
     blocks = list(content_blocks(p))
-    assert [oracle._right_equivariant(n, tables) for _, tables in blocks] \
+    steps = oracle._right_steps(n)
+    assert [oracle._right_equivariant(steps, tables) for _, tables in blocks] \
         == [reference_right_equivariant(n, tables) for _, tables in blocks] \
         == [not fails(content) for content in contents]
     calls = record_columns(monkeypatch)
@@ -1075,8 +1077,7 @@ def test_relation_caches_are_bounded():
               if callable(getattr(obj, "cache_info", None))
               and getattr(obj, "__module__", None) == module.__name__}
     assert cached.keys() == {
-        "oracle._relation_plan", "oracle._right_steps",
-        "oracle.enumerate_one_dim_characters",
+        "oracle._relation_plan", "oracle.enumerate_one_dim_characters",
         "hopf._f_label_product", "hopf._r_label_coproduct",
         "hopf._schur_terms",
         "ribbons.descent_class_size"}
@@ -1102,6 +1103,56 @@ def test_block_columns_equal_generator_actions(n, r, u):
                 assert sorted(col) == sorted((index[k], c)
                                              for k, c in want.terms.items())
     assert sorted(seen) == list(basis_keys(p))
+
+
+def reference_content_block(params, content):
+    """Reference for :func:`oracle._content_block`: its own index of the
+    block's keys, the rule's image accumulated on keys and then indexed,
+    equal entries and columns stored once."""
+    keys = tuple((c, w) for c in sorted(set(itertools.permutations(content)))
+                 for w in itertools.permutations(range(1, params.n + 1)))
+    index = {key: k for k, key in enumerate(keys)}
+    share = {}
+
+    def column(rule, g, key):
+        image = accumulate({}, rule(params, g, key))
+        try:
+            col = tuple(share.setdefault(e, e) for e in
+                        ((index[k], c) for k, c in image.items()))
+        except KeyError:
+            raise OracleError(
+                f"B{key} is mapped outside its color-content block") from None
+        return share.setdefault(col, col)
+
+    generators = ([(oracle._T_rule, i) for i in range(1, params.n)]
+                  + [(oracle._xi_rule, j) for j in range(1, params.n + 1)])
+    return keys, tuple(tuple(column(rule, g, key) for key in keys)
+                       for rule, g in generators)
+
+
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_content_block_equals_reference(n, r, u):
+    p = AlgebraParams(n, r, u)
+    for content in itertools.combinations_with_replacement(range(1, r + 1), n):
+        got, want = oracle._content_block(p, content), reference_content_block(p, content)
+        # tuple for tuple, entry order and int or Fraction included
+        assert got == want and repr(got) == repr(want)
+        # equal columns and equal entries are one object each
+        cols = [col for table in got[1] for col in table]
+        entries = [e for col in cols for e in col]
+        assert len(set(map(id, cols))) == len(set(cols))
+        assert len(set(map(id, entries))) == len(set(entries))
+
+
+def test_verify_relations_computes_the_right_steps_once(monkeypatch):
+    calls, steps = [], oracle._right_steps
+
+    def counted(n):
+        calls.append(n)
+        return steps(n)
+    monkeypatch.setattr(oracle, "_right_steps", counted)
+    verify_relations(AlgebraParams(3, 2))
+    assert calls == [3]
 
 
 def test_verify_relations_keeps_no_block(monkeypatch):
@@ -1162,6 +1213,35 @@ def test_image_leaving_color_content_block_is_rejected(monkeypatch):
     monkeypatch.setattr(oracle, "_T_rule", recolored)
     with pytest.raises(OracleError, match="outside its color-content block"):
         verify_relations(AlgebraParams(2, 2))
+
+
+def test_key_error_inside_a_rule_is_not_read_as_leaving_the_block(monkeypatch):
+    def broken(params, i, key):
+        raise KeyError("inside the rule")
+    monkeypatch.setattr(oracle, "_T_rule", broken)
+    with pytest.raises(KeyError, match="inside the rule"):
+        verify_relations(AlgebraParams(2, 2))
+
+
+def test_reader_raises_only_for_a_term_the_reading_lacks():
+    p = AlgebraParams(2, 2)
+    keys = [((1, 2), (1, 2)), ((2, 1), (1, 2))]
+    with pytest.raises(OracleError, match="outside its color-content block"):
+        oracle._read_module(p, keys, {})
+    # a coset reading reads every other term as 0
+    assert oracle._read_module(p, keys, defaultdict(tuple)).tables == (((), ()),) * 3
+
+
+@pytest.mark.parametrize("check", [module_relations_ok, composition_factors])
+@pytest.mark.parametrize("n, module_n, trim", [(3, 2, False), (2, 3, False), (2, 2, True)])
+def test_module_of_the_wrong_size_is_rejected(check, n, module_n, trim):
+    # a module of the other n, or (trim) one whose last table is one column short
+    params = AlgebraParams(n, 2)
+    tables = build_shape_module(AlgebraParams(module_n, 2), (module_n,)).tables
+    module = ExplicitModule(tables[:-1] + (tables[-1][:-1],) if trim else tables)
+    with pytest.raises(ValueError, match=rf"need {2 * params.n - 1} tables of one "
+                       rf"length for n = {params.n}, got {len(module.tables)} tables"):
+        check(params, module)
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (4, 2)])
