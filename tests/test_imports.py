@@ -250,3 +250,14 @@ def test_one_reader_builds_the_generator_tables():
                     referenced_names(stmt) & {"_T_rule", "_xi_rule"}:
                 naming.append(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
     assert naming == []
+
+
+def test_one_builder_reads_every_induced_module():
+    """``oracle._read_module`` has two src callers: ``_content_block`` for the
+    color-content blocks, and ``_induce`` for every induced module."""
+    callers = [f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+               for path in sorted((SRC / "cycloribbon").glob("*.py"))
+               for stmt in ast.parse(path.read_text()).body
+               if getattr(stmt, "name", None) != "_read_module"
+               and "_read_module" in referenced_names(stmt)]
+    assert callers == ["oracle._content_block", "oracle._induce"]

@@ -277,6 +277,74 @@ def reference_induced_module(params, chars):
     return reference_quotient_module(ops, hecke_ideal, [cyclic.terms])
 
 
+def reference_coset_induced_module(params, chars) -> ExplicitModule:
+    """Reference for :func:`build_induced_module`: its own coset reading
+    and its own certificate of ``e_id``, as before the one builder
+    :func:`oracle._induce`."""
+    sizes = [len(ch.xi_colors) for ch in chars]
+    a, chi = (), {}      # chi: table index -> value on e_id
+    for k, ch in enumerate(chars):
+        chi.update(zip(range(len(a), len(a) + sizes[k] - 1), ch.t_values))
+        a += tuple(ch.xi_colors)
+    keys = [(tuple(x for _, x in sorted(zip(s, a))), s)
+            for s in oracle._coset_words(sizes)]
+    reading = defaultdict(tuple)
+    for k, (c, s) in enumerate(keys):
+        reading[c, s] = ((k, 1),)
+        for g, t in chi.items():      # T_{g+1} inside a factor
+            reading[c, s[:g] + (s[g + 1], s[g]) + s[g + 2:]] = ((k, t),)
+    module = oracle._read_module(params, keys, reading)
+    chi.update((params.n - 1 + j, params.u[c - 1]) for j, c in enumerate(a))
+    expected = math.factorial(params.n) // math.prod(map(math.factorial, sizes))
+    if module.dim != expected:
+        raise OracleError(
+            f"induced module has dimension {module.dim}, expected {expected}")
+    for g, value in chi.items():
+        if module.tables[g][0] != (((0, value),) if value else ()):
+            name = f"T_{g + 1}" if g < params.n - 1 else f"xi_{g + 2 - params.n}"
+            raise OracleError(f"{name} acts on e_id by {module.tables[g][0]}, "
+                              f"not {value}")
+    ops = [partial(oracle._act, t) for t in module.tables]
+    generated = len(oracle._closure(ops, [{0: 1}]))
+    if generated != module.dim:
+        raise OracleError(f"e_id generates a submodule of dimension {generated}, "
+                          f"not the whole module of dimension {module.dim}")
+    if not module_relations_ok(params, module):
+        raise OracleError("induced module violates the defining relations")
+    return module
+
+
+def reference_coset_shape_module(params, shape) -> ExplicitModule:
+    """Reference for :func:`build_shape_module`: its own reading of
+    ``B[c', w'] (x) 1 = L_{c'} (x) T_{w'} 1 = chi(T_{w'}) e_{c'}`` and the
+    relation check alone, as before the one builder :func:`oracle._induce`."""
+    ds = descent_set(shape)
+    ident = tuple(range(1, params.n + 1))
+    chi = {ident: 1, **{oracle._swap_values(ident, i): -1 if i in ds else 0
+                        for i in range(1, params.n)}}
+    words = list(itertools.product(range(1, params.r + 1), repeat=params.n))
+    module = oracle._read_module(params, [(c, ident) for c in words], defaultdict(tuple, {
+        (c, w): ((k, x),) for k, c in enumerate(words) for w, x in chi.items()}))
+    if not module_relations_ok(params, module):
+        raise OracleError("shape module violates the defining relations")
+    return module
+
+
+def object_pattern(module) -> list:
+    """Each column and each entry of the tables as the position of the first
+    one that is the same object: equal for two modules exactly when they
+    store the same objects once."""
+    first = {}
+    return [first.setdefault(id(x), len(first))
+            for table in module.tables for col in table for x in (col, *col)]
+
+
+def assert_same_tables(got, want):
+    # tuple for tuple, entry order, int or Fraction and shared objects included
+    assert got.tables == want.tables and repr(got) == repr(want)
+    assert object_pattern(got) == object_pattern(want)
+
+
 def peel_composition_factors(params, module):
     """Reference for :func:`composition_factors`: repeatedly split off
     the socle (the span of all joint eigenvectors) and pass to the
@@ -1391,6 +1459,13 @@ def test_induced_modules_equal_reference_ops_build(r, max_grade):
             exact_entries(reference_induced_module(p, chars))
 
 
+@pytest.mark.parametrize("r, max_grade", [(2, 4), (3, 3), (2, 5)])
+def test_induced_modules_equal_the_coset_reference(r, max_grade):
+    for p, chars in criterion_11_characters(r, max_grade):
+        assert_same_tables(build_induced_module(p, chars),
+                           reference_coset_induced_module(p, chars))
+
+
 def test_induced_module_is_two_closures_of_n_factorial_rows(monkeypatch):
     # the ideal-quotient reference: the Hecke ideal H and the closure of
     # B[a, id] modulo H, |H| + dim = n! accepted rows in all, and no
@@ -1499,9 +1574,9 @@ def test_isomorphism_check_rejects_other_modules():
 
 
 def test_induced_module_not_generated_by_its_seed_is_rejected(monkeypatch):
-    # T_i acting by 0 leaves e_id alone in its cyclic submodule
+    # T_i acting by 0 leaves e_id = 1 (x) 1 alone in its cyclic submodule
     monkeypatch.setattr(oracle, "_T_rule", lambda params, i, key: [])
-    with pytest.raises(OracleError, match=r"^e_id generates a submodule of "
+    with pytest.raises(OracleError, match=r"^1 \(x\) 1 generates a submodule of "
                        r"dimension 1, not the whole module of dimension 2$"):
         build_induced_module(AlgebraParams(2, 1),
                              [Character((1,), ()), Character((1,), ())])
@@ -1525,8 +1600,7 @@ def test_seed_off_its_character_is_rejected(monkeypatch):
         out = good(params, j, key)
         return out + [(key, 1)] if j == 2 and key[1] == (1, 2) else out
     monkeypatch.setattr(oracle, "_xi_rule", shifted)
-    with pytest.raises(OracleError, match=r"^xi_2 acts on e_id by "
-                       r"\(\(0, 3\),\), not 2$"):
+    with pytest.raises(OracleError, match=r"^xi_2 acts on 1 \(x\) 1 by \{0: 3\}, not 2$"):
         build_induced_module(AlgebraParams(2, 2),
                              [Character((1,), ()), Character((2,), ())])
 
@@ -1545,13 +1619,21 @@ def test_induced_module_violating_the_relations_is_rejected(monkeypatch):
 
 
 def test_inducing_from_no_character_is_rejected():
-    # t = 5 is no value of T_1: the seed carries it, and T_1^2 = -T_1 fails
-    # (the ideal-quotient build finds the ideal of T_1 - 5 is everything)
-    p, chars = AlgebraParams(2, 1), [Character((1, 1), (5,))]
-    with pytest.raises(OracleError,
-                       match="^induced module violates the defining relations$"):
-        build_induced_module(p, chars)
-    assert reference_ideal_quotient_module(p, chars).dim == 0
+    # invalid input, not a failed oracle check: t = 5 is no value of T_1,
+    # and T_1 acts by -1 where c_1 < c_2 (the ideal-quotient build finds
+    # that the ideal of the constraints is everything)
+    for p, chars, factor in [
+            (AlgebraParams(2, 1), [Character((1, 1), (5,))],
+             r"^factor 0 Character\(xi_colors=\(1, 1\), t_values=\(5,\)\) "),
+            (AlgebraParams(2, 2), [Character((1, 2), (0,))],
+             r"^factor 0 Character\(xi_colors=\(1, 2\), t_values=\(0,\)\) "),
+            (AlgebraParams(2, 2), [Character((1, 1), (5,))],
+             r"^factor 0 Character\(xi_colors=\(1, 1\), t_values=\(5,\)\) "),
+            (AlgebraParams(3, 2), [Character((1,), ()), Character((2, 1), (-1,))],
+             r"^factor 1 Character\(xi_colors=\(2, 1\), t_values=\(-1,\)\) ")]:
+        with pytest.raises(ValueError, match=factor + "is not a one-dimensional character$"):
+            build_induced_module(p, chars)
+        assert reference_ideal_quotient_module(p, chars).dim == 0
 
 
 def test_induced_module_of_too_small_rank_is_rejected(monkeypatch):
@@ -1683,6 +1765,22 @@ def test_composition_factors_of_character_module():
             Counter({char: 1})
 
 
+def test_factor_missing_from_the_census_is_rejected(monkeypatch):
+    # the traces find a factor of weight (2, 1); a census without it would
+    # falsify the classification, which the guard reports
+    p = AlgebraParams(2, 2)
+    mod = build_induced_module(p, [Character((1,), ()), Character((2,), ())])
+    missing = Character((2, 1), (0,))
+    census = enumerate_one_dim_characters(p)
+    assert missing in composition_factors(p, mod) and missing in census
+    monkeypatch.setattr(oracle, "enumerate_one_dim_characters",
+                        lambda params: tuple(ch for ch in census if ch != missing))
+    with pytest.raises(OracleError, match=r"^factor Character\(xi_colors=\(2, 1\), "
+                       r"t_values=\(0,\)\) is not a one-dimensional character; "
+                       r"this would falsify the classification of the simples$"):
+        composition_factors(p, mod)
+
+
 # ---------------------------------------------------------------------------
 # shape modules
 
@@ -1727,14 +1825,46 @@ def test_shape_module_matches_ideal_quotient():
 
 def test_broken_T_rule_reaches_the_shape_modules(monkeypatch):
     # the shape modules take their columns from the displayed rules, so
-    # a defect there must make the module fail the relations
+    # a defect there must make the module fail its certificate
     good = oracle._T_rule
 
     def doubled(params, i, key):
         return [(image, 2 * coeff) for image, coeff in good(params, i, key)]
     monkeypatch.setattr(oracle, "_T_rule", doubled)
-    with pytest.raises(OracleError, match="^shape module violates the defining relations$"):
+    for shape, message in [
+            # T_1 acts on 1 (x) 1 by twice its value -1 ...
+            ((1, 1), r"^T_1 acts on 1 \(x\) 1 by \{0: -2, 2: -2, 1: -2, 3: -2\}, not -1$"),
+            # ... and by twice 0 on a shape with no descent, but T_1^2 = -T_1 fails
+            ((2,), "^induced module violates the defining relations$")]:
+        with pytest.raises(OracleError, match=message):
+            build_shape_module(AlgebraParams(2, 2), shape)
+
+
+def test_shape_module_seed_off_its_character_is_rejected(monkeypatch):
+    # without the term L_{c.s_i} T_i T_w, only the color corrections are
+    # left, and they cancel on 1 (x) 1 = sum_c e_c: T_1 acts on it by 0
+    good = oracle._T_rule
+    monkeypatch.setattr(oracle, "_T_rule", lambda params, i, key: good(params, i, key)[1:])
+    with pytest.raises(OracleError, match=r"^T_1 acts on 1 \(x\) 1 by \{\}, not -1$"):
         build_shape_module(AlgebraParams(2, 2), (1, 1))
+
+
+def test_shape_module_not_generated_by_its_seed_is_rejected(monkeypatch):
+    # the xi_j tell the e_c apart; acting by u_1 on every e_c, they do not,
+    # and 1 (x) 1, fixed by T_1 = 0, spans a submodule alone
+    monkeypatch.setattr(oracle, "_xi_rule", lambda params, j, key: [(key, params.u[0])])
+    with pytest.raises(OracleError, match=r"^1 \(x\) 1 generates a submodule of "
+                       r"dimension 1, not the whole module of dimension 4$"):
+        build_shape_module(AlgebraParams(2, 2), (2,))
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 5) for r in (1, 2)]
+                         + [(n, 3) for n in range(1, 4)])
+def test_shape_modules_equal_the_coset_reference(n, r):
+    p = AlgebraParams(n, r)
+    for shape in compositions(n):
+        assert_same_tables(build_shape_module(p, shape),
+                           reference_coset_shape_module(p, shape))
 
 
 def test_order_and_socle_checks():
