@@ -341,22 +341,24 @@ def schur_in_h(partition: tuple, color: int = 1) -> LinComb:
 
 @lru_cache(maxsize=256)
 def _schur_terms(partition: tuple, color: int) -> tuple:
+    """The nonzero terms of det(h_{lambda_i - i + j}): one column per row,
+    chosen depth first in increasing order, so the terms come in the
+    order of the permutations; a branch ends at its first negative
+    degree.  Choosing the k-th smallest free column adds k inversions."""
     ell = len(partition)
     terms = []
-    for perm in itertools.permutations(range(ell)):
-        sign = 1
-        for i, j in itertools.combinations(range(ell), 2):
-            if perm[i] > perm[j]:
-                sign = -sign
-        degrees = []
-        for i in range(ell):
-            d = partition[i] - i + perm[i]
-            if d < 0:
-                break
-            if d > 0:
-                degrees.append(d)
-        else:
-            terms.append((h_monomial((color, d) for d in degrees), sign))
+
+    def choose(i, free, degrees, sign):
+        if i == ell:
+            terms.append((h_monomial((color, d) for d in degrees if d), sign))
+            return
+        for k, j in enumerate(free):
+            d = partition[i] - i + j
+            if d >= 0:
+                choose(i + 1, free[:k] + free[k + 1:], degrees + (d,),
+                       -sign if k % 2 else sign)
+
+    choose(0, tuple(range(ell)), (), 1)
     return tuple(accumulate({}, terms).items())
 
 

@@ -86,9 +86,11 @@ class AlgebraParams:
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 and r >= 1")
-        # integral parameters stay ints: exact, and much cheaper than Fraction
-        u = tuple(int(x) if x.denominator == 1 else x
-                  for x in map(Fraction, self.u or range(1, self.r + 1)))
+        # integral parameters stay ints: exact, and much cheaper than
+        # Fraction; an int is kept as it is, without the Fraction round trip
+        u = tuple(x if type(x) is int else
+                  int(f) if (f := Fraction(x)).denominator == 1 else f
+                  for x in self.u or range(1, self.r + 1))
         if len(u) != self.r or len(set(u)) != self.r:
             raise ValueError(f"need {self.r} pairwise distinct parameters, got {u}")
         object.__setattr__(self, "u", u)

@@ -16,14 +16,14 @@ Schur-function products under the embedding.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .hopf import (
+    h_monomial,
     mr_product_R,
     mr_to_sym,
     split_ribbon,
@@ -50,6 +50,7 @@ from .ribbons import (
     flip_ribbon,
     is_cycloribbon,
     multipartitions,
+    partitions,
     ribbon_literal,
 )
 
@@ -192,44 +193,80 @@ def _ribbons_in_h(runs) -> LinComb:
         LinComb.single(SYM_H, ()))
 
 
+@lru_cache(maxsize=4)
+def _column_side(n: int, r: int) -> tuple:
+    """The columns of both matrices at (n, r), shared by them and mutated
+    by no caller: the cycloribbons ``cols``; their keys as a trie over the
+    colors, Y_1 -> ... -> Y_r -> column indices, with Y_c the multiset of
+    runs of color c; and ``pairings``, which maps every one-color h_mu
+    with |mu| <= n to {Y: <h_mu, B(Y)>}.  That pairing sums the one-color
+    fundamental image of h_mu (its ``sym_to_qmr``) over the
+    concatenate-or-glue expansion of B(Y)'s runs."""
+    cols = tuple(simple_labels(n, r))
+    trie, ys = {}, {}  # ys: one tuple per distinct Y, shared by the trie
+    for j, rib in enumerate(cols):
+        key = [ys.setdefault(y, y)
+               for y in _by_color(color_runs(cell_composition(rib)), r)]
+        node = trie
+        for y in key[:-1]:
+            node = node.setdefault(y, {})
+        node.setdefault(key[-1], []).append(j)
+    glued = {}     # size -> [(run multiset Y, ribbon expansion of B(Y))]
+    for y in ys:
+        b = reduce(ncsf_product_R, (LinComb.single(NCSF_R, run) for run in y),
+                   LinComb.single(NCSF_R, ()))
+        glued.setdefault(sum(map(sum, y)), []).append((y, b.terms))
+    pairings = {}
+    for size in range(n + 1):
+        for lam in partitions(size):
+            mono = h_monomial((1, d) for d in lam)
+            image = {rib.shape: c for rib, c in
+                     sym_to_qmr(LinComb.single(SYM_H, mono)).terms.items()}
+            pairings[mono] = accumulate({}, (
+                (y, sum(c * image.get(shape, 0) for shape, c in b.items()))
+                for y, b in glued.get(size, ())))
+    return cols, trie, pairings
+
+
+def _fill(row: list, node: dict, factors: tuple, depth: int, value: int) -> None:
+    """Walk the row's factor dicts down the column trie from ``node`` at
+    color ``depth``, iterating the smaller of node and factor at each
+    level, and set each column reached to the product on the way down."""
+    factor = factors[depth]
+    if len(factor) < len(node):
+        hits = [(node[y], v) for y, v in factor.items() if y in node]
+    else:
+        hits = [(child, factor[y]) for y, child in node.items() if y in factor]
+    if depth + 1 < len(factors):
+        for child, v in hits:
+            _fill(row, child, factors, depth + 1, value * v)
+    else:
+        for js, v in hits:
+            v *= value
+            for j in js:
+                row[j] = v
+
+
 def _matrix_by_colors(rows, row_key, row_factor, n: int, r: int) -> LabeledMatrix:
     """Matrix of the row labels against the cycloribbons of size n, with
     entry prod_c <A_c, B_c(col)> (see :func:`cartan_matrix`).
 
     ``row_key`` gives a row label one key X_c per color, and
     ``row_factor(X_c)`` the one-color complete expansion of A_c.  Each
-    pairing is E·D in one color: <A, B> = sum_mu [h_mu]A * <h_mu, B>, and
-    <h_mu, B> sums the one-color fundamental image of h_mu (its
-    ``sym_to_qmr``) over the concatenate-or-glue expansion of B's runs.
-    Each image, pairing vector and row factor is computed once per call,
-    a row once per key, and equal rows share one tuple."""
-    cols = simple_labels(n, r)
-    members = {}   # one run multiset per color -> its column indices
-    for j, rib in enumerate(cols):
-        key = _by_color(color_runs(cell_composition(rib)), r)
-        members.setdefault(key, []).append(j)
-    glued = {}     # size -> [(run multiset Y, ribbon expansion of B(Y))]
-    for y in {y for key in members for y in key}:
-        b = reduce(ncsf_product_R, (LinComb.single(NCSF_R, run) for run in y),
-                   LinComb.single(NCSF_R, ()))
-        glued.setdefault(sum(map(sum, y)), []).append((y, b.terms))
-    pairings = {}  # one-color monomial h_mu -> {Y: <h_mu, B(Y)>}
+    pairing is E·D in one color, <A, B> = sum_mu [h_mu]A * <h_mu, B>,
+    against the pairings of the column side (:func:`_column_side`), which
+    is built once per (n, r).  Each row factor {Y: <A(X_c), B(Y)>} is
+    computed once per call and each row once per key, by walking its
+    factors down the column trie (:func:`_fill`); equal rows share one
+    tuple."""
+    cols, trie, pairings = _column_side(n, r)
     factors = {}   # row key X_c -> {Y: <A(X_c), B(Y)>}
-
-    def pairing(mono):
-        if mono not in pairings:
-            image = {rib.shape: c for rib, c in
-                     sym_to_qmr(LinComb.single(SYM_H, mono)).terms.items()}
-            pairings[mono] = accumulate({}, (
-                (y, sum(c * image.get(shape, 0) for shape, c in b.items()))
-                for y, b in glued.get(sum(d for _, d in mono), ())))
-        return pairings[mono]
 
     def factor(x):
         if x not in factors:
             factors[x] = {}
             for mono, c in row_factor(x).terms.items():
-                accumulate(factors[x], pairing(mono).items(), c)
+                accumulate(factors[x], pairings[mono].items(), c)
         return factors[x]
 
     by_key, shared, entries = {}, {}, []
@@ -237,16 +274,11 @@ def _matrix_by_colors(rows, row_key, row_factor, n: int, r: int) -> LabeledMatri
         key = row_key(label)
         if key not in by_key:
             row = [0] * len(cols)
-            for combo in itertools.product(*(factor(x).items() for x in key)):
-                js = members.get(tuple(y for y, _ in combo))
-                if js:
-                    value = math.prod(v for _, v in combo)
-                    for j in js:
-                        row[j] = value
+            _fill(row, trie, tuple(map(factor, key)), 0, 1)
             row = tuple(row)
             by_key[key] = shared.setdefault(row, row)
         entries.append(by_key[key])
-    return LabeledMatrix(tuple(rows), tuple(cols), tuple(entries))
+    return LabeledMatrix(tuple(rows), cols, tuple(entries))
 
 
 def cartan_matrix(n: int, r: int) -> LabeledMatrix:
@@ -271,7 +303,12 @@ def cartan_matrix(n: int, r: int) -> LabeledMatrix:
     inside each run of color c are those of the run, with either step
     between runs, which is the one-color fundamental expansion of A_c
     summed over the concatenate-or-glue expansion of B_c(rib), i.e.
-    <A_c(cc), B_c(rib)>.  A row depends only on the runs of each color."""
+    <A_c(cc), B_c(rib)>.  A row depends only on the runs of each color.
+
+    Both matrices at (n, r) share one column side (:func:`_column_side`):
+    the column keys (B_1, ..., B_r) as a trie over the colors and each
+    <h_mu, B_c>; a row walks its r factors down that trie, so it visits
+    only the columns whose every factor is nonzero."""
     return _matrix_by_colors(projective_labels(n, r),
                              lambda cc: _by_color(color_runs(cc), r),
                              _ribbons_in_h, n, r)

@@ -688,6 +688,37 @@ def test_schur_pinned():
     assert sym_to_qmr(schur_in_h((1, 1))) == F((1, 1), (1, 1))
 
 
+def reference_schur_terms(partition: tuple, color: int) -> tuple:
+    """The Jacobi-Trudi determinant summed over all permutations, the
+    reference for the pruned depth-first ``hopf._schur_terms``."""
+    ell = len(partition)
+    terms = []
+    for perm in itertools.permutations(range(ell)):
+        sign = 1
+        for i, j in itertools.combinations(range(ell), 2):
+            if perm[i] > perm[j]:
+                sign = -sign
+        degrees = []
+        for i in range(ell):
+            d = partition[i] - i + perm[i]
+            if d < 0:
+                break
+            if d > 0:
+                degrees.append(d)
+        else:
+            terms.append((h_monomial((color, d) for d in degrees), sign))
+    return tuple(accumulate({}, terms).items())
+
+
+@pytest.mark.parametrize("partition", [
+    lam for n in range(9) for lam in partitions(n)] + [
+    (2, 1, 0), (1, 2), (3, -1), (0,), ()])
+def test_schur_terms_match_permutation_sum(partition):
+    for color in (1, 2, 3):
+        assert hopf._schur_terms(partition, color) == \
+            reference_schur_terms(partition, color)
+
+
 def test_schur_in_h_returns_a_fresh_lincomb():
     first = schur_in_h((2, 1))
     expected = dict(first.terms)

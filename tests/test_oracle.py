@@ -1147,7 +1147,7 @@ def test_relation_caches_are_bounded():
     assert cached.keys() == {
         "oracle._relation_plan", "oracle.enumerate_one_dim_characters",
         "hopf._f_label_product", "hopf._r_label_coproduct",
-        "hopf._schur_terms",
+        "hopf._schur_terms", "reptheory._column_side",
         "ribbons.descent_class_size"}
     for name, fn in cached.items():
         assert fn.cache_info().maxsize is not None, name
@@ -2007,7 +2007,22 @@ def test_shape_modules_and_socles_equal_dense_reference(n, r):
 
 
 def test_integral_parameters_stay_ints():
+    """An int parameter is kept as it is; any other value is read as a
+    Fraction and becomes an int when it is integral."""
     u = AlgebraParams(3, 3, (2, Fraction(14, 2), "-3")).u
     assert u == (2, 7, -3) and all(type(x) is int for x in u)
     assert all(type(x) is int for x in AlgebraParams(2, 2).u)
     assert type(AlgebraParams(2, 2, ("1/2", 3)).u[0]) is Fraction
+    for given, want in [
+            ((1, -2, 0), [(1, int), (-2, int), (0, int)]),
+            ((True, False, 7), [(1, int), (0, int), (7, int)]),
+            ((Fraction(6, 3), Fraction(-1, 1), Fraction(0)),
+             [(2, int), (-1, int), (0, int)]),
+            ((Fraction(1, 3), Fraction(-5, 2), 4),
+             [(Fraction(1, 3), Fraction), (Fraction(-5, 2), Fraction), (4, int)]),
+            ((2.0, 0.5, -0.25),
+             [(2, int), (Fraction(1, 2), Fraction), (Fraction(-1, 4), Fraction)]),
+            (("3", "1/2", "-4/2"),
+             [(3, int), (Fraction(1, 2), Fraction), (-2, int)])]:
+        u = AlgebraParams(2, 3, given).u
+        assert [(x, type(x)) for x in u] == want, given

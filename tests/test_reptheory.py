@@ -373,8 +373,40 @@ def test_matrices_image_each_one_color_monomial_once(matrix, monkeypatch):
         return sym_to_qmr(a)
 
     monkeypatch.setattr(reptheory, "sym_to_qmr", counted)
+    reptheory._column_side.cache_clear()
     matrix(4, 2)
     assert sorted(calls) == one_color_monomials(4)
+    calls.clear()
+    matrix(4, 2)
+    assert calls == []
+
+
+def standard_tableaux_rows(lam):
+    """Every standard Young tableau of shape ``lam`` as the row of each of
+    1..n, filled one entry at a time into an addable cell."""
+    def fill(lengths, rows):
+        if sum(lengths) == sum(lam):
+            yield rows
+        for i, length in enumerate(lengths):
+            if length < lam[i] and (i == 0 or lengths[i - 1] > length):
+                yield from fill(lengths[:i] + (length + 1,) + lengths[i + 1:],
+                                rows + (i,))
+    return fill((0,) * len(lam), ())
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_one_color_decomposition_counts_tableaux_by_descents(n):
+    """Gessel: the coefficient of F_I in s_lam is the number of standard
+    tableaux of shape lam with descent set D(I), where i is a descent when
+    i + 1 lies in a lower row (English notation)."""
+    m = decomposition_matrix(n, 1)
+    for (lam,), row in zip(m.row_labels, m.entries):
+        counts = Counter(
+            frozenset(i for i in range(1, n) if rows[i] > rows[i - 1])
+            for rows in standard_tableaux_rows(lam))
+        assert row == tuple(
+            counts[frozenset(itertools.accumulate(rib.shape[:-1]))]
+            for rib in m.col_labels)
 
 
 def test_cartan_rows_with_one_expansion_share_one_tuple():
@@ -440,7 +472,7 @@ def test_brauer_reciprocity(n, r):
     # the Cartan matrix pairs the decomposition column of its simple
     # quotient with every decomposition column
     cartan, decomp = cartan_matrix(n, r), decomposition_matrix(n, r)
-    assert cartan.col_labels == decomp.col_labels
+    assert cartan.col_labels is decomp.col_labels  # one column side per (n, r)
     column = {rib: j for j, rib in enumerate(decomp.col_labels)}
     for cc, row in zip(cartan.row_labels, cartan.entries):
         q = column[projective_simple_quotient(cc)]
