@@ -39,7 +39,6 @@ from .lincomb import (
     QMR_F,
     SYM_H,
     TensorComb,
-    accumulate,
 )
 from .ribbons import (
     ColoredComposition,
@@ -331,20 +330,15 @@ def sym_h_product(a: LinComb, b: LinComb) -> LinComb:
 
 def schur_in_h(partition: tuple, color: int = 1) -> LinComb:
     """Expand a Schur function of one variable set as a polynomial in the
-    complete functions, by the Jacobi-Trudi determinant.
+    complete functions, by the Jacobi-Trudi determinant det(h_{lambda_i - i
+    + j}) over its nonzero terms: one column per row, chosen depth first in
+    increasing order, so the terms come in the order of the permutations;
+    a branch ends at its first negative degree.  Choosing the k-th smallest
+    free column adds k inversions.
 
     >>> sorted(schur_in_h((1, 1)).terms.items())
     [(((1, 1), (1, 1)), 1), (((1, 2),), -1)]
     """
-    return LinComb(SYM_H, _schur_terms(partition, color))
-
-
-@lru_cache(maxsize=256)
-def _schur_terms(partition: tuple, color: int) -> tuple:
-    """The nonzero terms of det(h_{lambda_i - i + j}): one column per row,
-    chosen depth first in increasing order, so the terms come in the
-    order of the permutations; a branch ends at its first negative
-    degree.  Choosing the k-th smallest free column adds k inversions."""
     ell = len(partition)
     terms = []
 
@@ -359,7 +353,7 @@ def _schur_terms(partition: tuple, color: int) -> tuple:
                        -sign if k % 2 else sign)
 
     choose(0, tuple(range(ell)), (), 1)
-    return tuple(accumulate({}, terms).items())
+    return LinComb(SYM_H, terms)
 
 
 def multipartition_class(mp) -> LinComb:

@@ -158,7 +158,10 @@ class TensorComb(FormalSum):
     __slots__ = ()
 
     def __init__(self, bases, terms=()):
-        super().__init__(tuple(bases), terms)
+        bases = tuple(bases)
+        if len(bases) != 2 or not all(b in BASES for b in bases):
+            raise ValueError(f"not a pair of known bases: {bases!r}")
+        super().__init__(bases, terms)
 
     @property
     def bases(self):

@@ -26,9 +26,10 @@ basis element, and one reader turns both into the sparse generator
 columns of every module: of a block, each key its own vector, and of
 every induced module.  One evaluator checks the relations on
 such columns: the suite is compiled once per parameter set into integer
-polynomials in generator words, each distinct word is applied once to
-the identity operator (one dict keyed by ``column * dim + row``), and a
-word that one term alone uses goes straight into its residual.  On the
+polynomials in generator words, and each term goes into its residual
+by one ``_act`` of its first generator on the operator of the rest of
+its word, each such suffix applied once to the identity operator (one
+dict keyed by ``column * dim + row``).  On the
 regular representation only the seed columns ``B[c, id]`` are needed:
 ``B[c, w]`` is ``B[c, id] T_w``, and once the tables of a block are
 checked to commute with this right action of the ``T_j`` (the 0-Hecke
@@ -260,12 +261,11 @@ def _act(table, v: dict, out=None, scale=1) -> dict:
 def _relation_plan(params: AlgebraParams) -> tuple:
     """The relation suite compiled into polynomials in generator words: one
     ``(check, instance, terms)`` per relation, in suite order, each term
-    ``(word, coeff, single)``.  A word is the tuple of table indices of its
+    ``(word, coeff)``.  A word is the tuple of table indices of its
     generators (``T_1..T_{n-1}``, then ``xi_1..xi_n``), the leftmost applied
-    last; it is ``single`` when no other term needs its operator: a term
-    once in the plan and a proper suffix of no term word.  Each polynomial
-    is multiplied by the lcm of its denominators, so the coefficients are
-    ints; a nonzero multiple of a residual has the same nonzero entries."""
+    last.  Each polynomial is multiplied by the lcm of its denominators, so
+    the coefficients are ints; a nonzero multiple of a residual has the
+    same nonzero entries."""
     checks = _relation_suite(
         params,
         T=lambda i, v: {(i - 1,) + w: c for w, c in v.items()},
@@ -273,31 +273,26 @@ def _relation_plan(params: AlgebraParams) -> tuple:
         add=lambda a, b: accumulate(dict(a), b.items()),
         sub=lambda a, b: accumulate(dict(a), b.items(), -1),
         scale=lambda s, a: accumulate({}, a.items(), s))
-    polys = []
+    plan = []
     for name, instance, residual in checks:
         poly = residual({(): 1})
         lcm = math.lcm(*(c.denominator for c in poly.values()))
-        polys.append((name, instance, [(w, int(c * lcm)) for w, c in poly.items()]))
-    uses = Counter(w for *_, terms in polys for w, _ in terms)
-    # k = len(w) makes the empty word a proper suffix, so it is never single
-    inner = {w[k:] for w in uses for k in range(1, len(w) + 1)}
+        plan.append((name, instance, tuple((w, int(c * lcm)) for w, c in poly.items())))
     # the cache hands the plan to every caller, so it is made immutable
-    return tuple((name, instance, tuple((w, c, uses[w] == 1 and w not in inner)
-                                        for w, c in terms))
-                 for name, instance, terms in polys)
+    return tuple(plan)
 
 
 def _table_residuals(params, tables, columns=None) -> list:
     """``(check, instance, residual)`` for every defining relation, in
     suite order, on a representation whose generators ``T_1..T_{n-1},
-    xi_1..xi_n`` act by the given tables of sparse columns.  Each word of
-    the plan is applied once to the identity operator, or to its given
-    ``columns`` only, by one ``_act`` on its suffix, kept in a memo for the
-    call; a ``single`` word goes by that ``_act`` straight into its
-    residual, times its coefficient, and is never kept.
-    A residual is keyed by ``column * dim + row``, is a nonzero integer
-    multiple of the relation's own residual, and is empty (test ``not``;
-    key 0 is falsy) exactly when the relation holds."""
+    xi_1..xi_n`` act by the given tables of sparse columns.  A nonempty
+    term goes into its residual, times its coefficient, by one ``_act`` of
+    its first generator on the operator of the rest of its word, which is
+    built the same way from the identity operator (or its given ``columns``
+    only) and kept in a memo for the call.  A residual is keyed by
+    ``column * dim + row``, is a nonzero integer multiple of the relation's
+    own residual, and is empty (test ``not``; key 0 is falsy) exactly when
+    the relation holds."""
     dim = len(tables[-1])
     ops = {(): {k * dim + k: 1
                 for k in (range(dim) if columns is None else columns)}}
@@ -309,11 +304,11 @@ def _table_residuals(params, tables, columns=None) -> list:
     out = []
     for name, instance, terms in _relation_plan(params):
         residual = {}
-        for word, coeff, single in terms:
-            if single:
+        for word, coeff in terms:
+            if word:
                 _act(tables[word[0]], op(word[1:]), residual, coeff)
             else:
-                accumulate(residual, op(word).items(), coeff)
+                accumulate(residual, ops[()].items(), coeff)
         # an emptied dict keeps its size, so keep a fresh one instead
         out.append((name, instance, residual or {}))
     return out

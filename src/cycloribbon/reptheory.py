@@ -23,18 +23,18 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .hopf import (
+    _f_label_product,
     h_monomial,
     mr_product_R,
     mr_to_sym,
     split_ribbon,
     projective_simple_quotient,
     ncsf_product_R,
-    qmr_product_F,
     schur_in_h,
     sym_h_product,
     sym_to_qmr,
 )
-from .lincomb import LinComb, MR_R, NCSF_R, QMR_F, SYM_H, accumulate
+from .lincomb import LinComb, MR_R, NCSF_R, SYM_H, accumulate
 from .ribbons import (
     ColoredComposition,
     ColoredRibbon,
@@ -99,10 +99,13 @@ def induce_simples(a: ColoredRibbon, b: ColoredRibbon, *,
                    r: int = None) -> Counter:
     """Composition factors of the induction product of two simples, as a
     multiset of cycloribbons of total size; there are binomial(m+n, m)
-    of them counted with multiplicity.  The product does not depend on
-    the number of colors, so ``r`` is accepted and ignored."""
-    prod = qmr_product_F(LinComb.single(QMR_F, a), LinComb.single(QMR_F, b))
-    return Counter(dict(prod.terms))
+    of them counted with multiplicity; a label that is not a cycloribbon
+    raises ``ValueError``.  The product does not depend on the number of
+    colors, so ``r`` is accepted and ignored."""
+    for rib in (a, b):
+        if not is_cycloribbon(rib):
+            raise ValueError(f"{rib} is not a cycloribbon")
+    return Counter(dict(_f_label_product(a, b)))
 
 
 def restrict_simple(rib: ColoredRibbon, m: int) -> list:
@@ -136,6 +139,8 @@ def dim_projective(cc: ColoredComposition) -> int:
     >>> dim_projective(ColoredComposition((1, 2, 1), (2, 2, 1)))
     8
     """
+    if len(cc.parts) != len(cc.colors) or min(cc.parts + cc.colors, default=1) < 1:
+        raise ValueError(f"{cc} is not a colored composition")
     dim = math.factorial(cc.size)
     for _, run in color_runs(cc):
         dim = dim // math.factorial(sum(run)) * descent_class_size(run)
@@ -230,13 +235,9 @@ def _column_side(n: int, r: int) -> tuple:
 
 def _fill(row: list, node: dict, factors: tuple, depth: int, value: int) -> None:
     """Walk the row's factor dicts down the column trie from ``node`` at
-    color ``depth``, iterating the smaller of node and factor at each
-    level, and set each column reached to the product on the way down."""
-    factor = factors[depth]
-    if len(factor) < len(node):
-        hits = [(node[y], v) for y, v in factor.items() if y in node]
-    else:
-        hits = [(child, factor[y]) for y, child in node.items() if y in factor]
+    color ``depth``, looking each key of the factor up in the node, and
+    set each column reached to the product on the way down."""
+    hits = [(node[y], v) for y, v in factors[depth].items() if y in node]
     if depth + 1 < len(factors):
         for child, v in hits:
             _fill(row, child, factors, depth + 1, value * v)

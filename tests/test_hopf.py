@@ -690,7 +690,7 @@ def test_schur_pinned():
 
 def reference_schur_terms(partition: tuple, color: int) -> tuple:
     """The Jacobi-Trudi determinant summed over all permutations, the
-    reference for the pruned depth-first ``hopf._schur_terms``."""
+    reference for the pruned depth-first expansion of ``schur_in_h``."""
     ell = len(partition)
     terms = []
     for perm in itertools.permutations(range(ell)):
@@ -715,7 +715,7 @@ def reference_schur_terms(partition: tuple, color: int) -> tuple:
     (2, 1, 0), (1, 2), (3, -1), (0,), ()])
 def test_schur_terms_match_permutation_sum(partition):
     for color in (1, 2, 3):
-        assert hopf._schur_terms(partition, color) == \
+        assert tuple(schur_in_h(partition, color).terms.items()) == \
             reference_schur_terms(partition, color)
 
 

@@ -138,6 +138,15 @@ def test_tensor_json_shape():
                               "right": {"shape": [1, 1], "colors": [2, 1]}}]}
 
 
+def test_tensor_accepts_exactly_pairs_of_known_bases():
+    for b1 in BASES:
+        for b2 in BASES:
+            assert TensorComb([b1, b2]).bases == (b1, b2)
+    for bases in [("bogus", MR_R), (MR_R, "SYM-s"), (MR_R,), (MR_R,) * 3, ()]:
+        with pytest.raises(ValueError, match="not a pair of known bases"):
+            TensorComb(bases, [((CC1, CC2), 1)])
+
+
 def test_tensor_arithmetic():
     tc = TensorComb((MR_S, MR_S), [((CC1, CC2), 1)])
     td = TensorComb((MR_S, MR_S), [((CC1, CC2), -1), ((CC2, CC2), 5)])

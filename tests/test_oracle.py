@@ -931,7 +931,7 @@ def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u)
         scale=lambda s, v: s * v)
     assert [(name, instance) for name, instance, _ in plan] == \
         [(name, instance) for name, instance, _ in checks]
-    assert all(type(coeff) is int for *_, terms in plan for _, coeff, _ in terms)
+    assert all(type(coeff) is int for *_, terms in plan for _, coeff in terms)
 
     # shift every generator by 1/7 (no parameter here has a denominator
     # divisible by 7) and a random monomial map, so that no relation holds
@@ -958,7 +958,7 @@ def test_relation_plan_is_an_integer_multiple_of_the_suite(monkeypatch, n, r, u)
         for (name, instance, terms), (_, _, residual) in zip(plan, checks):
             want = residual(x)
             got = AlgebraElement()
-            for word, coeff, _ in terms:
+            for word, coeff in terms:
                 got = got + coeff * evaluate_word(p, word, x)
             assert want, (name, instance)
             key = min(want.terms)
@@ -989,26 +989,8 @@ def test_cross_commutation_plan_equals_reference_lagrange_coeffs(n, r, u):
                               for b, a2 in enumerate(nums2)))
         lcm = math.lcm(*(Fraction(c).denominator for c in want.values()))
         terms = got[f"i={i}"]
-        assert len({word for word, *_ in terms}) == len(terms)
-        assert {word: coeff for word, coeff, _ in terms} == \
-            {word: c * lcm for word, c in want.items()}
-
-
-@pytest.mark.parametrize("n, r, expected", [(3, 2, 32), (4, 3, 73)])
-def test_module_relations_apply_each_word_once(monkeypatch, n, r, expected):
-    p = AlgebraParams(n, r)
-    mod = build_shape_module(p, (n,))
-    suffixes = {word[k:] for *_, steps in oracle._relation_plan(p)
-                for word, *_ in steps for k in range(len(word))}
-    calls = []
-    act = oracle._act
-
-    def counted(table, v, out=None, scale=1):
-        calls.append(table)
-        return act(table, v, out, scale)
-    monkeypatch.setattr(oracle, "_act", counted)
-    assert module_relations_ok(p, mod)
-    assert len(calls) == len(suffixes) == expected
+        assert len(dict(terms)) == len(terms)
+        assert dict(terms) == {word: c * lcm for word, c in want.items()}
 
 
 def reference_act(table, v):
@@ -1067,36 +1049,31 @@ def test_act_keeps_zero_entries_and_cancellations_out():
         [(0, int, 1), (2, Fraction, Fraction(1, 3))]
 
 
-@pytest.mark.parametrize("n, r, built", [(3, 2, 13), (4, 3, 27)])
-def test_relation_check_materializes_only_shared_words(monkeypatch, n, r, built):
-    """A word that is a term once in the plan and a proper suffix of no
-    term word is flagged ``single``, added into its residual by ``_act``
-    and never kept as an operator of its own.  The empty word, the
-    identity operator, is never single, also where a relation has it as
-    a term (the constant term of the color polynomial at n = 1)."""
-    for q in (AlgebraParams(1, 1), AlgebraParams(1, 3)):
-        assert [single for *_, terms in oracle._relation_plan(q)
-                for word, _, single in terms if word == ()] == [False]
+@pytest.mark.parametrize("n, r, calls, kept", [(3, 2, 47, 7), (4, 3, 111, 21)])
+def test_relation_check_acts_once_per_term_and_proper_suffix(monkeypatch, n, r,
+                                                            calls, kept):
+    """Each nonempty term of the plan is one ``_act`` into its residual, on
+    the operator of its proper suffix, and each nonempty proper suffix is
+    one ``_act`` kept in the memo; the empty word, the identity operator,
+    costs none, also where it is a term (a constant term, as in the color
+    polynomials)."""
     p = AlgebraParams(n, r)
     mod = build_shape_module(p, (n,))
-    terms = [term for *_, terms in oracle._relation_plan(p) for term in terms]
-    uses = Counter(word for word, _, _ in terms)
-    proper = {word[k:] for word in uses for k in range(1, len(word) + 1)}
-    assert [single for *_, single in terms] == \
-        [uses[word] == 1 and word not in proper for word, *_ in terms]
-    singles = sum(single for *_, single in terms)
-    suffixes = {word[k:] for word in uses for k in range(len(word))}
-    new = []
+    words = [word for *_, terms in oracle._relation_plan(p) for word, _ in terms]
+    assert () in words
+    suffixes = {word[k:] for word in words for k in range(1, len(word))}
+    into_residual, new = [], []
     act = oracle._act
 
     def counted(table, v, *out_scale):
         result = act(table, v, *out_scale)
-        if not out_scale:
-            new.append(result)
+        (into_residual if out_scale else new).append(result)
         return result
     monkeypatch.setattr(oracle, "_act", counted)
     assert module_relations_ok(p, mod)
-    assert len(new) == built == len(suffixes) - singles
+    assert len(into_residual) + len(new) == calls
+    assert len(into_residual) == sum(map(bool, words))
+    assert len(new) == len(suffixes) == kept
 
 
 def reference_table_residuals(params, tables):
@@ -1108,7 +1085,7 @@ def reference_table_residuals(params, tables):
     out = []
     for name, instance, terms in oracle._relation_plan(params):
         residual = {}
-        for word, coeff, _ in terms:
+        for word, coeff in terms:
             for k in range(len(word) - 1, -1, -1):
                 if word[k:] not in ops:
                     ops[word[k:]] = reference_act(tables[word[k]], ops[word[k + 1:]])
@@ -1147,7 +1124,7 @@ def test_relation_caches_are_bounded():
     assert cached.keys() == {
         "oracle._relation_plan", "oracle.enumerate_one_dim_characters",
         "hopf._f_label_product", "hopf._r_label_coproduct",
-        "hopf._schur_terms", "reptheory._column_side",
+        "reptheory._column_side",
         "ribbons.descent_class_size"}
     for name, fn in cached.items():
         assert fn.cache_info().maxsize is not None, name
@@ -1903,7 +1880,7 @@ def negated_convention(r):
             1 if c == 1 else r + 2 - c for c in rib.colors))
 
     def induce(a, b):
-        return reptheory.induce_simples(negate(a), negate(b))
+        return Counter(dict(hopf._f_label_product(negate(a), negate(b))))
     return induce
 
 

@@ -134,7 +134,9 @@ def test_restrict_simple():
 def test_restrict_simple_rejects_labels_that_are_not_cycloribbons():
     # the colors fall along the row, so no simple has this label
     rib = RIB((2,), (2, 1))
-    for call in (simple_character, lambda x: restrict_simple(x, 1)):
+    for call in (simple_character, lambda x: restrict_simple(x, 1),
+                 lambda x: induce_simples(RIB((1,), (1,)), x),
+                 lambda x: induce_simples(x, RIB((1,), (1,)))):
         with pytest.raises(ValueError, match="is not a cycloribbon"):
             call(rib)
 
@@ -172,6 +174,15 @@ def test_dim_projective_examples():
     assert dim_projective(CC((1, 1, 1), (2, 1, 2))) == 6
     assert dim_projective(CC((2, 1), (2, 2))) == 2
     assert dim_projective(CC((5,), (3,))) == 1
+    assert dim_projective(CC((), ())) == 1
+
+
+@pytest.mark.parametrize("cc", [CC((0,), (1,)), CC((2,), (-1,)), CC((2,), (0,)),
+                                CC((1, 2), (1,)), CC((1,), (1, 2)),
+                                CC((2, 0, 1), (1, 1, 2))])
+def test_dim_projective_rejects_labels_that_are_not_colored_compositions(cc):
+    with pytest.raises(ValueError, match="is not a colored composition"):
+        dim_projective(cc)
 
 
 def test_induce_hecke_projective_shape_21():
@@ -343,8 +354,10 @@ def reference_matrix(rows, image, n, r):
     return tuple(rows), tuple(cols), tuple(entries)
 
 
+# (2, 8), (3, 6) and (4, 5): small trie nodes against large row factors,
+# where each row's walk looks up every key of its factor
 MATRIX_SIZES = [(n, r) for n in range(7) for r in (1, 2, 3)] + \
-    [(n, 4) for n in range(6)] + [(7, 2)]
+    [(n, 4) for n in range(6)] + [(7, 2), (2, 8), (3, 6), (4, 5)]
 
 
 @pytest.mark.parametrize("n, r", MATRIX_SIZES)
