@@ -1076,6 +1076,56 @@ def test_relation_check_acts_once_per_term_and_proper_suffix(monkeypatch, n, r,
     assert len(new) == len(suffixes) == kept
 
 
+@pytest.mark.parametrize("n, r, expected", [(3, 2, 32), (4, 3, 73)])
+def test_module_relations_apply_each_word_once(monkeypatch, n, r, expected):
+    """Each nonempty suffix of a term word is formed from one pair: the
+    table of its first generator and the one memo operator of the rest of
+    the word.  A word that is a term of several relations, or a term and
+    a proper suffix, is applied again from that same pair."""
+    p = AlgebraParams(n, r)
+    mod = build_shape_module(p, (n,))
+    suffixes = {word[k:] for *_, terms in oracle._relation_plan(p)
+                for word, _ in terms for k in range(len(word))}
+    calls = []
+    act = oracle._act
+
+    def counted(table, v, *out_scale):
+        calls.append((table, v))  # kept alive, so that ids stay distinct
+        return act(table, v, *out_scale)
+    monkeypatch.setattr(oracle, "_act", counted)
+    assert module_relations_ok(p, mod)
+    assert len({(id(table), id(v)) for table, v in calls}) == len(suffixes) \
+        == expected
+
+
+@pytest.mark.parametrize("n, r, shared", [(3, 2, 13), (4, 3, 27)])
+def test_relation_check_materializes_only_shared_words(monkeypatch, n, r, shared):
+    """Only a word shared by several terms is kept as an operator of its
+    own: the memo holds the proper suffixes of term words, a subset of the
+    words that are terms more than once or proper suffixes.  A word that
+    is a term once and a proper suffix of none only goes into its
+    residual."""
+    p = AlgebraParams(n, r)
+    mod = build_shape_module(p, (n,))
+    uses = Counter(word for *_, terms in oracle._relation_plan(p)
+                   for word, _ in terms)
+    proper = {word[k:] for word in uses for k in range(1, len(word))}
+    suffixes = {word[k:] for word in uses for k in range(len(word))}
+    shared_words = {word for word in suffixes if uses[word] > 1 or word in proper}
+    new = []
+    act = oracle._act
+
+    def counted(table, v, *out_scale):
+        result = act(table, v, *out_scale)
+        if not out_scale:
+            new.append(result)
+        return result
+    monkeypatch.setattr(oracle, "_act", counted)
+    assert module_relations_ok(p, mod)
+    assert proper <= shared_words and len(shared_words) == shared
+    assert len(new) == len(proper) < shared
+
+
 def reference_table_residuals(params, tables):
     """Reference for :func:`oracle._table_residuals`: every word of the
     plan applied to the identity operator by :func:`reference_act`, and
