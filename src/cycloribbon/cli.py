@@ -117,11 +117,15 @@ MATRICES = {"cartan": ("cartan_matrix",
 def cmd_matrix(args) -> int:
     build, row_fmt, name = MATRICES[args.command]
     matrix = getattr(reptheory, build)(args.n, args.r)
+    rows = [row_fmt(label) for label in matrix.row_labels]
+    cols = [ribbons.ribbon_literal(rib) for rib in matrix.col_labels]
     if args.format == "csv":
-        sys.stdout.write(matrix.to_csv(row_fmt))
+        # the header line has an empty corner, then the column literals
+        sys.stdout.write("".join(f"{label},{','.join(map(str, row))}\n" for label, row
+                                 in zip(["", *rows], [cols, *matrix.entries])))
         return 0
-    return _emit({"n": args.n, "r": args.r, "matrix": name,
-                  **matrix.to_json_dict(row_fmt)})
+    return _emit({"n": args.n, "r": args.r, "matrix": name, "rows": rows,
+                  "cols": cols, "entries": [list(row) for row in matrix.entries]})
 
 
 def cmd_dims(args) -> int:

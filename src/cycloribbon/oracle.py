@@ -68,6 +68,7 @@ from .ribbons import (
     enumerate_cycloribbons,
     fillings_below,
     is_cycloribbon,
+    validate_composition,
 )
 
 
@@ -569,8 +570,7 @@ def build_shape_module(params: AlgebraParams, shape) -> ExplicitModule:
     ``c``, with ``chi(T_i)`` -1 on the descents of the shape and 0 elsewhere.
     ``A`` is free as a right ``H_n(0)``-module on the ``L_c``, of rank ``r^n``,
     and the ``L_c`` sum to 1, so the seed is ``1 (x) 1 = sum_c e_c``."""
-    if sum(shape) != params.n or any(p < 1 for p in shape):
-        raise ValueError(f"{shape} is not a composition of {params.n}")
+    validate_composition(shape, params.n)
     ds, ident = descent_set(shape), tuple(range(1, params.n + 1))
     words = itertools.product(range(1, params.r + 1), repeat=params.n)
     return _induce(params, [(c, ident) for c in words],

@@ -48,10 +48,10 @@ from .ribbons import (
     enumerate_anticycloribbons,
     enumerate_cycloribbons,
     flip_ribbon,
+    is_colored_composition,
     is_cycloribbon,
     multipartitions,
     partitions,
-    ribbon_literal,
 )
 
 
@@ -118,7 +118,11 @@ def restrict_simple(rib: ColoredRibbon, m: int) -> list:
 
 def induce_projectives(a: ColoredComposition, b: ColoredComposition) -> Counter:
     """Indecomposable summands of the induction product of two
-    projectives: the colored ribbon product rule on their labels."""
+    projectives: the colored ribbon product rule on their labels; a label
+    that is not a colored composition raises ``ValueError``."""
+    for cc in (a, b):
+        if not is_colored_composition(cc):
+            raise ValueError(f"{cc} is not a colored composition")
     prod = mr_product_R(LinComb.single(MR_R, a), LinComb.single(MR_R, b))
     return Counter(dict(prod.terms))
 
@@ -139,7 +143,7 @@ def dim_projective(cc: ColoredComposition) -> int:
     >>> dim_projective(ColoredComposition((1, 2, 1), (2, 2, 1)))
     8
     """
-    if len(cc.parts) != len(cc.colors) or min(cc.parts + cc.colors, default=1) < 1:
+    if not is_colored_composition(cc):
         raise ValueError(f"{cc} is not a colored composition")
     dim = math.factorial(cc.size)
     for _, run in color_runs(cc):
@@ -166,20 +170,6 @@ class LabeledMatrix:
     row_labels: tuple
     col_labels: tuple
     entries: tuple  # tuple of row tuples, exact ints
-
-    def row_sums(self):
-        return [sum(row) for row in self.entries]
-
-    def to_json_dict(self, row_fmt) -> dict:
-        return {"rows": [row_fmt(l) for l in self.row_labels],
-                "cols": [ribbon_literal(l) for l in self.col_labels],
-                "entries": [list(row) for row in self.entries]}
-
-    def to_csv(self, row_fmt) -> str:
-        lines = ["," + ",".join(ribbon_literal(l) for l in self.col_labels)]
-        for label, row in zip(self.row_labels, self.entries):
-            lines.append(row_fmt(label) + "," + ",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
 
 
 def _by_color(runs, r: int) -> tuple:

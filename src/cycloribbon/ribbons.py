@@ -117,11 +117,12 @@ def composition_from_descents(n: int, descents) -> Composition:
 
 def descent_bitmask(parts: Sequence[int]) -> int:
     """Descent set packed into an integer, bit ``i-1`` for descent ``i``."""
-    mask, total = 0, 0
-    for p in parts[:-1]:
-        total += p
-        mask |= 1 << (total - 1)
-    return mask
+    return sum(1 << (d - 1) for d in descent_set(parts))
+
+
+def validate_composition(shape: Composition, n: int) -> None:
+    if sum(shape) != n or any(p < 1 for p in shape):
+        raise ValueError(f"shape {shape} is not a composition of {n}")
 
 
 def compositions(n: int) -> Iterator[Composition]:
@@ -209,6 +210,11 @@ def is_anticycloribbon(rib: ColoredRibbon) -> bool:
     return _is_monotone(rib, False)
 
 
+def is_colored_composition(cc: ColoredComposition) -> bool:
+    """One color per part, and every part and color at least 1."""
+    return len(cc.parts) == len(cc.colors) and min(cc.parts + cc.colors, default=1) >= 1
+
+
 def _enumerate_fillings(n, r, shape, row_weakly_increasing):
     """Shared body of the cycloribbon/anticycloribbon enumerations, in
     :func:`ribbon_sort_key` order: shapes by increasing descent bitmask,
@@ -227,8 +233,7 @@ def _enumerate_fillings(n, r, shape, row_weakly_increasing):
         word_of = list(itertools.product(range(1, r + 1), repeat=n)).__getitem__
     else:
         shape = tuple(shape)
-        if sum(shape) != n or any(p < 1 for p in shape):
-            raise ValueError(f"shape {shape} is not a composition of {n}")
+        validate_composition(shape, n)
         shapes = (shape,)
 
         def word_of(k):
@@ -276,9 +281,9 @@ def flip_ribbon(rib: ColoredRibbon) -> ColoredRibbon:
     >>> flip_ribbon(ColoredRibbon((1, 1), (2, 1)))
     ColoredRibbon(shape=(2,), colors=(2, 1))
     """
-    ds = descent_set(rib.shape)
     c = rib.colors
-    new_ds = set()
+    validate_composition(rib.shape, len(c))
+    ds, new_ds = descent_set(rib.shape), set()
     for i in range(1, len(c)):
         if (c[i - 1] == c[i]) == (i in ds):
             new_ds.add(i)
@@ -293,8 +298,8 @@ def colored_comp_to_anticycloribbon(cc: ColoredComposition) -> ColoredRibbon:
     exactly when the next part's color is >= the current one.  Positions
     inside a part stay row steps.  The output is an anticycloribbon.
     """
-    if len(cc.parts) != len(cc.colors):
-        raise ValueError(f"{len(cc.parts)} parts but {len(cc.colors)} colors")
+    if not is_colored_composition(cc):
+        raise ValueError(f"{cc} is not a colored composition")
     colors, ds, pos = [], set(), 0
     for k, (p, col) in enumerate(zip(cc.parts, cc.colors)):
         colors.extend([col] * p)

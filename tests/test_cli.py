@@ -134,6 +134,18 @@ def test_cartan_csv_identity(capsys):
                    "1^3,0,0,1\n")
 
 
+def test_matrix_exports(capsys):
+    code, out, err = run(capsys, "cartan", "--n", "1", "--r", "2",
+                         "--format", "csv")
+    assert (code, out) == (0, ",1|1,1|2\n1^1,1,0\n1^2,0,1\n")
+    obj = run_json(capsys, "cartan", "--n", "1", "--r", "2", expect_def="matrix")
+    assert {key: obj[key] for key in ("rows", "cols", "entries")} == \
+        {"rows": ["1^1", "1^2"], "cols": ["1|1", "1|2"],
+         "entries": [[1, 0], [0, 1]]}
+    obj = run_json(capsys, "decomp", "--n", "1", "--r", "2", expect_def="matrix")
+    assert obj["rows"] == [";1", "1;"]
+
+
 def test_cartan_json(capsys):
     obj = run_json(capsys, "cartan", "--n", "2", "--r", "2",
                    expect_def="matrix")

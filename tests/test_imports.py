@@ -261,3 +261,22 @@ def test_one_builder_reads_every_induced_module():
                if getattr(stmt, "name", None) != "_read_module"
                and "_read_module" in referenced_names(stmt)]
     assert callers == ["oracle._content_block", "oracle._induce"]
+
+
+LITERAL_WRITERS = {"ribbon_literal", "colored_composition_literal",
+                   "multipartition_literal"}
+
+
+def test_only_the_cli_writes_label_literals():
+    """The output format has one home: no src module but ``cli`` and
+    ``ribbons``, which defines them, names a literal writer, by a name, an
+    attribute or an import (a docstring's doctest does not count)."""
+    naming = []
+    for path in sorted((SRC / "cycloribbon").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for alias in ast.walk(tree)
+                    if isinstance(alias, ast.alias)}
+        if path.stem not in ("cli", "ribbons") and \
+                (referenced_names(tree) | imported) & LITERAL_WRITERS:
+            naming.append(path.stem)
+    assert naming == []

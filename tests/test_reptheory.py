@@ -37,12 +37,12 @@ from cycloribbon.ribbons import (
     ColoredRibbon,
     cell_composition,
     color_runs,
+    colored_comp_to_anticycloribbon,
     colored_composition_literal,
     colored_compositions,
     descent_class_size,
     enumerate_anticycloribbons,
     enumerate_cycloribbons,
-    multipartition_literal,
     multipartitions,
     partitions,
     ribbon_literal,
@@ -177,12 +177,26 @@ def test_dim_projective_examples():
     assert dim_projective(CC((), ())) == 1
 
 
-@pytest.mark.parametrize("cc", [CC((0,), (1,)), CC((2,), (-1,)), CC((2,), (0,)),
-                                CC((1, 2), (1,)), CC((1,), (1, 2)),
-                                CC((2, 0, 1), (1, 1, 2))])
-def test_dim_projective_rejects_labels_that_are_not_colored_compositions(cc):
-    with pytest.raises(ValueError, match="is not a colored composition"):
-        dim_projective(cc)
+# each function that reads a projective's label, with that label in either
+# argument position of induce_projectives; dim_projective's ids are plain
+LABEL_READERS = {
+    "": dim_projective,
+    "anticycloribbon-": colored_comp_to_anticycloribbon,
+    "simple_quotient-": projective_simple_quotient,
+    "induce_lhs-": lambda cc: induce_projectives(cc, CC((1,), (1,))),
+    "induce_rhs-": lambda cc: induce_projectives(CC((1,), (1,)), cc),
+}
+
+
+@pytest.mark.parametrize("read, cc", [
+    pytest.param(read, cc, id=f"{name}cc{k}")
+    for name, read in LABEL_READERS.items()
+    for k, cc in enumerate([CC((0,), (1,)), CC((2,), (-1,)), CC((2,), (0,)),
+                            CC((1, 2), (1,)), CC((1,), (1, 2)),
+                            CC((2, 0, 1), (1, 1, 2))])])
+def test_dim_projective_rejects_labels_that_are_not_colored_compositions(read, cc):
+    with pytest.raises(ValueError, match=r"\) is not a colored composition$"):
+        read(cc)
 
 
 def test_induce_hecke_projective_shape_21():
@@ -306,14 +320,15 @@ def test_cartan_2_2_pinned():
         "1^2.1^1": [0, 1, 0, 0, 1, 0],
         "1^2.1^2": [0, 0, 0, 0, 0, 1],
     }
-    assert sorted(m.row_sums()) == [1, 1, 1, 1, 2, 2]
+    assert sorted(sum(row) for row in m.entries) == [1, 1, 1, 1, 2, 2]
 
 
 def test_cartan_row_sums_are_dimensions():
     for n in range(1, 4):
         for r in (1, 2):
             m = cartan_matrix(n, r)
-            assert m.row_sums() == [dim_projective(cc) for cc in m.row_labels]
+            assert [sum(row) for row in m.entries] == \
+                [dim_projective(cc) for cc in m.row_labels]
 
 
 def test_cartan_factorizes():
@@ -492,17 +507,3 @@ def test_brauer_reciprocity(n, r):
         assert row == tuple(sum(d[q] * d[j] for d in decomp.entries)
                             for j in range(len(column)))
 
-
-# ---------------------------------------------------------------------------
-# exports
-
-def test_matrix_exports():
-    m = cartan_matrix(1, 2)
-    csv = m.to_csv(colored_composition_literal)
-    assert csv == ",1|1,1|2\n1^1,1,0\n1^2,0,1\n"
-    obj = m.to_json_dict(colored_composition_literal)
-    assert obj == {"rows": ["1^1", "1^2"], "cols": ["1|1", "1|2"],
-                   "entries": [[1, 0], [0, 1]]}
-    d = decomposition_matrix(1, 2)
-    assert d.to_json_dict(multipartition_literal)["rows"] == \
-        [";1", "1;"]

@@ -295,6 +295,10 @@ def test_flip_small_examples():
         ColoredRibbon((4,), (2, 2, 2, 2))
     assert flip_ribbon(ColoredRibbon((1, 1), (2, 1))) == \
         ColoredRibbon((2,), (2, 1))
+    with pytest.raises(ValueError, match=r"^shape \(1, 1\) is not a composition of 3$"):
+        flip_ribbon(ColoredRibbon((1, 1), (1, 2, 3)))
+    with pytest.raises(ValueError, match=r"^shape \(5,\) is not a composition of 2$"):
+        flip_ribbon(ColoredRibbon((5,), (1, 2)))
 
 
 def test_flip_is_an_involution_exhaustively():
