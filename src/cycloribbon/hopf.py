@@ -39,6 +39,7 @@ from .lincomb import (
     QMR_F,
     SYM_H,
     TensorComb,
+    accumulate,
 )
 from .ribbons import (
     ColoredComposition,
@@ -49,7 +50,9 @@ from .ribbons import (
     composition_from_descents,
     descent_set,
     flip_ribbon,
+    is_colored_composition,
     max_inversion_perm,
+    validate_ribbon,
 )
 
 QMR_UNIT = ColoredRibbon((), ())
@@ -130,10 +133,14 @@ def s_to_r(a: LinComb) -> LinComb:
                    a, MR_S, MR_R)
 
 
+def _r_label_to_s(lab: ColoredComposition) -> list:
+    return [(fine, (-1) ** (len(lab.parts) - len(fine.parts)))
+            for fine in anti_refinements(lab)]
+
+
 def r_to_s(a: LinComb) -> LinComb:
     """Inverse change of basis, by inclusion-exclusion over the same order."""
-    return _linear(lambda lab: [(fine, (-1) ** (len(lab.parts) - len(fine.parts)))
-                                for fine in anti_refinements(lab)], a, MR_R, MR_S)
+    return _linear(_r_label_to_s, a, MR_R, MR_S)
 
 
 def _nonzero_parts(parts, colors) -> ColoredComposition:
@@ -161,11 +168,13 @@ def mr_coproduct(a: LinComb) -> TensorComb:
     """
     if a.basis == MR_R:
         return _linear(_r_label_coproduct, a, MR_R, (MR_R, MR_R))
-    return _linear(lambda lab: [
-        ((_nonzero_parts(cuts, lab.colors),
-          _nonzero_parts([p - i for p, i in zip(lab.parts, cuts)], lab.colors)), 1)
-        for cuts in itertools.product(*(range(p + 1) for p in lab.parts))],
-        a, MR_S, (MR_S, MR_S), MR_R)
+    return _linear(_s_label_coproduct, a, MR_S, (MR_S, MR_S), MR_R)
+
+
+def _s_label_coproduct(lab: ColoredComposition) -> list:
+    return [((_nonzero_parts(cuts, lab.colors),
+              _nonzero_parts([p - i for p, i in zip(lab.parts, cuts)], lab.colors)), 1)
+            for cuts in itertools.product(*(range(p + 1) for p in lab.parts))]
 
 
 @lru_cache(maxsize=4096)
@@ -173,10 +182,12 @@ def _r_label_coproduct(lab: ColoredComposition) -> tuple:
     """Terms of the coproduct of one ribbon label: its signed
     anti-refinements, their cut vectors summed in the complete basis, and
     each side expanded back over its anti-refinements."""
+    in_s = TensorComb((MR_S, MR_S), [(pair, sign * c)
+                                     for fine, sign in _r_label_to_s(lab)
+                                     for pair, c in _s_label_coproduct(fine)])
     return tuple(_linear(lambda sides: [
         (pair, 1) for pair in itertools.product(*map(anti_refinements, sides))],
-        mr_coproduct(r_to_s(LinComb(MR_R, [(lab, 1)]))), (MR_S, MR_S),
-        (MR_R, MR_R)).terms.items())
+        in_s, (MR_S, MR_S), (MR_R, MR_R)).terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +311,9 @@ def mr_to_sym(a: LinComb) -> LinComb:
     """Commutative image: the complete generator of degree j and color i
     goes to the degree-j complete function of the i-th variable set."""
     if a.basis == MR_R:
-        return mr_to_sym(r_to_s(a))
+        return _linear(lambda lab: [(h_monomial(zip(fine.colors, fine.parts)), sign)
+                                    for fine, sign in _r_label_to_s(lab)],
+                       a, MR_R, SYM_H)
     return _linear(lambda lab: ((h_monomial(zip(lab.colors, lab.parts)), 1),),
                    a, MR_S, SYM_H, MR_R)
 
@@ -308,12 +321,17 @@ def mr_to_sym(a: LinComb) -> LinComb:
 def sym_to_qmr(a: LinComb) -> LinComb:
     """Embedding of the commutative algebra: each complete factor maps to
     the one-row constant-color fundamental function and the factors are
-    multiplied out in QMR.  Monomial labels are already canonically
+    multiplied out in QMR by the F label rule, so the labels built on the
+    way are not checked again.  Monomial labels are already canonically
     sorted, and the QMR product is commutative, so this is well defined."""
-    return _linear(lambda mono: reduce(qmr_product_F, (
-        LinComb.single(QMR_F, ColoredRibbon((degree,), (color,) * degree))
-        for color, degree in mono), LinComb.single(QMR_F, QMR_UNIT)).terms.items(),
-        a, SYM_H, QMR_F)
+    def rule(mono):
+        terms = {QMR_UNIT: 1}
+        for color, degree in mono:
+            row = ColoredRibbon((degree,), (color,) * degree)
+            terms = accumulate({}, ((lab, c * m) for x, c in terms.items()
+                                    for lab, m in _f_label_product(x, row)))
+        return terms.items()
+    return _linear(rule, a, SYM_H, QMR_F)
 
 
 def cartan_map(a: LinComb) -> LinComb:
@@ -365,6 +383,16 @@ def multipartition_class(mp) -> LinComb:
 
 
 def _expect(a, basis, or_basis=None) -> None:
+    """Reject a sum in a basis other than ``basis`` (or ``or_basis``), and
+    an MR or QMR-F label that is malformed.  Only the input labels are
+    checked: a rule's terms are never checked again."""
     if a.tag != basis:
         accepted = basis if or_basis is None else f"{basis} or {or_basis}"
         raise ValueError(f"expected basis {accepted}, got {a.tag}")
+    if basis in (MR_S, MR_R):
+        for cc in a.terms:
+            if not is_colored_composition(cc):
+                raise ValueError(f"{cc} is not a colored composition")
+    elif basis == QMR_F:
+        for rib in a.terms:
+            validate_ribbon(rib)

@@ -120,9 +120,6 @@ def induce_projectives(a: ColoredComposition, b: ColoredComposition) -> Counter:
     """Indecomposable summands of the induction product of two
     projectives: the colored ribbon product rule on their labels; a label
     that is not a colored composition raises ``ValueError``."""
-    for cc in (a, b):
-        if not is_colored_composition(cc):
-            raise ValueError(f"{cc} is not a colored composition")
     prod = mr_product_R(LinComb.single(MR_R, a), LinComb.single(MR_R, b))
     return Counter(dict(prod.terms))
 

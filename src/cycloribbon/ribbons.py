@@ -29,11 +29,14 @@ descent composition of each word (:func:`shifted_shuffle`,
 the same terms from the cells without building the shuffled words.
 
 All values are immutable and all functions are pure, so everything here
-is safe to use concurrently.
+is safe to use concurrently; only the enumerations touch global state,
+pausing the cyclic garbage collector while they build (see
+:func:`_enumerate_fillings`).
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from functools import lru_cache
@@ -120,8 +123,13 @@ def descent_bitmask(parts: Sequence[int]) -> int:
     return sum(1 << (d - 1) for d in descent_set(parts))
 
 
+def is_composition(shape: Composition, n: int) -> bool:
+    """Parts all at least 1, summing to n."""
+    return sum(shape) == n and min(shape, default=1) >= 1
+
+
 def validate_composition(shape: Composition, n: int) -> None:
-    if sum(shape) != n or any(p < 1 for p in shape):
+    if not is_composition(shape, n):
         raise ValueError(f"shape {shape} is not a composition of {n}")
 
 
@@ -172,11 +180,8 @@ def partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple]:
 # ribbon predicates, enumeration, the flip involution
 
 def validate_ribbon(rib: ColoredRibbon) -> None:
-    if sum(rib.shape) != len(rib.colors):
-        raise ValueError(f"shape {rib.shape} does not match {len(rib.colors)} colors")
-    if any(p < 1 for p in rib.shape):
-        raise ValueError(f"non-positive part in {rib.shape}")
-    if any(c < 1 for c in rib.colors):
+    validate_composition(rib.shape, len(rib.colors))
+    if min(rib.colors, default=1) < 1:
         raise ValueError(f"non-positive color in {rib.colors}")
 
 
@@ -195,7 +200,7 @@ def _violations(shape: Composition, colors: ColorWord,
 def _is_monotone(rib: ColoredRibbon, row_weakly_increasing: bool) -> bool:
     """Shared body of the predicates; a malformed shape, or a color below
     1, is neither."""
-    return (min(rib.shape, default=1) >= 1 and sum(rib.shape) == rib.size
+    return (is_composition(rib.shape, rib.size)
             and min(rib.colors, default=1) >= 1
             and not _violations(rib.shape, rib.colors, row_weakly_increasing))
 
@@ -225,34 +230,51 @@ def _enumerate_fillings(n, r, shape, row_weakly_increasing):
     words (appending color c takes k to k*r + c - 1), so each word tuple
     is built once per call and shared by every shape that has it: all
     shapes read one ``itertools.product`` table, and a single shape
-    decodes only its own words."""
+    decodes only its own words.
+
+    The cyclic garbage collector is paused while the words and ribbons are
+    built, and switched back on afterwards only if it was on before (so
+    overlapping calls in several threads leave it on if it was on).
+    CPython never untracks a tuple subclass, so every ``ColoredRibbon``
+    stays tracked, and each full collection that fell inside the build
+    walked every label built so far: at (8, 4) four of them, two fifths
+    of the call's time, and at (9, 4) twelve, more than half, since each
+    walk grows with the list.  The build makes no reference cycles (a ribbon holds a
+    shared shape tuple and a shared word tuple of ints, and the codes are
+    int lists), so reference counting still frees everything and the
+    pause skips only the walks over live labels."""
     if r < 1:
         raise ValueError(f"need r >= 1, got r = {r}")
-    if shape is None:
-        shapes = list(compositions(n))  # raises for n < 0
-        word_of = list(itertools.product(range(1, r + 1), repeat=n)).__getitem__
-    else:
-        shape = tuple(shape)
-        validate_composition(shape, n)
-        shapes = (shape,)
+    out, collecting = [], gc.isenabled()
+    gc.disable()
+    try:
+        if shape is None:
+            shapes = list(compositions(n))  # raises for n < 0
+            word_of = list(itertools.product(range(1, r + 1), repeat=n)).__getitem__
+        else:
+            shape = tuple(shape)
+            validate_composition(shape, n)
+            shapes = (shape,)
 
-        def word_of(k):
-            return tuple(k // r ** (n - 1 - i) % r + 1 for i in range(n))
-    out = []
-    for parts in shapes:
-        ds = descent_set(parts)
-        codes = range(r) if n else [0]
-        for i in range(1, n):
-            # the next color may be >= the last one exactly on a row step
-            # of a cycloribbon or a column step of an anticycloribbon
-            if (i in ds) != row_weakly_increasing:
-                codes = [k * r + d for k in codes for d in range(k % r, r)]
-            else:
-                codes = [k * r + d for k in codes for d in range(k % r + 1)]
-        # tuple.__new__ builds each ribbon without the Python-level frame
-        # of the NamedTuple constructor
-        out.extend(map(tuple.__new__, itertools.repeat(ColoredRibbon),
-                       zip(itertools.repeat(parts), map(word_of, codes))))
+            def word_of(k):
+                return tuple(k // r ** (n - 1 - i) % r + 1 for i in range(n))
+        for parts in shapes:
+            ds = descent_set(parts)
+            codes = range(r) if n else [0]
+            for i in range(1, n):
+                # the next color may be >= the last one exactly on a row step
+                # of a cycloribbon or a column step of an anticycloribbon
+                if (i in ds) != row_weakly_increasing:
+                    codes = [k * r + d for k in codes for d in range(k % r, r)]
+                else:
+                    codes = [k * r + d for k in codes for d in range(k % r + 1)]
+            # tuple.__new__ builds each ribbon without the Python-level frame
+            # of the NamedTuple constructor
+            out.extend(map(tuple.__new__, itertools.repeat(ColoredRibbon),
+                           zip(itertools.repeat(parts), map(word_of, codes))))
+    finally:
+        if collecting:
+            gc.enable()
     return out
 
 

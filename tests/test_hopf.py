@@ -575,6 +575,31 @@ def test_ring_operations_reject_other_bases(op, accepted, arity):
                 op(*args)
 
 
+# labels that break the colored-composition or ribbon rule, per basis
+MALFORMED = {
+    MR_S: [S((0,), (1,)), S((1,), ()), S((1,), (0,)), S((2, -1), (1, 1))],
+    MR_R: [R((0,), (1,)), R((1,), ()), R((1,), (0,)), R((2, -1), (1, 1))],
+    QMR_F: [F((1, 1), (1, 2, 3)), F((0, 1), (1,)), F((1,), (0,)),
+            F((2,), (1,))]}
+
+
+@pytest.mark.parametrize("op, accepted, arity", RING_OPERATIONS,
+                         ids=[op.__name__ for op, _, _ in RING_OPERATIONS])
+def test_ring_operations_check_every_input_label(op, accepted, arity):
+    """Each argument in an MR or QMR-F basis is checked, alone or as one
+    term of a sum with a well-formed label."""
+    for basis in accepted:
+        good = IN_BASIS[basis]
+        for bad in MALFORMED.get(basis, ()):
+            for k in range(arity):
+                for wrong in (bad, good + bad):
+                    args = [good] * arity
+                    args[k] = wrong
+                    with pytest.raises(ValueError, match=(
+                            "not a (colored )?composition|non-positive color")):
+                        op(*args)
+
+
 def test_duality_product_vs_coproduct():
     for _ in range(80):
         r = rng.randint(1, 3)

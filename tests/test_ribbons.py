@@ -1,14 +1,17 @@
 """Label-level combinatorics: examples pinned by hand plus exhaustive and
 randomized properties on small sizes."""
 
+import gc
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycloribbon import ribbons
 from cycloribbon.reptheory import cartan_matrix
 from cycloribbon.ribbons import (
     ColoredComposition,
@@ -41,6 +44,7 @@ from cycloribbon.ribbons import (
     ribbon_sort_key,
     shifted_shuffle,
     sorting_covers,
+    validate_ribbon,
 )
 
 
@@ -227,6 +231,44 @@ def test_enumeration_of_one_shape_builds_no_word_table(enum):
         tracemalloc.stop()
     assert len(ribs) == math.comb(12, 9)
     assert peak < 1_000_000
+
+
+def test_enumeration_runs_no_collection():
+    # every ColoredRibbon stays tracked, so a collection inside the build
+    # would walk all the labels built so far
+    assert gc.isenabled()
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(note)
+    try:
+        ribs = enumerate_cycloribbons(7, 4)
+    finally:
+        gc.callbacks.remove(note)
+    assert len(ribs) == 4 * 5 ** 6
+    assert started == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_enumeration_restores_the_collector(enabled, monkeypatch):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(enumerate_cycloribbons(4, 3)) == 3 * 4 ** 3
+        assert gc.isenabled() == enabled
+
+        def fail(parts):
+            raise RuntimeError("descent_set failed")
+
+        monkeypatch.setattr(ribbons, "descent_set", fail)
+        with pytest.raises(RuntimeError, match="descent_set failed"):
+            enumerate_anticycloribbons(4, 3)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("enum", [enumerate_cycloribbons,
@@ -652,6 +694,15 @@ def test_empty_ribbon_literal():
 def test_bad_ribbon_literals(text):
     with pytest.raises(ValueError):
         parse_ribbon(text)
+
+
+@pytest.mark.parametrize("rib, message", [
+    (ColoredRibbon((2,), (1,)), "shape (2,) is not a composition of 1"),
+    (ColoredRibbon((0, 1), (1,)), "shape (0, 1) is not a composition of 1"),
+    (ColoredRibbon((1,), (0,)), "non-positive color in (0,)")])
+def test_validate_ribbon_messages(rib, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_ribbon(rib)
 
 
 @pytest.mark.parametrize("text", ["2^", "2", "a^1", "1^1..2^2", "0^1"])
