@@ -43,8 +43,6 @@ from .lincomb import (
     QMR_F,
     SYM_H,
     TensorComb,
-    lincomb_from_json,
-    lincomb_to_json,
 )
 
 # the public names of each lazy module, read from it on first use

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Data goes to stdout as JSON (or CSV for the matrix commands);
-diagnostics go to stderr.  Exit codes: 0 success, 1 argument or literal
-validation error, 2 oracle check failure (JSON counterexample or failed
-check on stderr).  Output is deterministic byte for byte for fixed flags.
+diagnostics go to stderr.  This module turns the library's labels,
+sums and matrices into the schema's JSON objects.  Exit codes: 0
+success, 1 argument or literal validation error, 2 oracle check failure
+(JSON counterexample or failed check on stderr).  Output is
+deterministic byte for byte for fixed flags.
 """
 
 from __future__ import annotations
@@ -30,6 +32,25 @@ def _emit(obj) -> int:
     return 0
 
 
+def _label(label) -> dict:
+    if isinstance(label, ribbons.ColoredRibbon):
+        return {"shape": list(label.shape), "colors": list(label.colors)}
+    return {"parts": list(label.parts), "colors": list(label.colors)}
+
+
+def _sum(x) -> dict:
+    """A ``LinComb`` or ``TensorComb`` in canonical term order, each
+    coefficient an exact string (``"p/q"`` when not integral)."""
+    if isinstance(x, lincomb.TensorComb):
+        return {"bases": list(x.bases),
+                "terms": [{"coeff": str(Fraction(c)), "left": _label(l),
+                           "right": _label(m)}
+                          for (l, m), c in x.sorted_terms()]}
+    return {"basis": x.basis,
+            "terms": [{"coeff": str(Fraction(c)), "label": _label(l)}
+                      for l, c in x.sorted_terms()]}
+
+
 def _fail(failures) -> int:
     sys.stderr.write(json.dumps(failures) + "\n")
     return 2
@@ -50,15 +71,13 @@ def cmd_enumerate(args) -> int:
                   "shape": None if shape is None else list(shape),
                   "anti": bool(args.anti),
                   "count": len(ribs),
-                  "ribbons": [lincomb.label_to_json(lincomb.QMR_F, x)
-                              for x in ribs]})
+                  "ribbons": [_label(x) for x in ribs]})
 
 
 def cmd_phi(args) -> int:
     rib = ribbons.parse_ribbon(args.ribbon)
-    return _emit({"input": lincomb.label_to_json(lincomb.QMR_F, rib),
-                  "output": lincomb.label_to_json(lincomb.QMR_F,
-                                                  ribbons.flip_ribbon(rib))})
+    return _emit({"input": _label(rib),
+                  "output": _label(ribbons.flip_ribbon(rib))})
 
 
 def _parse_elt(basis: str, text: str, flag: str) -> lincomb.LinComb:
@@ -86,13 +105,13 @@ def cmd_product(args) -> int:
     rhs = _parse_elt(args.basis, args.rhs, "--rhs")
     mul = {"F": hopf.qmr_product_F, "R": hopf.mr_product_R,
            "S": hopf.mr_product_S}[args.basis]
-    return _emit(lincomb.lincomb_to_json(mul(lhs, rhs)))
+    return _emit(_sum(mul(lhs, rhs)))
 
 
 def cmd_coproduct(args) -> int:
     elt = _parse_elt(args.basis, args.elt, "--elt")
     cop = hopf.qmr_coproduct_F if args.basis == "F" else hopf.mr_coproduct
-    return _emit(lincomb.tensorcomb_to_json(cop(elt)))
+    return _emit(_sum(cop(elt)))
 
 
 def cmd_induce_hecke_projective(args) -> int:
@@ -100,7 +119,7 @@ def cmd_induce_hecke_projective(args) -> int:
     summands = reptheory.induce_hecke_projective(shape, args.r)
     return _emit({"shape": list(shape), "r": args.r,
                   "summands": [{"label": ribbons.colored_composition_literal(cc),
-                                **lincomb.label_to_json(lincomb.MR_R, cc),
+                                **_label(cc),
                                 "dim": dim}
                                for cc, dim in summands],
                   "total_dim": sum(d for _, d in summands)})

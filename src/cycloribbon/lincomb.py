@@ -15,22 +15,13 @@ SYM-h    monomials in the complete homogeneous functions of r variable
 NCSF-R   ordinary ribbon basis of noncommutative symmetric functions;
          labels are compositions
 ======== ===============================================================
-
-JSON serialization keeps coefficients as exact decimal strings (``"p/q"``
-when not integral) so that round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ribbons import (
-    ColoredComposition,
-    ColoredRibbon,
-    colored_composition_sort_key,
-    descent_bitmask,
-    ribbon_sort_key,
-)
+from .ribbons import colored_composition_sort_key, descent_bitmask, ribbon_sort_key
 
 MR_S = "MR-S"
 MR_R = "MR-R"
@@ -174,63 +165,3 @@ class TensorComb(FormalSum):
     def __repr__(self):
         bits = " + ".join(f"{c}*{l}x{m}" for (l, m), c in self.sorted_terms())
         return f"TensorComb({self.tag}, {bits or 0})"
-
-
-# ---------------------------------------------------------------------------
-# JSON codecs
-
-def coeff_to_str(c) -> str:
-    return str(Fraction(c))
-
-
-def coeff_from_str(s: str):
-    c = Fraction(s)
-    return c.numerator if c.denominator == 1 else c
-
-
-def label_to_json(basis, label):
-    if basis in (MR_S, MR_R):
-        return {"parts": list(label.parts), "colors": list(label.colors)}
-    if basis == QMR_F:
-        return {"shape": list(label.shape), "colors": list(label.colors)}
-    if basis == SYM_H:
-        return {"factors": [[c, d] for c, d in label]}
-    if basis == NCSF_R:
-        return {"parts": list(label)}
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def label_from_json(basis, obj):
-    if basis in (MR_S, MR_R):
-        return ColoredComposition(tuple(obj["parts"]), tuple(obj["colors"]))
-    if basis == QMR_F:
-        return ColoredRibbon(tuple(obj["shape"]), tuple(obj["colors"]))
-    if basis == SYM_H:
-        return tuple((c, d) for c, d in obj["factors"])
-    if basis == NCSF_R:
-        return tuple(obj["parts"])
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def lincomb_to_json(lc: LinComb) -> dict:
-    return {"basis": lc.basis,
-            "terms": [{"coeff": coeff_to_str(c),
-                       "label": label_to_json(lc.basis, l)}
-                      for l, c in lc.sorted_terms()]}
-
-
-def lincomb_from_json(obj: dict) -> LinComb:
-    basis = obj["basis"]
-    return LinComb(basis, [(label_from_json(basis, t["label"]),
-                            coeff_from_str(t["coeff"]))
-                           for t in obj["terms"]])
-
-
-def tensorcomb_to_json(tc: TensorComb) -> dict:
-    b1, b2 = tc.bases
-    return {"bases": [b1, b2],
-            "terms": [{"coeff": coeff_to_str(c),
-                       "left": label_to_json(b1, l),
-                       "right": label_to_json(b2, m)}
-                      for (l, m), c in tc.sorted_terms()]}
-

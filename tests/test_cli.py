@@ -4,12 +4,17 @@ import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloribbon import cli, lincomb
+from cycloribbon.lincomb import LinComb, MR_R, MR_S, QMR_F, TensorComb
+from cycloribbon.ribbons import ColoredComposition, ColoredRibbon
+from test_ribbons import PROPERTY, random_colored_compositions, random_ribbons
 
 
 SCHEMA = json.loads(
@@ -53,6 +58,82 @@ def test_enumerate_explicit_empty_shape(capsys):
 
 def test_schema_bases_are_the_lincomb_bases():
     assert SCHEMA["$defs"]["basis"]["enum"] == list(lincomb.BASES)
+
+
+CC1 = ColoredComposition((2, 1), (1, 2))
+CC2 = ColoredComposition((3,), (1,))
+RIB = ColoredRibbon((1, 1), (2, 1))
+
+
+def read_label(obj):
+    """The reference reader of a label object that ``cli._label`` writes."""
+    if "shape" in obj:
+        return ColoredRibbon(tuple(obj["shape"]), tuple(obj["colors"]))
+    return ColoredComposition(tuple(obj["parts"]), tuple(obj["colors"]))
+
+
+def read_sum(obj):
+    """The reference reader of a sum object that ``cli._sum`` writes."""
+    return LinComb(obj["basis"], [(read_label(t["label"]), Fraction(t["coeff"]))
+                                  for t in obj["terms"]])
+
+
+def round_trip(x):
+    """``x`` written by ``cli._sum``, through JSON text and read back; the
+    text of the read sum must be the same bytes."""
+    blob = json.dumps(cli._sum(x))
+    back = read_sum(json.loads(blob))
+    assert json.dumps(cli._sum(back)) == blob
+    return back
+
+
+def test_coeff_strings():
+    obj = cli._sum(LinComb(MR_R, [(CC1, Fraction(3, 1)), (CC2, Fraction(-1, 2))]))
+    assert [t["coeff"] for t in obj["terms"]] == ["-1/2", "3"]
+
+
+def test_json_roundtrip_bit_exact():
+    lc = LinComb(MR_R, [(CC1, Fraction(-5, 3)), (CC2, 41)])
+    assert round_trip(lc) == lc
+    f = LinComb(QMR_F, [(RIB, 1)])
+    assert round_trip(f) == f
+
+
+# the bases whose labels the CLI writes, one label of each
+LABELS = {MR_S: CC1, MR_R: CC2, QMR_F: RIB}
+
+
+@pytest.mark.parametrize("basis", LABELS)
+def test_json_roundtrip_every_basis(basis):
+    x = LinComb(basis, [(LABELS[basis], Fraction(-3, 4))])
+    assert round_trip(x) == x
+
+
+RANDOM_LABELS = {MR_S: random_colored_compositions(),
+                 MR_R: random_colored_compositions(), QMR_F: random_ribbons()}
+
+
+@pytest.mark.parametrize("basis", RANDOM_LABELS)
+@PROPERTY
+@given(data=st.data())
+def test_json_roundtrip_random_sums(basis, data):
+    x = LinComb(basis, data.draw(st.lists(st.tuples(
+        RANDOM_LABELS[basis], st.fractions(-20, 20, max_denominator=12)), max_size=6)))
+    assert round_trip(x) == x
+
+
+def test_json_shape():
+    assert cli._sum(LinComb.single(MR_R, CC1)) == {
+        "basis": "MR-R",
+        "terms": [{"coeff": "1", "label": {"parts": [2, 1], "colors": [1, 2]}}]}
+
+
+def test_tensor_json_shape():
+    obj = cli._sum(TensorComb((MR_S, QMR_F), [((CC1, RIB), 6)]))
+    assert obj == {"bases": ["MR-S", "QMR-F"],
+                   "terms": [{"coeff": "6",
+                              "left": {"parts": [2, 1], "colors": [1, 2]},
+                              "right": {"shape": [1, 1], "colors": [2, 1]}}]}
 
 
 def test_enumerate_anti(capsys):

@@ -30,7 +30,7 @@ dim_projective duality_pairing enumerate_anticycloribbons
 enumerate_cycloribbons enumerate_one_dim_characters fillings_below flip_ribbon
 hopf induce_hecke_projective induce_projectives induce_simples
 is_anticycloribbon is_cycloribbon left_mult_T left_mult_xi
-linalg lincomb lincomb_from_json lincomb_to_json max_inversion_perm
+linalg lincomb max_inversion_perm
 mr_coproduct mr_product_R mr_product_S mr_to_ncsf mr_to_sym
 multipartition_class multipartitions oracle projective_labels qmr_coproduct_F
 qmr_product_F r_to_s reptheory restrict_simple ribbon_from_character ribbons
@@ -64,7 +64,7 @@ def test_star_import_binds_the_public_names():
     # fresh, because an imported submodule such as cli is a package
     # attribute too, and a star import without __all__ would bind it
     bound = run_fresh(STAR)
-    assert len(STAR_NAMES) == 76
+    assert len(STAR_NAMES) == 74
     assert sorted(bound) == sorted(STAR_NAMES)
     assert [name for name, same in bound.items() if not same] == []
 
@@ -279,4 +279,43 @@ def test_only_the_cli_writes_label_literals():
         if path.stem not in ("cli", "ribbons") and \
                 (referenced_names(tree) | imported) & LITERAL_WRITERS:
             naming.append(path.stem)
+    assert naming == []
+
+
+# Modules that build objects with the schema's label key of their own,
+# kept on purpose: name -> reason.
+OWN_REPORTS = {
+    "oracle": "verify_relations and cross_check_induction return their "
+              "reports as dicts, which the CLI writes as they are; moving "
+              "their labels into the CLI would change the oracle's API",
+}
+
+
+def output_format_uses(tree) -> set:
+    """``"json"`` if ``tree`` imports ``json``, and ``"colors"`` if it holds
+    a dict display with the schema's label key ``"colors"``."""
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "json" for alias in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "json":
+            uses.add("json")
+        elif isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "colors"
+                for key in node.keys):
+            uses.add("colors")
+    return uses
+
+
+def test_only_the_cli_writes_json_objects():
+    """The output format has one home: no src module but ``cli`` imports
+    ``json`` or builds a label object, a dict display with the key
+    ``"colors"`` (``OWN_REPORTS`` may build label objects, not JSON)."""
+    naming = []
+    for path in sorted((SRC / "cycloribbon").glob("*.py")):
+        uses = output_format_uses(ast.parse(path.read_text()))
+        if path.stem in OWN_REPORTS:
+            uses.discard("colors")
+        if path.stem != "cli" and uses:
+            naming.append(f"{path.stem}: {', '.join(sorted(uses))}")
     assert naming == []
