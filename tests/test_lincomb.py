@@ -1,16 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycloribbon.lincomb import (
     BASES,
     LinComb,
     MR_R,
     MR_S,
+    NCSF_R,
+    QMR_F,
+    SYM_H,
     TensorComb,
     label_sort_key,
 )
 from cycloribbon.ribbons import ColoredComposition
+from test_ribbons import PROPERTY, random_colored_compositions, random_ribbons
 
 CC1 = ColoredComposition((2, 1), (1, 2))
 CC2 = ColoredComposition((3,), (1,))
@@ -44,6 +49,31 @@ def test_sorted_terms_are_canonical():
     a = LinComb(MR_R, [(CC2, 1), (CC1, 1)])
     labels = [l for l, _ in a.sorted_terms()]
     assert labels == [CC2, CC1]  # one-part label sorts before the split one
+
+
+# random labels of every basis; a basis without a source fails by KeyError
+RANDOM_LABELS = {
+    MR_S: random_colored_compositions(),
+    MR_R: random_colored_compositions(),
+    QMR_F: random_ribbons(),
+    SYM_H: st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                    max_size=4).map(lambda pairs: tuple(sorted(pairs))),
+    NCSF_R: st.lists(st.integers(1, 6), max_size=5).map(tuple),
+}
+
+
+@pytest.mark.parametrize("basis", BASES)
+@PROPERTY
+@given(data=st.data())
+def test_sorted_terms_follow_the_sort_key(basis, data):
+    # distinct labels get distinct keys, so the order of the terms does
+    # not depend on the order in which the sum was built
+    pairs = data.draw(st.lists(st.tuples(
+        RANDOM_LABELS[basis], st.fractions(-20, 20, max_denominator=12)), max_size=6))
+    x = LinComb(basis, pairs)
+    keys = [label_sort_key(basis, label) for label, _ in x.sorted_terms()]
+    assert keys == sorted(set(keys)) and len(keys) == len(x.terms)
+    assert LinComb(basis, pairs[::-1]).sorted_terms() == x.sorted_terms()
 
 
 def test_removed_schur_tag_is_unknown():
