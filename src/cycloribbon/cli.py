@@ -2,15 +2,16 @@
 
 Data goes to stdout as JSON (or CSV for the matrix commands);
 diagnostics go to stderr.  This module turns the library's labels,
-sums and matrices into the schema's JSON objects.  Exit codes: 0
-success, 1 argument or literal validation error, 2 oracle check failure
-(JSON counterexample or failed check on stderr).  Output is
+sums, matrices and oracle reports into the schema's JSON objects.  Exit
+codes: 0 success, 1 argument or literal validation error, 2 oracle check
+failure (JSON counterexample or failed check on stderr).  Output is
 deterministic byte for byte for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -49,6 +50,10 @@ def _sum(x) -> dict:
     return {"basis": x.basis,
             "terms": [{"coeff": str(Fraction(c)), "label": _label(l)}
                       for l, c in x.sorted_terms()]}
+
+
+def _factors(counts) -> list:
+    return sorted([list(ch.xi_colors), list(ch.t_values), m] for ch, m in counts.items())
 
 
 def _fail(failures) -> int:
@@ -157,7 +162,10 @@ def cmd_dims(args) -> int:
                   "algebra_dim": args.r ** args.n * math.factorial(args.n)})
 
 
-def _check_cap(dim: int, noun: str) -> None:
+def _check_cap(factors, noun: str) -> None:
+    """Raise ValueError if the product of ``factors`` exceeds the cap.  It is
+    taken only that far, and named only when whole and below 2**64, so a
+    huge size costs neither time nor a number too long to print."""
     raw = os.environ.get(MAX_DIM_ENV)
     try:
         cap = DEFAULT_MAX_DIM if raw is None else int(raw)
@@ -165,9 +173,13 @@ def _check_cap(dim: int, noun: str) -> None:
         raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
     if cap < 0:
         raise ValueError(f"{MAX_DIM_ENV} must not be negative, got {raw!r}")
-    if dim > cap:
-        raise ValueError(f"{noun} {dim} exceeds the cap {cap} "
-                         f"(set {MAX_DIM_ENV} to raise it)")
+    size, rest = 1, iter(factors)
+    for factor in rest:
+        size *= factor
+        if size > cap:
+            whole = next(rest, None) is None and size < 2 ** 64
+            raise ValueError(f"{noun}{f' {size}' if whole else ''} exceeds the cap "
+                             f"{cap} (set {MAX_DIM_ENV} to raise it)")
 
 
 def cmd_oracle_verify(args) -> int:
@@ -183,9 +195,15 @@ def cmd_oracle_verify(args) -> int:
         if len(u) != args.r or len(set(u)) != args.r:
             raise ValueError(f"--u: {args.u!r} must list {args.r} pairwise "
                              "distinct rationals, one per color")
+    # r^n n!, from the largest factor of n!, so that a huge n stops at once
+    _check_cap(itertools.chain(range(args.n, 1, -1), itertools.repeat(args.r, args.n)),
+               "instance dimension")
     params = oracle.AlgebraParams(args.n, args.r, u)
-    _check_cap(params.dimension, "instance dimension")
     checks = oracle.verify_relations(params)
+    for check in checks:
+        if bad := check["counterexample"]:
+            colors, perm = bad["basis_element"]
+            bad["basis_element"] = {"colors": list(colors), "perm": list(perm)}
     ok = all(c["pass"] for c in checks)
     _emit({"n": args.n, "r": args.r,
            "u": [str(x) for x in params.u],
@@ -194,12 +212,20 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_oracle_cross_check(args) -> int:
-    # the largest object built: the r^g 2^(g-1) candidate characters at grade g
-    _check_cap(args.r ** args.max_grade * 2 ** max(args.max_grade - 1, 0),
+    # the largest object built: the r^g 2^(g-1) candidate characters at
+    # grade g, the 2s first, so that a huge g stops at once also when r = 1
+    _check_cap(itertools.chain(itertools.repeat(2, args.max_grade - 1),
+                               itertools.repeat(args.r, args.max_grade)),
                "character census")
     report = oracle.cross_check_induction(args.r, args.max_grade)
-    _emit(report)
-    return 0 if report["pass"] else _fail(report["failures"][:3])
+    failures = [{"lhs": _label(f["lhs"]), "rhs": _label(f["rhs"]),
+                 "combinatorial": _factors(f["combinatorial"]),
+                 "oracle": _factors(f["oracle"])} for f in report["failures"]]
+    # the schema requires the flag; the product of simples has one convention
+    _emit({"check": report["check"], "r": report["r"],
+           "max_grade": report["max_grade"], "negate_colors": False,
+           "cases": report["cases"], "failures": failures, "pass": report["pass"]})
+    return 0 if report["pass"] else _fail(failures[:3])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -395,8 +395,8 @@ def _right_equivariant(steps, tables) -> bool:
 def verify_relations(params: AlgebraParams) -> list:
     """Check every defining relation on every basis element of the left
     regular representation.  Returns one report dict per relation
-    instance, with a counterexample on failure: the least basis element
-    with a nonzero residual, and its number of terms.
+    instance, with a counterexample on failure: the key ``(c, w)`` of the
+    least basis element with a nonzero residual, and its number of terms.
 
     Each color-content block is read once per call and not kept; an image
     leaving its block raises :class:`OracleError`.
@@ -428,9 +428,7 @@ def verify_relations(params: AlgebraParams) -> list:
             found[name, instance] = min(filter(None, (old, bad)), default=None)
     return [{"check": name, "instance": instance, "pass": bad is None,
              "counterexample": None if bad is None else {
-                 "basis_element": {"colors": list(bad[0][0]),
-                                   "perm": list(bad[0][1])},
-                 "residual_terms": bad[1]}}
+                 "basis_element": bad[0], "residual_terms": bad[1]}}
             for (name, instance), bad in found.items()]
 
 
@@ -691,7 +689,7 @@ def check_submodule_order(params: AlgebraParams, shape) -> dict:
             if contained != expected:
                 return {"check": "submodule-order",
                         "instance": f"shape={shape}", "pass": False,
-                        "counterexample": {"c": list(c), "c_prime": list(cp),
+                        "counterexample": {"c": c, "c_prime": cp,
                                            "contained": contained,
                                            "order": expected}}
     return {"check": "submodule-order", "instance": f"shape={shape}",
@@ -746,12 +744,8 @@ def cross_check_induction(r: int, max_grade: int) -> dict:
     ``max_grade``, the combinatorial composition factors of their
     induction product with the factors computed from an explicitly
     induced module.  This is the test that pins down the color
-    convention of the product of simples.  The report's color-negation
-    flag is always false: the CLI schema requires the key."""
-    def factors(counts):
-        return sorted((list(ch.xi_colors), list(ch.t_values), mult)
-                      for ch, mult in counts.items())
-
+    convention of the product of simples.  A failure holds the two labels
+    and both multisets of factors, as ``Counter``s of characters."""
     for name, value, least in (("r", r, 1), ("max_grade", max_grade, 0)):
         if value < least:
             raise ValueError(f"need {name} >= {least}, got {name} = {value}")
@@ -769,11 +763,7 @@ def cross_check_induction(r: int, max_grade: int) -> dict:
                         params, [simple_character(a), simple_character(b)])
                     got = composition_factors(params, module)
                     if got != expected:
-                        failures.append({
-                            "lhs": {"shape": list(a.shape), "colors": list(a.colors)},
-                            "rhs": {"shape": list(b.shape), "colors": list(b.colors)},
-                            "combinatorial": factors(expected),
-                            "oracle": factors(got)})
+                        failures.append({"lhs": a, "rhs": b, "combinatorial": expected,
+                                         "oracle": got})
     return {"check": "induction-cross-check", "r": r, "max_grade": max_grade,
-            "negate_colors": False, "cases": cases,
-            "failures": failures, "pass": not failures}
+            "cases": cases, "failures": failures, "pass": not failures}

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import re
+import time
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -11,9 +13,16 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloribbon import cli, lincomb
+from cycloribbon import cli
 from cycloribbon.lincomb import LinComb, MR_R, MR_S, QMR_F, TensorComb
-from cycloribbon.ribbons import ColoredComposition, ColoredRibbon
+from cycloribbon.oracle import AlgebraParams, build_induced_module, composition_factors
+from cycloribbon.reptheory import simple_character
+from cycloribbon.ribbons import (
+    ColoredComposition,
+    ColoredRibbon,
+    enumerate_cycloribbons,
+)
+from test_oracle import negated_convention, reference_verify_relations
 from test_ribbons import PROPERTY, random_colored_compositions, random_ribbons
 
 
@@ -56,8 +65,13 @@ def test_enumerate_explicit_empty_shape(capsys):
     assert obj["shape"] == [] and obj["count"] == 1
 
 
-def test_schema_bases_are_the_lincomb_bases():
-    assert SCHEMA["$defs"]["basis"]["enum"] == list(lincomb.BASES)
+def test_schema_bases_are_the_cli_bases():
+    """The schema lists the bases of the sums that the CLI writes: the ones
+    ``_parse_elt`` reads ``S``, ``R`` and ``F`` literals into (the ring
+    commands keep the basis of their input)."""
+    written = [cli._parse_elt(basis, text, "--elt").basis
+               for basis, text in (("S", "1^1"), ("R", "1^1"), ("F", "1|1"))]
+    assert SCHEMA["$defs"]["basis"]["enum"] == written == [MR_S, MR_R, QMR_F]
 
 
 CC1 = ColoredComposition((2, 1), (1, 2))
@@ -301,9 +315,45 @@ def test_oracle_cross_check_cap_is_the_character_census(capsys, monkeypatch):
     code, out, err = run(capsys, "oracle", "cross-check", "--max-grade", "5", "--r", "2")
     assert (code, out) == (1, "") and "census 512 exceeds the cap 511" in err
     monkeypatch.setenv(cli.MAX_DIM_ENV, "512")
-    monkeypatch.setattr(cli.oracle, "cross_check_induction",
-                        lambda r, max_grade: {"pass": True})
-    assert run(capsys, "oracle", "cross-check", "--max-grade", "5", "--r", "2")[0] == 0
+
+    def passing(r, max_grade):
+        return {"check": "induction-cross-check", "r": r, "max_grade": max_grade,
+                "cases": 568, "failures": [], "pass": True}
+    monkeypatch.setattr(cli.oracle, "cross_check_induction", passing)
+    obj = run_json(capsys, "oracle", "cross-check", "--max-grade", "5", "--r", "2",
+                   expect_def="oracle_cross_check")
+    assert obj == {**passing(2, 5), "negate_colors": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "verify", "--n", "1500", "--r", "2"),
+    ("oracle", "cross-check", "--max-grade", "20000", "--r", "2"),
+    ("oracle", "verify", "--n", "1000000", "--r", "2"),
+])
+def test_huge_oracle_sizes_hit_the_cap_at_once(capsys, monkeypatch, argv):
+    """The size is taken only until it passes the cap (r^n n! at n = 10^6
+    took seconds) and never printed past 4 300 digits, where Python's int
+    to string conversion raises instead of the cap error."""
+    monkeypatch.delenv(cli.MAX_DIM_ENV, raising=False)
+    noun = "instance dimension" if argv[1] == "verify" else "character census"
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert result == (1, "", f"error: {noun} exceeds the cap 2000 "
+                             f"(set {cli.MAX_DIM_ENV} to raise it)\n")
+
+
+def test_cap_names_only_a_whole_printable_size(monkeypatch):
+    """The size is named when it is the whole product and below 2**64; a
+    product cut short at the cap, or one too large, goes unnamed."""
+    monkeypatch.delenv(cli.MAX_DIM_ENV, raising=False)
+    tail = f" exceeds the cap 2000 (set {cli.MAX_DIM_ENV} to raise it)"
+    for factors, noun in (([2, 1024], "size 2048"), ([4096, 1], "size"),
+                          ([10 ** 30], "size"), ([10 ** 5000], "size")):
+        with pytest.raises(ValueError) as err:
+            cli._check_cap(factors, "size")
+        assert str(err.value) == noun + tail
+    cli._check_cap([2, 1000], "size")
 
 
 def test_negative_cap_rejected(capsys, monkeypatch):
@@ -320,16 +370,74 @@ def test_oracle_cross_check(capsys):
     assert obj["pass"] is True and obj["cases"] == 4
 
 
+def write_factors(counts):
+    """The reference writer of a multiset of characters."""
+    return sorted([list(ch.xi_colors), list(ch.t_values), mult]
+                  for ch, mult in counts.items())
+
+
+def write_relation_report(report):
+    """The reference writer of one report of ``verify_relations``: the
+    basis key ``(c, w)`` of a counterexample as a colors/perm object."""
+    bad = report["counterexample"]
+    if bad is not None:
+        colors, perm = bad["basis_element"]
+        bad = {"basis_element": {"colors": list(colors), "perm": list(perm)},
+               "residual_terms": bad["residual_terms"]}
+    return {**report, "counterexample": bad}
+
+
 def test_oracle_failure_exit_code(capsys, monkeypatch):
-    fake = {"check": "induction-cross-check", "r": 2, "max_grade": 2,
-            "negate_colors": False, "cases": 1,
-            "failures": [{"lhs": {}}], "pass": False}
-    monkeypatch.setattr(cli.oracle, "cross_check_induction",
-                        lambda *a, **k: fake)
+    """A real failure: under the color-negated product of simples the
+    cross-check fails at r = 3.  The failures are recomputed case by case
+    from the library and written by the reference writers; stdout holds
+    all of them and stderr the first three."""
+    induce = negated_convention(3)
+    monkeypatch.setattr(cli.oracle, "induce_simples", induce)
+    p, failures = AlgebraParams(2, 3), []
+    for a in enumerate_cycloribbons(1, 3):
+        for b in enumerate_cycloribbons(1, 3):
+            expected = Counter()
+            for lab, mult in induce(a, b).items():
+                expected[simple_character(lab)] += mult
+            got = composition_factors(p, build_induced_module(
+                p, [simple_character(a), simple_character(b)]))
+            if got != expected:
+                failures.append({
+                    "lhs": {"shape": list(a.shape), "colors": list(a.colors)},
+                    "rhs": {"shape": list(b.shape), "colors": list(b.colors)},
+                    "combinatorial": write_factors(expected),
+                    "oracle": write_factors(got)})
     code, out, err = run(capsys, "oracle", "cross-check", "--max-grade", "2",
-                         "--r", "2")
-    assert code == 2
-    assert json.loads(err) == [{"lhs": {}}]
+                         "--r", "3")
+    assert code == 2 and len(failures) > 3
+    report = {"check": "induction-cross-check", "r": 3, "max_grade": 2,
+              "negate_colors": False, "cases": 9, "failures": failures,
+              "pass": False}
+    jsonschema.validate(report, SCHEMA)
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert err == json.dumps(failures[:3]) + "\n"
+
+
+def test_oracle_verify_failure_exit_code(capsys, monkeypatch):
+    """A real failure: ``T_1`` gains a term ``+B[c, w]`` where ``c_1 = 2``.
+    The reports of the per-element reference, written by the reference
+    writer, are the CLI's stdout, and the failing ones its stderr."""
+    rule = cli.oracle._T_rule
+
+    def broken(params, i, key):
+        terms = rule(params, i, key)
+        return terms + [(key, 1)] if i == 1 and key[0][0] == 2 else terms
+    monkeypatch.setattr(cli.oracle, "_T_rule", broken)
+    checks = [write_relation_report(report)
+              for report in reference_verify_relations(AlgebraParams(3, 2))]
+    code, out, err = run(capsys, "oracle", "verify", "--n", "3", "--r", "2")
+    failing = [check for check in checks if not check["pass"]]
+    assert code == 2 and failing
+    report = {"n": 3, "r": 2, "u": ["1", "2"], "checks": checks, "pass": False}
+    jsonschema.validate(report, SCHEMA)
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert err == json.dumps(failing) + "\n"
 
 
 def test_oracle_error_exit_code(capsys, monkeypatch):

@@ -282,15 +282,6 @@ def test_only_the_cli_writes_label_literals():
     assert naming == []
 
 
-# Modules that build objects with the schema's label key of their own,
-# kept on purpose: name -> reason.
-OWN_REPORTS = {
-    "oracle": "verify_relations and cross_check_induction return their "
-              "reports as dicts, which the CLI writes as they are; moving "
-              "their labels into the CLI would change the oracle's API",
-}
-
-
 def output_format_uses(tree) -> set:
     """``"json"`` if ``tree`` imports ``json``, and ``"colors"`` if it holds
     a dict display with the schema's label key ``"colors"``."""
@@ -310,12 +301,10 @@ def output_format_uses(tree) -> set:
 def test_only_the_cli_writes_json_objects():
     """The output format has one home: no src module but ``cli`` imports
     ``json`` or builds a label object, a dict display with the key
-    ``"colors"`` (``OWN_REPORTS`` may build label objects, not JSON)."""
+    ``"colors"``."""
     naming = []
     for path in sorted((SRC / "cycloribbon").glob("*.py")):
         uses = output_format_uses(ast.parse(path.read_text()))
-        if path.stem in OWN_REPORTS:
-            uses.discard("colors")
         if path.stem != "cli" and uses:
             naming.append(f"{path.stem}: {', '.join(sorted(uses))}")
     assert naming == []

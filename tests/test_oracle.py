@@ -526,9 +526,7 @@ def reference_verify_relations(params):
         for key in keys:
             res = residual(AlgebraElement.basis(*key))
             if res:
-                bad = {"basis_element": {"colors": list(key[0]),
-                                         "perm": list(key[1])},
-                       "residual_terms": len(res.terms)}
+                bad = {"basis_element": key, "residual_terms": len(res.terms)}
                 break
         reports.append({"check": name, "instance": instance,
                         "pass": bad is None, "counterexample": bad})
