@@ -307,13 +307,17 @@ def h_monomial(pairs) -> tuple:
     return tuple(sorted(pairs))
 
 
+def _r_label_to_sym(lab: ColoredComposition) -> list:
+    """The commutative image of one ribbon label, which is not checked."""
+    return [(h_monomial(zip(fine.colors, fine.parts)), sign)
+            for fine, sign in _r_label_to_s(lab)]
+
+
 def mr_to_sym(a: LinComb) -> LinComb:
     """Commutative image: the complete generator of degree j and color i
     goes to the degree-j complete function of the i-th variable set."""
     if a.basis == MR_R:
-        return _linear(lambda lab: [(h_monomial(zip(fine.colors, fine.parts)), sign)
-                                    for fine, sign in _r_label_to_s(lab)],
-                       a, MR_R, SYM_H)
+        return _linear(_r_label_to_sym, a, MR_R, SYM_H)
     return _linear(lambda lab: ((h_monomial(zip(lab.colors, lab.parts)), 1),),
                    a, MR_S, SYM_H, MR_R)
 

@@ -24,7 +24,9 @@ Both rules keep the multiset of colors, so the regular representation
 splits into color-content blocks.  Each rule is written once, for one
 basis element, and one reader turns both into the sparse generator
 columns of every module: of a block, each key its own vector, and of
-every induced module.  One evaluator checks the relations on
+every induced module.  Most images are one term read as one vector, so
+the reader writes such a column straight, with no sum, sharing its entry
+as the general path does.  One evaluator checks the relations on
 such columns: the suite is compiled once per parameter set into integer
 polynomials in generator words, and each term goes into its residual
 by one ``_act`` of its first generator on the operator of the rest of
@@ -320,24 +322,42 @@ def _read_module(params, keys, reading) -> ExplicitModule:
     column ``k`` is the rule on ``B[keys[k]]``, each image term ``B[k']`` read as
     the ``(vector, scale)`` pairs ``reading[k']``, an OracleError if the reading
     lacks it.  Equal entries and columns are stored once, as the tables of the blocks
-    dominate memory: max RSS of ``verify_relations`` at (6, 2) is 46 MB, 58 MB without."""
-    share = {}
+    dominate memory: max RSS of ``verify_relations`` at (6, 2) is 46 MB, 58 MB without.
 
-    def column(rule, g, key):
-        image, terms = {}, rule(params, g, key)
-        try:
-            for term, coeff in terms:
-                accumulate(image, reading[term], coeff)
-        except KeyError:
-            raise OracleError(
-                f"B{key} is mapped outside its color-content block") from None
-        col = tuple(share.setdefault(e, e) for e in image.items())
-        return share.setdefault(col, col)
-
-    return ExplicitModule(tuple(tuple(column(rule, g, key) for key in keys)
-                                for rule, last in ((_T_rule, params.n - 1),
-                                                   (_xi_rule, params.n))
-                                for g in range(1, last + 1)))
+    Most columns are one term read as one pair (every ``xi`` column, ``T_i`` at
+    equal colors ``c_i = c_{i+1}``, most columns of the induced modules), and
+    reading takes most of the time of a block, so such a column is written
+    straight as ``((k, coeff * a),)``, or ``()`` for a zero product, with no dict;
+    its entry and column are shared, and an integral Fraction stored as an int,
+    as :func:`~cycloribbon.lincomb.accumulate` does on the general path."""
+    share, tables = {}, []
+    setdefault = share.setdefault
+    for rule, last in ((_T_rule, params.n - 1), (_xi_rule, params.n)):
+        for g in range(1, last + 1):
+            table = []
+            for key in keys:
+                terms = rule(params, g, key)
+                try:
+                    if len(terms) == 1 and len(pairs := reading[terms[0][0]]) == 1:
+                        (k, a), = pairs
+                        if x := terms[0][1] * a:
+                            e = (k, x.numerator if type(x) is Fraction
+                                 and x.denominator == 1 else x)
+                            col = (setdefault(e, e),)
+                            table.append(setdefault(col, col))
+                        else:
+                            table.append(())
+                        continue
+                    image = {}
+                    for term, coeff in terms:
+                        accumulate(image, reading[term], coeff)
+                except KeyError:
+                    raise OracleError(
+                        f"B{key} is mapped outside its color-content block") from None
+                col = tuple([setdefault(e, e) for e in image.items()])
+                table.append(setdefault(col, col))
+            tables.append(tuple(table))
+    return ExplicitModule(tuple(tables))
 
 
 def _content_block(params: AlgebraParams, content: tuple) -> tuple:

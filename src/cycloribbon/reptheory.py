@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 from .hopf import (
     _f_label_product,
+    _r_label_to_sym,
     h_monomial,
     mr_product_R,
-    mr_to_sym,
     split_ribbon,
     projective_simple_quotient,
     ncsf_product_R,
@@ -179,9 +179,10 @@ def _by_color(runs, r: int) -> tuple:
 
 def _ribbons_in_h(runs) -> LinComb:
     """One-color complete expansion of the product of the ordinary ribbon
-    Schur functions of ``runs``."""
-    return reduce(sym_h_product, (mr_to_sym(LinComb.single(
-        MR_R, ColoredComposition(run, (1,) * len(run)))) for run in runs),
+    Schur functions of ``runs``, by the R-to-SYM label rule, so the labels
+    built here are not checked again."""
+    return reduce(sym_h_product, (LinComb(SYM_H, _r_label_to_sym(
+        ColoredComposition(run, (1,) * len(run)))) for run in runs),
         LinComb.single(SYM_H, ()))
 
 

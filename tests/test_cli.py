@@ -370,6 +370,15 @@ def test_oracle_cross_check(capsys):
     assert obj["pass"] is True and obj["cases"] == 4
 
 
+@pytest.mark.parametrize("max_grade", [0, 1])
+def test_oracle_cross_check_below_grade_two_is_schema_valid(capsys, max_grade):
+    # no pair of simples has total size below 2: 0 cases, and a pass
+    obj = run_json(capsys, "oracle", "cross-check", "--max-grade", str(max_grade),
+                   "--r", "1", expect_def="oracle_cross_check")
+    assert (obj["max_grade"], obj["cases"], obj["failures"], obj["pass"]) == (
+        max_grade, 0, [], True)
+
+
 def write_factors(counts):
     """The reference writer of a multiset of characters."""
     return sorted([list(ch.xi_colors), list(ch.t_values), mult]

@@ -1,6 +1,7 @@
 """Structure constants, defining relations, induced modules, and the
 cross-checks they provide for the combinatorial layer."""
 
+import copy
 import itertools
 import math
 import random
@@ -1196,6 +1197,107 @@ def test_block_columns_equal_generator_actions(n, r, u):
                 assert sorted(col) == sorted((index[k], c)
                                              for k, c in want.terms.items())
     assert sorted(seen) == list(basis_keys(p))
+
+
+def reference_read_module(params, keys, reading) -> ExplicitModule:
+    """Reference for :func:`oracle._read_module`: every column accumulated
+    term by term in a dict, as before the reader's one-term path."""
+    share = {}
+
+    def column(rule, g, key):
+        image, terms = {}, rule(params, g, key)
+        try:
+            for term, coeff in terms:
+                accumulate(image, reading[term], coeff)
+        except KeyError:
+            raise OracleError(
+                f"B{key} is mapped outside its color-content block") from None
+        col = tuple(share.setdefault(e, e) for e in image.items())
+        return share.setdefault(col, col)
+
+    return ExplicitModule(tuple(tuple(column(rule, g, key) for key in keys)
+                                for rule, last in ((oracle._T_rule, params.n - 1),
+                                                   (oracle._xi_rule, params.n))
+                                for g in range(1, last + 1)))
+
+
+def assert_read_as_reference(params, keys, reading) -> ExplicitModule:
+    """The reader's module equals the reference's on ``reading``, each side
+    on its own copy (a ``defaultdict`` grows as it is read)."""
+    got = oracle._read_module(params, keys, copy.copy(reading))
+    assert_same_tables(got, reference_read_module(params, keys, copy.copy(reading)))
+    # equal columns and equal entries are one object each
+    cols = [col for table in got.tables for col in table]
+    entries = [e for col in cols for e in col]
+    assert len(set(map(id, cols))) == len(set(cols))
+    assert len(set(map(id, entries))) == len(set(entries))
+    return got
+
+
+@pytest.mark.parametrize("n, r, u", RELATION_PARAMS)
+def test_read_module_equals_reference_on_the_blocks(n, r, u):
+    p = AlgebraParams(n, r, u)
+    for content in itertools.combinations_with_replacement(range(1, r + 1), n):
+        keys = oracle._content_block(p, content)[0]
+        assert_read_as_reference(p, keys, {key: ((k, 1),) for k, key in enumerate(keys)})
+
+
+def recorded_readings(monkeypatch, build):
+    """The ``(params, keys, reading)`` of every ``_read_module`` call made
+    while ``build()`` runs, each reading copied before it is read."""
+    calls, read = [], oracle._read_module
+
+    def recorded(params, keys, reading):
+        calls.append((params, keys, copy.copy(reading)))
+        return read(params, keys, reading)
+    monkeypatch.setattr(oracle, "_read_module", recorded)
+    build()
+    monkeypatch.setattr(oracle, "_read_module", read)
+    return calls
+
+
+@pytest.mark.parametrize("r, max_grade, u", [
+    (2, 4, ()), (3, 3, (Fraction(-1, 2), 3, 0)), (2, 3, (Fraction(-5, 6), 0))])
+def test_read_module_equals_reference_on_the_induced_readings(monkeypatch, r,
+                                                              max_grade, u):
+    def build():
+        for p, chars in criterion_11_characters(r, max_grade, u):
+            build_induced_module(p, chars)
+        for n in range(1, max_grade + 1):
+            for shape in compositions(n):
+                build_shape_module(AlgebraParams(n, r, u), shape)
+    calls = recorded_readings(monkeypatch, build)
+    # t = 0 gives zero-scale entries, which one-term columns read as ()
+    assert any(a == 0 for *_, reading in calls
+               for pairs in reading.values() for _, a in pairs)
+    for p, keys, reading in calls:
+        assert_read_as_reference(p, keys, reading)
+
+
+def test_read_module_equals_reference_on_hand_made_readings():
+    # T_1 on B[(1, 1), id] is the one term B[(1, 1), s_1], read as two pairs
+    p = AlgebraParams(2, 1, (Fraction(1, 3),))
+    keys = [((1, 1), (1, 2)), ((1, 1), (2, 1))]
+    got = assert_read_as_reference(p, keys, {
+        keys[0]: ((0, 1),), keys[1]: ((1, Fraction(3, 2)), (0, -1))})
+    assert got.tables[0] == (((1, Fraction(3, 2)), (0, -1)), ((1, Fraction(-3, 2)), (0, 1)))
+    # a scale of 2 against u = 1/2 is the int 1, and a scale of 0 is ()
+    p = AlgebraParams(1, 1, (Fraction(1, 2),))
+    for scale, column in [(2, ((0, 1),)), (Fraction(2, 3), ((0, Fraction(1, 3)),)),
+                          (0, ())]:
+        got = assert_read_as_reference(p, [((1,), (1,))], {((1,), (1,)): ((0, scale),)})
+        assert got.tables == ((column,),)
+        assert [type(x) for _, x in column] == [type(x) for _, x in got.tables[0][0]]
+
+
+def test_read_module_rejects_a_one_term_image_the_reading_lacks():
+    # T_1 on B[(1, 1), id] is the one term B[(1, 1), s_1]
+    p = AlgebraParams(2, 1)
+    keys = [((1, 1), (1, 2)), ((1, 1), (2, 1))]
+    for read in (oracle._read_module, reference_read_module):
+        with pytest.raises(OracleError, match=r"^B\(\(1, 1\), \(1, 2\)\) is mapped "
+                           "outside its color-content block$"):
+            read(p, keys, {keys[0]: ((0, 1),)})
 
 
 def reference_content_block(params, content):

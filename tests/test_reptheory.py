@@ -16,7 +16,7 @@ from cycloribbon.hopf import (
     mr_to_sym,
     sym_to_qmr,
 )
-from cycloribbon.lincomb import LinComb, MR_R
+from cycloribbon.lincomb import LinComb, MR_R, SYM_H
 from cycloribbon.reptheory import (
     Character,
     cartan_matrix,
@@ -332,7 +332,6 @@ def test_cartan_row_sums_are_dimensions():
 
 
 def test_cartan_factorizes():
-    from cycloribbon.lincomb import SYM_H
     n, r = 3, 2
     monomials = colored_partitions(n, r)
     mono_index = {m: k for k, m in enumerate(monomials)}
@@ -469,6 +468,24 @@ def test_matrices_compute_each_row_factor_once(monkeypatch, n, r, keys):
     parts = {lam for mp in multipartitions(n, r) for lam in mp}
     assert len(calls) == len(set(calls)) == len(parts)
     assert set(calls) == parts
+
+
+@pytest.mark.parametrize("runs", [(), ((1,),), ((2, 1), (3,)), ((1, 1, 2), (1, 2), (2,))])
+def test_ribbons_in_h_checks_no_label_it_builds(monkeypatch, runs):
+    # the product of the checked mr_to_sym images, with no MR-R label checked
+    want = LinComb.single(SYM_H, ())
+    for run in runs:
+        want = hopf.sym_h_product(want, mr_to_sym(LinComb.single(
+            MR_R, ColoredComposition(run, (1,) * len(run)))))
+    checked, expect = [], hopf._expect
+
+    def counted(a, basis, or_basis=None):
+        checked.append(basis)
+        return expect(a, basis, or_basis)
+    monkeypatch.setattr(hopf, "_expect", counted)
+    got = reptheory._ribbons_in_h(runs)
+    assert got == want and repr(got) == repr(want)
+    assert MR_R not in checked
 
 
 # ---------------------------------------------------------------------------
